@@ -282,11 +282,19 @@ def _expand(values: np.ndarray, vars: tuple[str, ...], target: tuple[str, ...]) 
     return values[idx]
 
 
-def _multiply(factors: Sequence[Factor]) -> Factor:
-    target = tuple(dict.fromkeys(v for vars, _ in factors for v in vars))
+def _multiply(factors: Sequence[Factor], target: tuple[str, ...] | None = None) -> Factor:
+    """Product of the factors over ``target`` (default: the order variables first appear).
+
+    With a target given the product is C-contiguous in that order, as the
+    caller reads it; mid-elimination it is summed at once, so numpy may keep
+    whatever layout the inputs have.
+    """
+    order = "K" if target is None else "C"
+    if target is None:
+        target = tuple(dict.fromkeys(v for vars, _ in factors for v in vars))
     out = _expand(factors[0][1], factors[0][0], target)
     for vars, values in factors[1:]:
-        out = out * _expand(values, vars, target)
+        out = np.multiply(out, _expand(values, vars, target), order=order)
     return target, out
 
 
@@ -347,11 +355,8 @@ def product_marginal(factors: Sequence[Factor], keep: Sequence[str],
         vars, prod = _multiply(group)
         summed = prod.sum(axis=vars.index(v))
         live.append((tuple(w for w in vars if w != v), summed))
-    vars, prod = _multiply(live)
-    prod = np.asarray(prod)
-    if vars != keep:
-        prod = _expand(prod, vars, keep)
-    return prod
+    # only kept variables survive, so the last product is built in keep order
+    return np.asarray(_multiply(live, keep)[1])
 
 
 def _evidence_sliced(factors: Sequence[Factor], evidence: Mapping[str, int]) -> list[Factor]:

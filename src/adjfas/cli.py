@@ -1,8 +1,10 @@
 """Command-line surface: fas, simulate, benchmark, selection-check, score.
 
 Every command honors --seed with full determinism; reports are
-machine-readable first (JSON/CSV) with a console summary. Exit codes: 0 ok,
-2 validation failure, 3 infeasible selection model, 4 enumeration refusal.
+machine-readable first (JSON/CSV) with a console summary, and every report
+file is written before the summary is printed. Exit codes: 0 ok, 2 validation
+failure, 3 infeasible selection model, 4 enumeration refusal, 141 when the
+reader of standard output closed it early (the report files stand).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_ENUMERATION = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
 def _default_threads() -> int:
@@ -143,9 +146,9 @@ def cmd_fas(args) -> int:
         result = find_adjustment_set_selected(table, exp, config)
     else:
         result = find_adjustment_set(table, exp, config)
-    _print_fas(result, sys.stdout)
     out = Path(args.out) if args.out else Path("fas_report.json")
     _write_json(result.to_dict(), out)
+    _print_fas(result, sys.stdout)
     print(f"report written to {out}")
     return EXIT_OK
 
@@ -247,12 +250,6 @@ def cmd_score(args) -> int:
             f"{{{','.join(prep.pool)}}}")
     records = score_hypotheses(prep, config, tilts=tilts, hypotheses=[hyp])
     rec = records[hyp]
-    print(f"hypothesis: {hyp.label()}")
-    print(f"prior log prob: {rec.prior_log:.6f}")
-    for arm, s in zip(exp.arms, rec.arm_scores):
-        est = "N/A" if s.id_estimate is None else "[" + ", ".join(f"{p:.4f}" for p in s.id_estimate) + "]"
-        print(f"arm x={arm.x_value}: log marginal {s.log_marginal:.6f}  estimate {est}")
-    print(f"total log score: {rec.total:.6f}")
     if args.out:
         _write_json({
             "hypothesis": hyp.label(),
@@ -260,6 +257,12 @@ def cmd_score(args) -> int:
             "arm_log_marginals": [s.log_marginal for s in rec.arm_scores],
             "total_log_score": rec.total,
         }, Path(args.out))
+    print(f"hypothesis: {hyp.label()}")
+    print(f"prior log prob: {rec.prior_log:.6f}")
+    for arm, s in zip(exp.arms, rec.arm_scores):
+        est = "N/A" if s.id_estimate is None else "[" + ", ".join(f"{p:.4f}" for p in s.id_estimate) + "]"
+        print(f"arm x={arm.x_value}: log marginal {s.log_marginal:.6f}  estimate {est}")
+    print(f"total log score: {rec.total:.6f}")
     return EXIT_OK
 
 
@@ -275,7 +278,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early (`| head`); report files are already written
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the exit-time flush stays quiet
+        return EXIT_BROKEN_PIPE
     except EnumerationLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ENUMERATION

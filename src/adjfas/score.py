@@ -32,6 +32,9 @@ from .data import Arm, CategoricalTable, ExperimentSummary, ValidationError, g2_
 
 POOL_ENUMERATION_LIMIT = 16
 TIE_TOL = 1e-9
+# Largest root tensor, in cells with the Monte-Carlo axis counted, that one
+# lattice walk builds; past it every hypothesis is eliminated on its own.
+LATTICE_CELL_BUDGET = 1 << 22
 
 _BATCH = "\x00batch"  # reserved pseudo-variable naming the Monte-Carlo axis
 
@@ -127,7 +130,10 @@ class FasResult:
     config: FasConfig
 
     def ranked(self) -> list[tuple[Hypothesis, float]]:
-        return sorted(self.scores.items(), key=lambda kv: (-kv[1], kv[0].sort_key()))
+        """``best`` first (it wins ties within TIE_TOL), then by total and sort key."""
+        rest = sorted(((h, t) for h, t in self.scores.items() if h != self.best),
+                      key=lambda kv: (-kv[1], kv[0].sort_key()))
+        return [(self.best, self.scores[self.best]), *rest]
 
     def to_dict(self) -> dict:
         return {
@@ -205,74 +211,134 @@ def score_not_exists(arm: Arm) -> float:
     return float(gammaln(k) + gammaln(counts + 1.0).sum() - gammaln(arm.total + k))
 
 
-def _predictive_batch(batched: Mapping[str, np.ndarray], parents: Mapping[str, tuple[str, ...]],
-                      x: str, y: str, zvars: tuple[str, ...], x_value: int,
-                      tilts: Mapping[str, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Adjustment-formula predictive θ_{Y_x} for every draw in the batch.
+def _root_joint(batched: Mapping[str, np.ndarray], parents: Mapping[str, tuple[str, ...]],
+                x: str, y: str, zvars: tuple[str, ...],
+                tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+    """P(Y, X, *zvars) for every draw in the batch, by one variable elimination.
 
-    Returns (theta, degenerate): theta has shape (batch, |Y|); degenerate
-    flags draws where some stratum (x, z) has probability zero while P(z) > 0,
-    making the conditional undefined. With ``tilts`` the computation runs in
-    the reweighted population (conditioning on inclusion), i.e. all three
-    ingredients become P(·|S=1).
+    The result is C-contiguous with axes (Y, X, *zvars, batch): the
+    Monte-Carlo axis goes last so that summing out a covariate reduces over
+    contiguous runs of draws. With ``tilts`` the joint is that of the
+    reweighted population (unnormalized).
     """
-    factors = [((_BATCH, *parents[v], v), batched[v]) for v in batched]
+    factors = [((*parents[v], v, _BATCH), np.moveaxis(batched[v], 0, -1)) for v in batched]
     if tilts:
         factors += [((v,), np.asarray(t, dtype=float)) for v, t in tilts.items()]
-    keep = (_BATCH, y, x, *zvars)
-    joint = product_marginal(factors, keep)
+    return np.ascontiguousarray(product_marginal(factors, (y, x, *zvars, _BATCH)))
 
-    pz = joint.sum(axis=(1, 2))  # (batch, *z)
-    if tilts:
-        qtot = pz.sum(axis=tuple(range(1, pz.ndim))) if zvars else pz
+
+def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int],
+                  tilted: bool = False) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Adjustment-formula predictive θ_{Y_x} for subsets of the root's covariates.
+
+    ``joint`` is a root from ``_root_joint`` over covariates z_0..z_{k-1};
+    each mask names a subset (bit i set keeps z_i). Returns mask ->
+    (theta, degenerate): theta has shape (|Y|, batch) and degenerate flags
+    draws where some stratum (x, z) has probability zero while P(z) > 0,
+    making the conditional undefined. ``tilted`` marks a root of the
+    reweighted population, whose P(z) is normalized per draw.
+
+    The subsets are walked depth-first from the root, each child being its
+    parent summed over one more covariate (removed in increasing index
+    order, so every subset is reached once), and only branches holding a
+    requested set are entered: memory holds one chain, never the lattice.
+    """
+    k = joint.ndim - 3
+    pz = joint.sum(axis=(0, 1))  # (*z, batch)
+    if tilted:
+        qtot = pz.reshape(-1, pz.shape[-1]).sum(axis=0)
         if not (qtot > 0).all():
             raise ScoringError("selection weights annihilate the whole distribution")
-        pz = pz / qtot.reshape((-1,) + (1,) * (pz.ndim - 1)) if zvars else pz / qtot
-    sliced = np.take(joint, x_value, axis=2)  # (batch, |Y|, *z)
-    denom = sliced.sum(axis=1)                # (batch, *z)
-    safe = np.where(denom > 0, denom, 1.0)
-    cond = np.where(denom[:, None] > 0, sliced / safe[:, None], 0.0)
-    if zvars:
-        theta = (cond * pz[:, None]).sum(axis=tuple(range(2, 2 + len(zvars))))
-        degenerate = ((denom == 0) & (pz > 0)).any(axis=tuple(range(1, 1 + len(zvars))))
-    else:
-        theta = cond * pz[:, None]
-        degenerate = (denom == 0) & (pz > 0)
-    return theta, degenerate
+        pz = pz / qtot
+    sliced = joint[:, x_value]  # (|Y|, *z, batch)
+    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def visit(mask, last, wanted, sl, p):
+        # wanted: the requested sets inside this node's subtree
+        if mask in wanted:
+            n_y, n_b = sl.shape[0], sl.shape[-1]
+            denom = sl.sum(axis=0)
+            if denom.all():
+                cond, degenerate = sl / denom, np.zeros(n_b, dtype=bool)
+            else:
+                # a zero stratum has a zero conditional; its P(z) mass is lost
+                cond = sl / np.where(denom > 0, denom, 1.0)
+                degenerate = ((denom == 0) & (p > 0)).reshape(-1, n_b).any(axis=0)
+            theta = (cond * p).reshape(n_y, -1, n_b).sum(axis=1)
+            out[mask] = (theta, degenerate)
+        for j in range(last + 1, k):
+            child, below = mask & ~(1 << j), (1 << j) - 1
+            # child's subtree drops only covariates past j, so it holds w iff
+            # w is inside child and every covariate child keeps below j is in w
+            sub = [w for w in wanted if not w & ~child and not child & ~w & below]
+            if sub:
+                ax = bin(mask & below).count("1")  # position of z_j among mask's axes
+                visit(child, j, sub, sl.sum(axis=1 + ax), p.sum(axis=ax))
+
+    visit((1 << k) - 1, -1, list(dict.fromkeys(masks)), sliced, pz)
+    return out
 
 
 def _loglik(theta: np.ndarray, counts: Sequence[int]) -> np.ndarray:
+    """Log sequence likelihood of ``counts``; theta is (..., |Y|, batch)."""
     counts = np.asarray(counts, dtype=float)
     pos = counts > 0
-    if not pos.any():
-        return np.zeros(theta.shape[0])
-    sub = theta[:, pos]
     with np.errstate(divide="ignore"):
-        logs = np.where(sub > 0, np.log(np.where(sub > 0, sub, 1.0)), -np.inf)
-    return logs @ counts[pos]
+        return np.einsum("y,...yb->...b", counts[pos], np.log(theta[..., pos, :]))
 
 
-def _arm_score_from_batch(batched, parents, x, y, zvars, arm: Arm, niters: int,
-                          tilts=None) -> ArmScore:
-    theta_trial, degen_trial = _predictive_batch(batched, parents, x, y, zvars, arm.x_value,
-                                                 tilts=tilts)
-    if degen_trial.all():
-        raise ScoringError(
-            f"every sampling iteration degenerate for arm x={arm.x_value}, z={sorted(zvars)}")
-    ll = _loglik(theta_trial, arm.outcome_counts)
-    ll = np.where(degen_trial, -np.inf, ll)
-    log_marginal = float(logsumexp(ll) - math.log(niters))
+def _masked_means(theta: np.ndarray, degenerate: np.ndarray) -> list[tuple[float, ...]]:
+    """Per set, the mean predictive over its non-degenerate draws."""
+    ok = ~degenerate
+    means = (theta * ok[:, None, :]).sum(axis=-1) / ok.sum(axis=-1)[:, None]
+    return [tuple(row) for row in means.tolist()]
 
-    if tilts:
-        theta_id, degen_id = _predictive_batch(batched, parents, x, y, zvars, arm.x_value)
-        if degen_id.all():
+
+def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: Arm,
+                 tilts=None) -> tuple[np.ndarray, np.ndarray]:
+    """θ_{Y_x} of every set in ``zsets`` for the arm's x: shapes (H, |Y|, batch), (H, batch).
+
+    One root holds the union of the sets; past ``LATTICE_CELL_BUDGET`` cells
+    each set is its own root instead.
+    """
+    union = set().union(*zsets)
+    zvars = tuple(v for v in batched if v in union)
+    n_draws = len(batched[x])
+    cells = n_draws * np.prod([batched[v].shape[-1] for v in (y, x, *zvars)], dtype=float)
+    if cells <= LATTICE_CELL_BUDGET:
+        groups = [(zvars, zsets)]
+    else:
+        groups = [(z, [z]) for z in dict.fromkeys(zsets)]
+    found = {}
+    for root, members in groups:
+        joint = _root_joint(batched, parents, x, y, root, tilts)
+        bit = {v: 1 << i for i, v in enumerate(root)}
+        masks = {z: sum(bit[v] for v in z) for z in members}
+        walked = _walk_lattice(joint, arm.x_value, list(masks.values()), tilted=bool(tilts))
+        found.update((z, walked[m]) for z, m in masks.items())
+    theta = np.stack([found[z][0] for z in zsets])
+    degenerate = np.stack([found[z][1] for z in zsets])
+    for z, d in zip(zsets, degenerate):
+        if d.all():
             raise ScoringError(
-                f"every sampling iteration degenerate for arm x={arm.x_value}, z={sorted(zvars)}")
+                f"every sampling iteration degenerate for arm x={arm.x_value}, z={sorted(z)}")
+    return theta, degenerate
+
+
+def _score_arm(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: Arm,
+               tilts=None) -> list[ArmScore]:
+    """ArmScore of every set in ``zsets`` (each ordered as the network's nodes),
+    all from the same parameter batch."""
+    theta_trial, degen_trial = _predictives(batched, parents, x, y, zsets, arm, tilts)
+    ll = np.where(degen_trial, -np.inf, _loglik(theta_trial, arm.outcome_counts))
+    log_marginals = logsumexp(ll, axis=-1) - math.log(ll.shape[-1])
+    if tilts:
+        theta_id, degen_id = _predictives(batched, parents, x, y, zsets, arm)
     else:
         theta_id, degen_id = theta_trial, degen_trial
-    id_estimate = tuple(theta_id[~degen_id].mean(axis=0).tolist())
-    trial_estimate = tuple(theta_trial[~degen_trial].mean(axis=0).tolist())
-    return ArmScore(log_marginal, id_estimate, trial_estimate)
+    return [ArmScore(float(lm), ide, tre) for lm, ide, tre in zip(
+        log_marginals.tolist(), _masked_means(theta_id, degen_id),
+        _masked_means(theta_trial, degen_trial))]
 
 
 def score_exp_arm(x: str, y: str, z: Sequence[str], post: BayesNetPosterior, arm: Arm,
@@ -282,9 +348,8 @@ def score_exp_arm(x: str, y: str, z: Sequence[str], post: BayesNetPosterior, arm
 
     Per draw from the posterior: compute θ_{Y|x,z} and θ_z exactly, combine
     through the adjustment formula into θ_{Y_x}, and weigh the arm counts by
-    ∏_y θ_{y_x}^{N^y}. The log marginal is logsumexp over draws minus
-    log(niters); the estimate is the mean predictive over non-degenerate
-    draws.
+    ∏_y θ_{y_x}^{N^y}. The log marginal is the log of the mean over draws;
+    the estimate is the mean predictive over non-degenerate draws.
     """
     if niters < 1:
         raise ValueError("niters must be >= 1")
@@ -297,7 +362,7 @@ def score_exp_arm(x: str, y: str, z: Sequence[str], post: BayesNetPosterior, arm
     rng = np.random.default_rng(rng)
     batched = sample_parameter_batch(post, rng, niters)
     zvars = tuple(v for v in post.dag.nodes if v in set(z))
-    return _arm_score_from_batch(batched, post.parents, x, y, zvars, arm, niters, tilts=tilts)
+    return _score_arm(batched, post.parents, x, y, [zvars], arm, tilts=tilts)[0]
 
 
 # --- hypothesis enumeration and the search itself
@@ -380,23 +445,26 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, a_idx)))
         batches.append(sample_parameter_batch(post, rng, config.niters))
 
-    records = {}
     for h in hypotheses:
         if h not in all_hyps:
             raise ValueError(f"hypothesis {h.label()} outside the enumerated space")
-        prior = prior_log_prob(h, prep.pool)
-        arm_scores = []
-        for a_idx, arm in enumerate(exp.arms):
-            if h.is_not_exists:
-                arm_scores.append(ArmScore(
-                    log_marginal=score_not_exists(arm),
-                    id_estimate=None if selected_pop else _empirical(arm),
-                    trial_estimate=None))
-            else:
-                zvars = tuple(v for v in post.dag.nodes if v in h.z)
-                arm_scores.append(_arm_score_from_batch(
-                    batches[a_idx], post.parents, x, y, zvars, arm, config.niters, tilts=tilts))
-        records[h] = HypothesisRecord(h, prior, tuple(arm_scores))
+    subsets = [h for h in hypotheses if not h.is_not_exists]
+    zsets = [tuple(v for v in post.dag.nodes if v in h.z) for h in subsets]
+    per_arm = [_score_arm(batch, post.parents, x, y, zsets, arm, tilts=tilts) if zsets else []
+               for batch, arm in zip(batches, exp.arms)]
+    subset_scores = {h: tuple(arm_scores[i] for arm_scores in per_arm)
+                     for i, h in enumerate(subsets)}
+
+    records = {}
+    for h in hypotheses:
+        if h.is_not_exists:
+            arm_scores = tuple(ArmScore(
+                log_marginal=score_not_exists(arm),
+                id_estimate=None if selected_pop else _empirical(arm),
+                trial_estimate=None) for arm in exp.arms)
+        else:
+            arm_scores = subset_scores[h]
+        records[h] = HypothesisRecord(h, prior_log_prob(h, prep.pool), arm_scores)
     return records
 
 

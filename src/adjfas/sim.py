@@ -25,8 +25,8 @@ from .bayesnet import (Factor, fit_posterior, learn_structure, posterior_mean,
                        product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
 from .graph import Admg, satisfies_adjustment_criterion
-from .score import (FasConfig, Hypothesis, pick_best, pick_min_kl, prepare_scoring,
-                    score_hypotheses)
+from .score import (FasConfig, Hypothesis, _root_joint, _walk_lattice, pick_best, pick_min_kl,
+                    prepare_scoring, score_hypotheses)
 from .selection import prepare_selected
 
 MAX_STATE_SPACE = 3 ** 12
@@ -317,20 +317,15 @@ def vws_baseline(gt: GroundTruth) -> frozenset[str]:
 
 
 def _adjusted_from_instantiation(params, x: str, y: str, z: Sequence[str]) -> dict[int, tuple[float, ...]]:
-    factors = params.factors()
+    """Σ_z P(Y|x,z)P(z) of one CPT set for every x, by the scorer's own formula."""
+    batched = {v: cpt[None] for v, cpt in params.cpts.items()}  # a batch of one draw
     zvars = tuple(sorted(z))
-    joint = product_marginal(factors, (y, x, *zvars))
-    pz = joint.sum(axis=(0, 1))
+    joint = _root_joint(batched, params.parents, x, y, zvars)
+    full = (1 << len(zvars)) - 1  # the mask of the root's own set
     out = {}
     for xv in range(joint.shape[1]):
-        sl = np.take(joint, xv, axis=1)  # (|Y|, *z)
-        denom = sl.sum(axis=0)
-        cond = np.where(denom > 0, sl / np.where(denom > 0, denom, 1.0), 0.0)
-        if zvars:
-            theta = (cond * pz).sum(axis=tuple(range(1, 1 + len(zvars))))
-        else:
-            theta = cond * pz
-        out[xv] = tuple(np.asarray(theta).ravel().tolist())
+        theta, _ = _walk_lattice(joint, xv, [full])[full]  # (|Y|, 1)
+        out[xv] = tuple(theta[:, 0].tolist())
     return out
 
 

@@ -10,8 +10,11 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
+from scipy.special import logsumexp
 
+from adjfas.bayesnet import product_marginal, sample_parameter_batch
 from adjfas.graph import Admg
+from adjfas.score import enumerate_hypotheses
 from adjfas.sim import GroundTruth
 
 
@@ -264,4 +267,57 @@ def all_valid_subsets(gt: GroundTruth):
         for z in combinations(covs, size):
             if satisfies_adjustment_criterion(gt.dag, gt.x, gt.y, z):
                 out.append(frozenset(z))
+    return out
+
+
+# --- per-hypothesis scoring
+
+
+def _predictive_by_elimination(batched, parents, x, y, zvars, x_value, tilts=None):
+    """θ_{Y_x} per draw for one set, from its own elimination: (batch, |Y|), (batch,)."""
+    factors = [(("batch", *parents[v], v), batched[v]) for v in batched]
+    if tilts:
+        factors += [((v,), np.asarray(t, dtype=float)) for v, t in tilts.items()]
+    joint = product_marginal(factors, ("batch", y, x, *zvars))
+    pz = joint.sum(axis=(1, 2))
+    if tilts:
+        pz = pz / pz.reshape(len(pz), -1).sum(axis=1).reshape((-1,) + (1,) * (pz.ndim - 1))
+    sliced = np.take(joint, x_value, axis=2)
+    denom = sliced.sum(axis=1)
+    cond = np.where(denom[:, None] > 0, sliced / np.where(denom > 0, denom, 1.0)[:, None], 0.0)
+    zaxes = tuple(range(1, 1 + len(zvars)))
+    theta = (cond * pz[:, None]).sum(axis=tuple(a + 1 for a in zaxes))
+    degenerate = ((denom == 0) & (pz > 0)).any(axis=zaxes) if zvars else (denom == 0) & (pz > 0)
+    return theta, degenerate
+
+
+def score_by_elimination(prep, config, tilts=None, hypotheses=None):
+    """Arm scores of each subset hypothesis from its own variable elimination.
+
+    The slow, obvious form of the scorer: every hypothesis runs a full
+    ``product_marginal`` on every arm (the lattice walk under test derives
+    all of them from one root per arm). It draws the same parameter batch
+    per arm as the scorer, so the two agree up to rounding. Returns
+    {hypothesis: [(log_marginal, id_estimate, trial_estimate) per arm]}.
+    """
+    post, exp = prep.post, prep.exp
+    x, y = exp.treatment, exp.outcome
+    if hypotheses is None:
+        hypotheses = enumerate_hypotheses(prep.pool, config.max_subset_size)
+    out = {h: [] for h in hypotheses if not h.is_not_exists}
+    for a_idx, arm in enumerate(exp.arms):
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, a_idx)))
+        batched = sample_parameter_batch(post, rng, config.niters)
+        counts = np.asarray(arm.outcome_counts, dtype=float)
+        for h in out:
+            zvars = tuple(v for v in post.dag.nodes if v in h.z)
+            th_t, dg_t = _predictive_by_elimination(batched, post.parents, x, y, zvars,
+                                                    arm.x_value, tilts)
+            th_i, dg_i = (_predictive_by_elimination(batched, post.parents, x, y, zvars,
+                                                     arm.x_value) if tilts else (th_t, dg_t))
+            with np.errstate(divide="ignore"):
+                ll = np.log(th_t[:, counts > 0]) @ counts[counts > 0]
+            ll = np.where(dg_t, -np.inf, ll)
+            out[h].append((float(logsumexp(ll) - np.log(config.niters)),
+                           th_i[~dg_i].mean(axis=0), th_t[~dg_t].mean(axis=0)))
     return out

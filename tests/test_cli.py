@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import adjfas
 from _oracles import confounded_world
 from adjfas.cli import main
 from adjfas.data import save_experiment, save_observational
@@ -39,6 +44,25 @@ class TestFas:
         assert main(["fas", str(obs), str(expf), "--seed", "5", "--out", str(o1)]) == 0
         assert main(["fas", str(obs), str(expf), "--seed", "5", "--out", str(o2)]) == 0
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_closed_stdout_keeps_report(self, g1_files, tmp_path):
+        # `adjfas fas ... | head`: the reader is gone before the first line
+        obs, expf = g1_files
+        out = tmp_path / "report.json"
+        src = str(Path(adjfas.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "adjfas.cli", "fas", str(obs), str(expf), "--seed", "1",
+             "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=300)
+        proc.stderr.close()
+        assert code != 2, err
+        assert "Broken pipe" not in err and "Traceback" not in err
+        assert json.loads(out.read_text())["best"] == {"not_exists": False, "z": ["C"]}
 
     def test_validation_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"

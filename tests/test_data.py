@@ -154,6 +154,19 @@ class TestG2:
             pvals.append(g2_independence_test(t, "A", "B"))
         assert kstest(pvals, "uniform").pvalue > 0.01
 
+    def test_two_degrees_of_freedom_closed_form(self):
+        # df = (2-1)(3-1) = 2, where the chi-squared survival is exp(-g²/2)
+        rng = np.random.default_rng(8)
+        a = rng.integers(0, 2, 400)
+        b = (a + rng.integers(0, 2, 400)) % 3
+        t = CategoricalTable(("A", "B"), (2, 3), np.column_stack([a, b]))
+        n = np.zeros((2, 3))
+        np.add.at(n, (a, b), 1)
+        expected = n.sum(axis=1, keepdims=True) * n.sum(axis=0, keepdims=True) / n.sum()
+        pos = n > 0
+        g2 = 2.0 * float(np.sum(n[pos] * np.log(n[pos] / expected[pos])))
+        assert g2_independence_test(t, "A", "B") == pytest.approx(np.exp(-g2 / 2), rel=1e-12)
+
     def test_no_data_gives_p_one(self):
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.empty((0, 3), dtype=int))
         assert g2_independence_test(t, "A", "B", ["C"]) == 1.0

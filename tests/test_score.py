@@ -5,15 +5,17 @@ import pytest
 from scipy.special import gammaln
 
 from _oracles import (confounded_world, latent_confounder_world, mean_abs_diff,
-                      valid_set_world)
+                      score_by_elimination, valid_set_world)
+from adjfas import score as score_module
 from adjfas.bayesnet import fit_posterior
 from adjfas.data import Arm, CategoricalTable, ValidationError
 from adjfas.graph import Admg, satisfies_adjustment_criterion
-from adjfas.score import (NOT_EXISTS, EnumerationLimitError, FasConfig, Hypothesis,
-                          candidate_pool, enumerate_hypotheses, find_adjustment_set,
-                          kl_select, pick_best, prior_log_prob, score_exp_arm,
-                          score_not_exists)
-from adjfas.sim import SimConfig, sample_datasets
+from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig, FasResult,
+                          Hypothesis, HypothesisRecord, candidate_pool, enumerate_hypotheses,
+                          find_adjustment_set, kl_select, pick_best, prepare_scoring,
+                          prior_log_prob, score_exp_arm, score_hypotheses, score_not_exists)
+from adjfas.selection import prepare_selected
+from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
 def datasets_for(gt, n_obs, n_per_arm, seed):
@@ -217,6 +219,21 @@ class TestFindAdjustmentSet:
         res = find_adjustment_set(t, exp, FasConfig(seed=0, max_subset_size=1))
         assert res.best is not None
 
+    def test_best_ranked_first_over_near_tied_superset(self):
+        # a superset within 1e-13 of best, above it by its last bits
+        totals = {Hypothesis.adjustment(()): -12.0,
+                  Hypothesis.adjustment(("A",)): -5.0,
+                  Hypothesis.adjustment(("A", "B")): -5.0 + 1e-13,
+                  NOT_EXISTS: -20.0}
+        records = {h: HypothesisRecord(h, t, ()) for h, t in totals.items()}
+        best = pick_best(records)
+        assert best == Hypothesis.adjustment(("A",))
+        res = FasResult(best=best, scores=totals, estimate=None, pool=("A", "B"),
+                        records=records, population="same", config=FasConfig())
+        assert [h for h, _ in res.ranked()] == [
+            best, Hypothesis.adjustment(("A", "B")), Hypothesis.adjustment(()), NOT_EXISTS]
+        assert res.to_dict()["hypotheses"][0]["z"] == ["A"]
+
     def test_tie_break_prefers_smaller_then_lexicographic(self):
         recs = {}
 
@@ -321,9 +338,71 @@ class TestScoreProperties:
         assert ok / reps >= 0.8
 
 
+def _scoring_world(selection, seed=2):
+    """Simulated world whose candidate pool has four variables."""
+    cfg = SimConfig(selection=selection, seed=seed, n_obs=5000, n_per_arm=500)
+    gt = generate_world(cfg, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,))))
+    table, exp = sample_datasets(
+        gt, cfg, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))))
+    config = FasConfig(seed=seed)
+    if selection == "none":
+        return prepare_scoring(table, exp, config), config, None
+    prep, sbn = prepare_selected(table, exp, config)
+    return prep, config, dict(sbn.theta_s)
+
+
+def _assert_matches_elimination(records, oracle):
+    for h, arms in oracle.items():
+        for got, (log_marginal, id_est, trial_est) in zip(records[h].arm_scores, arms,
+                                                          strict=True):
+            assert got.log_marginal == pytest.approx(log_marginal, rel=0, abs=1e-10)
+            np.testing.assert_allclose(got.id_estimate, id_est, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(got.trial_estimate, trial_est, rtol=0, atol=1e-10)
+
+
+class TestLatticeScoring:
+    """The lattice walk against one variable elimination per hypothesis."""
+
+    @pytest.mark.parametrize("selection", ["none", "observed"])
+    def test_full_enumeration_matches_elimination(self, selection):
+        prep, config, tilts = _scoring_world(selection)
+        assert len(prep.pool) == 4
+        records = score_hypotheses(prep, config, tilts=tilts)
+        assert list(records) == sorted(enumerate_hypotheses(prep.pool), key=Hypothesis.sort_key)
+        oracle = score_by_elimination(prep, config, tilts)
+        _assert_matches_elimination(records, oracle)
+        totals = {h: prior_log_prob(h, prep.pool) + sum(a[0] for a in arms)
+                  for h, arms in oracle.items()}
+        totals[NOT_EXISTS] = records[NOT_EXISTS].total
+        top = max(totals.values())
+        want = min((h for h, t in totals.items() if t >= top - TIE_TOL), key=Hypothesis.sort_key)
+        assert pick_best(records) == want
+
+    @pytest.mark.parametrize("selection", ["none", "observed"])
+    def test_single_hypothesis_matches_elimination(self, selection):
+        prep, config, tilts = _scoring_world(selection)
+        for z in ((), prep.pool[1:3], prep.pool):
+            h = Hypothesis.adjustment(z)
+            records = score_hypotheses(prep, config, tilts=tilts, hypotheses=[h])
+            assert list(records) == [h]
+            _assert_matches_elimination(records, score_by_elimination(prep, config, tilts, [h]))
+
+    def test_over_cell_budget_scores_each_set_alone(self, monkeypatch):
+        prep, config, _ = _scoring_world("none")
+        hyps = [Hypothesis.adjustment(prep.pool[:2]), Hypothesis.adjustment(prep.pool[2:])]
+        roots = []
+        build = score_module._root_joint
+        monkeypatch.setattr(score_module, "LATTICE_CELL_BUDGET", 1)
+        monkeypatch.setattr(score_module, "_root_joint",
+                            lambda *a, **k: roots.append(a[4]) or build(*a, **k))
+        records = score_hypotheses(prep, config, hypotheses=hyps)
+        assert len(roots) == 2 * len(prep.exp.arms)  # one root per set and arm
+        _assert_matches_elimination(records, score_by_elimination(prep, config, None, hyps))
+
+
 class TestDegenerateAndValidationPaths:
     def test_all_degenerate_iterations_error(self):
-        from adjfas.score import ScoringError, _arm_score_from_batch
+        from adjfas.score import ScoringError, _score_arm
         # hand-built batch where P(X=1) is exactly zero in every draw
         batched = {
             "X": np.tile(np.array([1.0, 0.0]), (5, 1)),
@@ -332,7 +411,7 @@ class TestDegenerateAndValidationPaths:
         parents = {"X": (), "Y": ("X",)}
         arm = Arm.from_counts(1, [3, 7])
         with pytest.raises(ScoringError):
-            _arm_score_from_batch(batched, parents, "X", "Y", (), arm, 5)
+            _score_arm(batched, parents, "X", "Y", [()], arm)
 
     def test_arm_value_outside_cardinality(self):
         gt = confounded_world()
