@@ -15,10 +15,9 @@ from .bayesnet import (BayesNetPosterior, ParamInstantiation, ZeroEvidenceError,
                        posterior_mean, sample_parameters)
 from .score import (ArmScore, EnumerationLimitError, FasConfig, FasResult, Hypothesis,
                     NOT_EXISTS, ScoringError, candidate_pool, find_adjustment_set,
-                    kl_select, prior_log_prob, score_exp_arm, score_not_exists)
+                    prior_log_prob, score_exp_arm, score_not_exists)
 from .selection import (InfeasibleSelectionError, SelectionBn, SelectionError,
-                        SolverConvergenceError, build_selection_bn,
-                        find_adjustment_set_selected, selected_conditional)
+                        SolverConvergenceError, build_selection_bn, selected_conditional)
 from .sim import (BenchmarkReport, GroundTruth, SimConfig, delta_theta, generate_world,
                   run_benchmark, sample_datasets, true_interventional, vws_baseline,
                   write_benchmark_csv, write_benchmark_summary)
@@ -30,10 +29,10 @@ __all__ = [
     "ParamInstantiation", "ParseError", "SchemaError", "ScoringError", "SelectionBn",
     "SelectionError", "SimConfig", "SolverConvergenceError", "ValidationError",
     "ZeroEvidenceError", "build_selection_bn", "candidate_pool", "contingency_counts",
-    "delta_theta", "find_adjustment_set", "find_adjustment_set_selected", "fit_posterior",
-    "forbidden_set", "g2_independence_test", "generate_world", "infer_conditional",
-    "joint_marginal", "kl_select", "learn_structure", "load_experiment",
-    "load_observational", "m_separated", "posterior_mean", "prior_log_prob",
+    "delta_theta", "find_adjustment_set", "fit_posterior", "forbidden_set",
+    "g2_independence_test", "generate_world", "infer_conditional", "joint_marginal",
+    "learn_structure", "load_experiment", "load_observational", "m_separated",
+    "posterior_mean", "prior_log_prob",
     "proper_backdoor_graph", "run_benchmark", "sample_datasets", "sample_parameters",
     "satisfies_adjustment_criterion", "save_experiment", "save_observational",
     "score_exp_arm", "score_not_exists", "true_interventional", "vws_baseline",

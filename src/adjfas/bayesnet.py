@@ -413,55 +413,3 @@ def joint_marginal(params: ParamInstantiation, vars: Sequence[str],
         return np.array(1.0)
     return product_marginal(params.factors(), vars, elim_order)
 
-
-# --- serialization
-
-
-def posterior_to_dict(post: BayesNetPosterior) -> dict:
-    return {
-        "dag": post.dag.to_dict(),
-        "ess": post.ess,
-        "nodes": {
-            v: {
-                "parents": list(post.parents[v]),
-                "cardinality": post.cardinalities[v],
-                "shape": list(post.alpha[v].shape),
-                "alpha": post.alpha[v].ravel().tolist(),  # row-major over (*parents, node)
-            }
-            for v in post.dag.nodes
-        },
-    }
-
-
-def posterior_from_dict(d: dict) -> BayesNetPosterior:
-    dag = Admg.from_dict(d["dag"])
-    cards, parents, alpha = {}, {}, {}
-    for v, spec in d["nodes"].items():
-        cards[v] = int(spec["cardinality"])
-        parents[v] = tuple(spec["parents"])
-        alpha[v] = np.asarray(spec["alpha"], dtype=float).reshape(spec["shape"])
-    return BayesNetPosterior(dag=dag, cardinalities=cards, parents=parents,
-                             alpha=alpha, ess=float(d["ess"]))
-
-
-def instantiation_to_dict(inst: ParamInstantiation, seed_lineage=None) -> dict:
-    """Serialize one CPT set; ``seed_lineage`` records how it was drawn."""
-    return {
-        "seed_lineage": seed_lineage,
-        "nodes": {
-            v: {"parents": list(inst.parents[v]),
-                "cardinality": inst.cardinalities[v],
-                "shape": list(inst.cpts[v].shape),
-                "cpt": inst.cpts[v].ravel().tolist()}
-            for v in inst.cpts
-        },
-    }
-
-
-def instantiation_from_dict(d: dict) -> ParamInstantiation:
-    cards, parents, cpts = {}, {}, {}
-    for v, spec in d["nodes"].items():
-        cards[v] = int(spec["cardinality"])
-        parents[v] = tuple(spec["parents"])
-        cpts[v] = np.asarray(spec["cpt"], dtype=float).reshape(spec["shape"])
-    return ParamInstantiation(cards, parents, cpts)

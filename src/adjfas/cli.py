@@ -10,6 +10,7 @@ reader of standard output closed it early (the report files stand).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -18,13 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bayesnet import fit_posterior, learn_structure, posterior_mean
 from .data import (ParseError, SchemaError, ValidationError, load_experiment,
                    load_observational, save_experiment, save_observational)
 from .score import (EnumerationLimitError, FasConfig, Hypothesis, NOT_EXISTS, FasResult,
                     find_adjustment_set, prepare_scoring, score_hypotheses)
-from .selection import (SelectionError, build_selection_bn, check_empirical_support,
-                        find_adjustment_set_selected, prepare_selected, selected_conditional)
+from .selection import SelectionError, selected_conditional
 from .sim import (METHODS, SimConfig, generate_world, run_benchmark, sample_datasets,
                   write_benchmark_csv, write_benchmark_summary)
 
@@ -35,20 +34,8 @@ EXIT_ENUMERATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-def _default_threads() -> int:
-    env = os.environ.get("ADJFAS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int, default=_default_threads(),
-                   help="worker threads (env ADJFAS_THREADS is the fallback default)")
     p.add_argument("--niters", type=int, default=100, help="sampling iterations per hypothesis/arm")
     p.add_argument("--alpha", type=float, default=0.05, help="significance for pool membership")
     p.add_argument("--ess", type=float, default=1.0, help="equivalent sample size of the BDeu prior")
@@ -141,11 +128,7 @@ def _print_fas(result: FasResult, out) -> None:
 def cmd_fas(args) -> int:
     table = load_observational(args.obs)
     exp = load_experiment(args.exp)
-    config = _fas_config(args)
-    if exp.population == "selected":
-        result = find_adjustment_set_selected(table, exp, config)
-    else:
-        result = find_adjustment_set(table, exp, config)
+    result = find_adjustment_set(table, exp, _fas_config(args))
     out = Path(args.out) if args.out else Path("fas_report.json")
     _write_json(result.to_dict(), out)
     _print_fas(result, sys.stdout)
@@ -183,7 +166,7 @@ def cmd_benchmark(args) -> int:
                     n_per_arm=args.n_per_arm, mode=args.mode, selection=args.selection,
                     seed=args.seed)
     report = run_benchmark(cfg, args.replicates, methods=methods,
-                           fas_config=_fas_config(args), threads=args.threads)
+                           fas_config=_fas_config(args))
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     write_benchmark_csv(report, outdir / "benchmark.csv")
@@ -201,18 +184,11 @@ def cmd_benchmark(args) -> int:
 
 def cmd_selection_check(args) -> int:
     table = load_observational(args.obs)
-    exp = load_experiment(args.exp)
-    if not exp.reported_marginals:
-        raise ValidationError("experiment reports no covariate marginals to check")
+    # the model `fas` scores with, read as a selected trial whatever its flag
+    exp = dataclasses.replace(load_experiment(args.exp), population="selected")
     config = FasConfig(alpha=args.alpha, niters=args.niters, ess=args.ess, seed=args.seed,
                        selection_tol=args.tol)
-    check_empirical_support(table, exp.reported_marginals)
-    keep = set(exp.reported_marginals) | {exp.treatment, exp.outcome}
-    sub = table.restrict(keep)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    dag = learn_structure(sub, ess=config.ess, rng=rng)
-    params = posterior_mean(fit_posterior(dag, sub, config.ess))
-    sbn = build_selection_bn(params, exp.reported_marginals, tol=args.tol)
+    sbn = prepare_scoring(table, exp, config).selection
 
     inferred = {v: selected_conditional(sbn, v).tolist() for v in sbn.selected_vars}
     doc = sbn.to_dict()
@@ -238,17 +214,12 @@ def cmd_score(args) -> int:
         names = tuple(s.strip() for s in args.zset.split(",") if s.strip())
         hyp = Hypothesis.adjustment(names)
 
-    if exp.population == "selected":
-        prep, sbn = prepare_selected(table, exp, config)
-        tilts = dict(sbn.theta_s)
-    else:
-        prep = prepare_scoring(table, exp, config)
-        tilts = None
+    prep = prepare_scoring(table, exp, config)
     if not hyp.is_not_exists and not hyp.z <= set(prep.pool):
         raise ValidationError(
             f"hypothesis {hyp.label()} is not a subset of the candidate pool "
             f"{{{','.join(prep.pool)}}}")
-    records = score_hypotheses(prep, config, tilts=tilts, hypotheses=[hyp])
+    records = score_hypotheses(prep, config, hypotheses=[hyp])
     rec = records[hyp]
     if args.out:
         _write_json({

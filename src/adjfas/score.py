@@ -26,9 +26,10 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .bayesnet import (BayesNetPosterior, fit_posterior, learn_structure,
+from .bayesnet import (BayesNetPosterior, fit_posterior, learn_structure, posterior_mean,
                        product_marginal, sample_parameter_batch)
 from .data import Arm, CategoricalTable, ExperimentSummary, ValidationError, g2_independence_test
+from .selection import SelectionBn, build_selection_bn, check_empirical_support
 
 POOL_ENUMERATION_LIMIT = 16
 TIE_TOL = 1e-9
@@ -88,7 +89,6 @@ class FasConfig:
     max_parents: int = 4
     restarts: int = 5
     selection_tol: float = 1e-6
-    max_solver_sweeps: int = 10000
 
 
 @dataclass(frozen=True)
@@ -384,18 +384,35 @@ def enumerate_hypotheses(pool: Sequence[str], max_subset_size: int | None = None
 
 @dataclass
 class PreparedScoring:
-    """Pool, restricted table and fitted posterior shared by every hypothesis."""
+    """Pool, restricted table and fitted posterior shared by every hypothesis.
+
+    ``selection`` holds the solved inclusion weights when the trial population
+    was selected, and is None when it is the observational one.
+    """
 
     table: CategoricalTable
     exp: ExperimentSummary
     pool: tuple[str, ...]
     sub: CategoricalTable
     post: BayesNetPosterior
+    selection: SelectionBn | None
 
 
-def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary, config: FasConfig,
-                    extra_nodes: Sequence[str] = ()) -> PreparedScoring:
+def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
+                    config: FasConfig) -> PreparedScoring:
+    """Validate the inputs, pick the pool, learn and fit the network.
+
+    For a selected trial the network also covers every variable with a
+    reported marginal, and the inclusion weights that reproduce those
+    marginals are solved on its posterior mean.
+    """
     x, y = exp.treatment, exp.outcome
+    # a selected trial always reports marginals (ExperimentSummary checks it)
+    reported = exp.reported_marginals if exp.population == "selected" else {}
+    unknown = set(reported) - set(table.variable_names)
+    if unknown:
+        raise ValidationError(f"reported marginals for unknown variables: {sorted(unknown)}")
+    check_empirical_support(table, reported)
     if exp.n_outcomes != table.cardinality(y):
         raise ValidationError(
             f"experiment reports {exp.n_outcomes} outcome categories, "
@@ -405,13 +422,16 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary, config: Fas
             raise ValidationError(f"arm x value {arm.x_value} outside cardinality of {x!r}")
     pool = candidate_pool(table, x, y, config.alpha)
     enumerate_hypotheses(pool, config.max_subset_size)  # enforce the enumeration guard early
-    keep = set(pool) | {x, y} | set(extra_nodes)
+    keep = set(pool) | {x, y} | set(reported)
     sub = table.restrict(keep)
     learn_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     dag = learn_structure(sub, ess=config.ess, max_parents=config.max_parents,
                           restarts=config.restarts, rng=learn_rng)
     post = fit_posterior(dag, sub, config.ess)
-    return PreparedScoring(table=table, exp=exp, pool=pool, sub=sub, post=post)
+    selection = (build_selection_bn(posterior_mean(post), reported, tol=config.selection_tol)
+                 if reported else None)
+    return PreparedScoring(table=table, exp=exp, pool=pool, sub=sub, post=post,
+                           selection=selection)
 
 
 def _empirical(arm: Arm) -> tuple[float, ...]:
@@ -422,7 +442,6 @@ def _empirical(arm: Arm) -> tuple[float, ...]:
 
 
 def score_hypotheses(prep: PreparedScoring, config: FasConfig,
-                     tilts: Mapping[str, np.ndarray] | None = None,
                      hypotheses: Sequence[Hypothesis] | None = None
                      ) -> dict[Hypothesis, HypothesisRecord]:
     """Score every hypothesis over every arm.
@@ -430,15 +449,15 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     One parameter batch is drawn per arm (seed derived from (seed, arm)) and
     shared by every hypothesis: common random numbers make the score
     differences between near-equivalent hypotheses reflect their true gap
-    instead of independent Monte-Carlo noise, and results stay
-    schedule-independent under any parallel execution.
+    instead of independent Monte-Carlo noise. A selected trial's arms are
+    scored in the population tilted by ``prep.selection``.
     """
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
     all_hyps = set(enumerate_hypotheses(prep.pool, config.max_subset_size))
     if hypotheses is None:
         hypotheses = sorted(all_hyps, key=Hypothesis.sort_key)
-    selected_pop = tilts is not None
+    tilts = None if prep.selection is None else dict(prep.selection.theta_s)
 
     batches = []
     for a_idx in range(len(exp.arms)):
@@ -460,7 +479,7 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         if h.is_not_exists:
             arm_scores = tuple(ArmScore(
                 log_marginal=score_not_exists(arm),
-                id_estimate=None if selected_pop else _empirical(arm),
+                id_estimate=None if prep.selection is not None else _empirical(arm),
                 trial_estimate=None) for arm in exp.arms)
         else:
             arm_scores = subset_scores[h]
@@ -476,10 +495,15 @@ def pick_best(records: Mapping[Hypothesis, HypothesisRecord]) -> Hypothesis:
     return min(ties, key=Hypothesis.sort_key)
 
 
-def _assemble(prep: PreparedScoring, records, config: FasConfig, population: str) -> FasResult:
+def _assemble(prep: PreparedScoring, records, config: FasConfig) -> FasResult:
+    """The search's result: the best hypothesis, its estimate and every score.
+
+    Under selection the no-set verdict has no estimate: the raw trial
+    frequencies describe the selected population, not the observational one.
+    """
     best = pick_best(records)
     rec = records[best]
-    if best.is_not_exists and population == "selected":
+    if best.is_not_exists and prep.selection is not None:
         estimate = None
     else:
         estimate = {arm.x_value: score.id_estimate
@@ -490,7 +514,7 @@ def _assemble(prep: PreparedScoring, records, config: FasConfig, population: str
         estimate=estimate,
         pool=prep.pool,
         records=dict(records),
-        population=population,
+        population=prep.exp.population,
         config=config)
 
 
@@ -498,18 +522,17 @@ def find_adjustment_set(table: CategoricalTable, exp: ExperimentSummary,
                         config: FasConfig | None = None) -> FasResult:
     """Search all candidate subsets plus the no-set hypothesis; return the best.
 
-    Expects a trial drawn from the same population as the table (the
-    selection-aware variant lives in the selection module). The estimate is
-    the posterior-mean adjusted distribution of the winning set, or the raw
-    per-arm frequencies when no set wins.
+    The trial comes from the table's population or, when flagged
+    ``selected``, from one selected on its reported covariate marginals;
+    arms are then scored with the selected-population predictive
+    Σ_z P(Y|x,z,S=1)·P(z|S=1). The estimate is always for the observational
+    population: the posterior-mean adjusted distribution of the winning set,
+    or, when no set wins, the raw per-arm frequencies (same population) or
+    None (selected).
     """
     config = config or FasConfig()
-    if exp.population != "same":
-        raise ValidationError(
-            "experiment flagged 'selected'; use the selection-aware search")
     prep = prepare_scoring(table, exp, config)
-    records = score_hypotheses(prep, config)
-    return _assemble(prep, records, config, population="same")
+    return _assemble(prep, score_hypotheses(prep, config), config)
 
 
 def kl_divergences(exp: ExperimentSummary,
@@ -538,17 +561,3 @@ def pick_min_kl(exp: ExperimentSummary,
     ties = [h for h, v in kls.items() if v <= m + TIE_TOL]
     return min(ties, key=Hypothesis.sort_key)
 
-
-def kl_select(table: CategoricalTable, exp: ExperimentSummary,
-              config: FasConfig | None = None) -> Hypothesis:
-    """Baseline: the subset whose predicted distribution is closest to the trial
-    arms in KL divergence. By construction it can never return the no-set
-    hypothesis.
-    """
-    config = config or FasConfig()
-    if exp.population != "same":
-        raise ValidationError(
-            "experiment flagged 'selected'; use the selection-aware search")
-    prep = prepare_scoring(table, exp, config)
-    records = score_hypotheses(prep, config)
-    return pick_min_kl(exp, records)

@@ -15,11 +15,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (Factor, ParamInstantiation, ZeroEvidenceError, posterior_mean,
-                       product_marginal, _evidence_sliced)
-from .data import CategoricalTable, ExperimentSummary, ValidationError
-from .graph import Admg
-from .score import FasConfig, FasResult, PreparedScoring, _assemble, prepare_scoring, score_hypotheses
+from .bayesnet import (Factor, ParamInstantiation, ZeroEvidenceError, product_marginal,
+                       _evidence_sliced)
+from .data import CategoricalTable, ValidationError, contingency_counts
+
+MAX_SWEEPS = 10000
+DAMPING = 0.5
 
 
 class SelectionError(RuntimeError):
@@ -50,18 +51,6 @@ class SelectionBn:
     def tilt_factors(self) -> list[Factor]:
         return [((v,), self.theta_s[v]) for v in self.selected_vars]
 
-    @property
-    def selection_dag(self) -> Admg:
-        """Base DAG extended with indicator nodes S_<v> and the conjunction S."""
-        nodes = list(self.base.cpts)
-        edges = [(p, v) for v in self.base.cpts for p in self.base.parents[v]]
-        for v in self.selected_vars:
-            nodes.append(f"S_{v}")
-            edges.append((v, f"S_{v}"))
-        nodes.append("S")
-        edges.extend((f"S_{v}", "S") for v in self.selected_vars)
-        return Admg(nodes, directed=edges, observed=list(self.base.cpts))
-
     def to_dict(self) -> dict:
         return {
             "selected_vars": list(self.selected_vars),
@@ -91,7 +80,6 @@ def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Seq
     this is where 'trial mass on a category with no observational support'
     is actually caught for data loaded from files.
     """
-    from .data import contingency_counts
     for v in sorted(marginals):
         target = np.asarray(marginals[v], dtype=float)
         counts = contingency_counts(table, (v,))
@@ -107,11 +95,10 @@ def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Seq
 
 
 def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Sequence[float]],
-                       tol: float = 1e-6, rng: np.random.Generator | None = None,
-                       max_sweeps: int = 10000, damping: float = 0.5) -> SelectionBn:
+                       tol: float = 1e-6, rng: np.random.Generator | None = None) -> SelectionBn:
     """Solve inclusion weights so the tilted network reproduces each reported marginal.
 
-    Damped multiplicative fixed point: θ_v ← θ_v · (target / current)^damping,
+    Damped multiplicative fixed point: θ_v ← θ_v · (target / current)^DAMPING,
     rescaled so max θ_v = 1 (solutions are scale-equivalent per variable). A
     category with zero reported mass is an exclusion criterion and gets weight
     exactly 0. Infeasible when a reported marginal puts mass on a category the
@@ -153,13 +140,13 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
     # land on the same distribution within it; error only past the contract.
     aim = tol * 0.05
     residual = np.inf
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         for v in selected:
             current = _weighted_marginal(tilted_factors(), v)
             pos = targets[v] > 0.0
             ratio = np.ones_like(current)
             ratio[pos] = targets[v][pos] / current[pos]
-            theta[v] = theta[v] * ratio ** damping
+            theta[v] = theta[v] * ratio ** DAMPING
             theta[v] = theta[v] / theta[v].max()
         residual = max(
             float(np.abs(_weighted_marginal(tilted_factors(), v) - targets[v]).max())
@@ -168,7 +155,7 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
             break
     if residual >= tol:
         raise SolverConvergenceError(
-            f"selection solver did not reach residual {tol:g} in {max_sweeps} sweeps "
+            f"selection solver did not reach residual {tol:g} in {MAX_SWEEPS} sweeps "
             f"(best {residual:.3g})")
 
     return SelectionBn(base=params, selected_vars=selected,
@@ -189,36 +176,3 @@ def selected_conditional(sbn: SelectionBn, target: str,
         raise ZeroEvidenceError(f"evidence {evidence} has probability 0 under selection")
     return t / total
 
-
-def prepare_selected(table: CategoricalTable, exp: ExperimentSummary,
-                     config: FasConfig) -> tuple[PreparedScoring, SelectionBn]:
-    """Validate a selected-population experiment, fit the posterior, solve the weights."""
-    if exp.population != "selected":
-        raise ValidationError("experiment is not flagged 'selected'; use the plain search")
-    if not exp.reported_marginals:
-        raise ValidationError("selected population requires reported covariate marginals")
-    unknown = set(exp.reported_marginals) - set(table.variable_names)
-    if unknown:
-        raise ValidationError(f"reported marginals for unknown variables: {sorted(unknown)}")
-    check_empirical_support(table, exp.reported_marginals)
-
-    prep = prepare_scoring(table, exp, config, extra_nodes=tuple(exp.reported_marginals))
-    sbn = build_selection_bn(posterior_mean(prep.post), exp.reported_marginals,
-                             tol=config.selection_tol, max_sweeps=config.max_solver_sweeps)
-    return prep, sbn
-
-
-def find_adjustment_set_selected(table: CategoricalTable, exp: ExperimentSummary,
-                                 config: FasConfig | None = None) -> FasResult:
-    """Adjustment-set search when the trial population was selected.
-
-    Arms are scored with the selected-population predictive
-    Σ_z P(Y|x,z,S=1)·P(z|S=1); the reported estimate for a winning set is the
-    plain (unselected) adjustment, i.e. the interventional distribution in the
-    observational population. If the no-set hypothesis wins there is no valid
-    estimate and the result's estimate is None.
-    """
-    config = config or FasConfig()
-    prep, sbn = prepare_selected(table, exp, config)
-    records = score_hypotheses(prep, config, tilts=dict(sbn.theta_s))
-    return _assemble(prep, records, config, population="selected")

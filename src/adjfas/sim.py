@@ -15,19 +15,17 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (Factor, fit_posterior, learn_structure, posterior_mean,
-                       product_marginal)
+from .bayesnet import (Factor, _evidence_sliced, fit_posterior, learn_structure,
+                       posterior_mean, product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
 from .graph import Admg, satisfies_adjustment_criterion
-from .score import (FasConfig, Hypothesis, _root_joint, _walk_lattice, pick_best, pick_min_kl,
+from .score import (FasConfig, Hypothesis, _assemble, _root_joint, _walk_lattice, pick_min_kl,
                     prepare_scoring, score_hypotheses)
-from .selection import prepare_selected
 
 MAX_STATE_SPACE = 3 ** 12
 MIN_ACCEPTANCE = 1e-6
@@ -85,16 +83,9 @@ def _state_space(cards: Mapping[str, int]) -> int:
     return out
 
 
-def _interventional(dag: Admg, cards, cpts, parents, x: str, y: str, x_value: int) -> np.ndarray:
+def _interventional(dag: Admg, cpts, parents, x: str, y: str, x_value: int) -> np.ndarray:
     factors = [((*parents(v), v), cpts[v]) for v in dag.nodes if v != x]
-    sliced = []
-    for vars, values in factors:
-        if x in vars:
-            ax = vars.index(x)
-            values = np.take(values, x_value, axis=ax)
-            vars = vars[:ax] + vars[ax + 1:]
-        sliced.append((vars, values))
-    return product_marginal(sliced, (y,))
+    return product_marginal(_evidence_sliced(factors, {x: x_value}), (y,))
 
 
 def true_interventional(gt: GroundTruth, x_value: int) -> np.ndarray:
@@ -104,7 +95,7 @@ def true_interventional(gt: GroundTruth, x_value: int) -> np.ndarray:
             f"state space {_state_space(gt.cardinalities)} exceeds the exact-computation limit")
     if not 0 <= x_value < gt.cardinalities[gt.x]:
         raise ValueError(f"x value {x_value} outside cardinality of {gt.x!r}")
-    return _interventional(gt.dag, gt.cardinalities, gt.cpts, gt.parents, gt.x, gt.y, x_value)
+    return _interventional(gt.dag, gt.cpts, gt.parents, gt.x, gt.y, x_value)
 
 
 def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
@@ -122,10 +113,8 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
     for _ in range(10000):
         others = list(covs + lats)
         rng.shuffle(others)
-        if cfg.mode == "pretreatment":
-            order = others + ["X", "Y"]
-        else:
-            order = others + ["X", "Y"]
+        order = others + ["X", "Y"]
+        if cfg.mode == "random":
             rng.shuffle(order)
             ix, iy = order.index("X"), order.index("Y")
             if ix > iy:
@@ -176,7 +165,7 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
 
     parents = lambda v: tuple(sorted(dag.parents(v), key=order_idx.__getitem__))
     true_id = {
-        xv: tuple(_interventional(dag, cards, cpts, parents, "X", "Y", xv).tolist())
+        xv: tuple(_interventional(dag, cpts, parents, "X", "Y", xv).tolist())
         for xv in range(cards["X"])
     }
     return GroundTruth(dag=dag, cardinalities=cards, cpts=cpts, x="X", y="Y",
@@ -211,14 +200,7 @@ def _forward_sample(gt: GroundTruth, n: int, rng: np.random.Generator,
 def _acceptance_prob(gt: GroundTruth, x_value: int) -> float:
     tilt = [((v,), w) for v, w in (gt.selection or {}).items()]
     factors = [f for f in gt.factors() if f[0][-1] != gt.x]
-    sliced = []
-    for vars, values in factors + tilt:
-        if gt.x in vars:
-            ax = vars.index(gt.x)
-            values = np.take(values, x_value, axis=ax)
-            vars = vars[:ax] + vars[ax + 1:]
-        sliced.append((vars, values))
-    return float(product_marginal(sliced, ()))
+    return float(product_marginal(_evidence_sliced(factors + tilt, {gt.x: x_value}), ()))
 
 
 def _selected_marginal_exact(gt: GroundTruth, var: str) -> np.ndarray:
@@ -416,12 +398,8 @@ def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
     if "FAS" in methods or "KL" in methods:
         t0 = time.perf_counter()
         try:
-            if exp.population == "same":
-                prep = prepare_scoring(table, exp, fcfg)
-                records = score_hypotheses(prep, fcfg)
-            else:
-                prep, sbn = prepare_selected(table, exp, fcfg)
-                records = score_hypotheses(prep, fcfg, tilts=dict(sbn.theta_s))
+            prep = prepare_scoring(table, exp, fcfg)
+            records = score_hypotheses(prep, fcfg)
         except Exception as e:  # noqa: BLE001 - replicate failures are recorded, not fatal
             msg = f"{type(e).__name__}: {e}"
             for m in ("FAS", "KL"):
@@ -431,14 +409,9 @@ def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
         shared_seconds = time.perf_counter() - t0
 
     if records is not None and "FAS" in methods:
-        best = pick_best(records)
-        rec = records[best]
-        if best.is_not_exists:
-            est = None if exp.population == "selected" else \
-                {a.x_value: s.id_estimate for a, s in zip(exp.arms, rec.arm_scores)}
-        else:
-            est = {a.x_value: s.id_estimate for a, s in zip(exp.arms, rec.arm_scores)}
-        delta = delta_theta(est, gt) if est is not None else None
+        found = _assemble(prep, records, fcfg)
+        best = found.best
+        delta = None if found.estimate is None else delta_theta(found.estimate, gt)
         results.append(ReplicateResult(rep, "FAS", best.label(), delta,
                                        valid_flag(best), best.is_not_exists, shared_seconds))
 
@@ -477,12 +450,12 @@ def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
 
 
 def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METHODS,
-                  fas_config: FasConfig | None = None, threads: int = 1) -> BenchmarkReport:
+                  fas_config: FasConfig | None = None) -> BenchmarkReport:
     """Replicated evaluation of the requested methods on fresh random worlds.
 
-    Replicates are seeded independently from the config seed, so results are
-    identical at any thread count. Failures inside a replicate are recorded on
-    the affected rows instead of aborting the run.
+    Each replicate is seeded from the config seed and its own index, so a
+    replicate's rows do not depend on the others. Failures inside a replicate
+    are recorded on the affected rows instead of aborting the run.
     """
     methods = tuple(methods)
     unknown = set(methods) - set(METHODS)
@@ -493,14 +466,8 @@ def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METH
     fas_config = fas_config or FasConfig()
 
     report = BenchmarkReport(config=cfg, fas_config=fas_config, methods=methods)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda r: _run_replicate(r, cfg, fas_config, methods),
-                                   range(replicates)))
-    else:
-        chunks = [_run_replicate(r, cfg, fas_config, methods) for r in range(replicates)]
-    for chunk in chunks:
-        report.results.extend(chunk)
+    for r in range(replicates):
+        report.results.extend(_run_replicate(r, cfg, fas_config, methods))
     order = {m: i for i, m in enumerate(METHODS)}
     report.results.sort(key=lambda r: (r.replicate, order[r.method]))
     return report
@@ -512,8 +479,8 @@ CSV_COLUMNS = ("replicate", "method", "hypothesis", "delta_theta",
 
 def write_benchmark_csv(report: BenchmarkReport, path) -> None:
     """One row per replicate x method. Timing is deliberately excluded so the
-    file is byte-identical across thread counts; per-row seconds live in the
-    JSON summary.
+    file is byte-identical for a given seed; per-row seconds live in the JSON
+    summary.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = csv.writer(f, lineterminator="\n")

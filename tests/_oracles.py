@@ -291,7 +291,7 @@ def _predictive_by_elimination(batched, parents, x, y, zvars, x_value, tilts=Non
     return theta, degenerate
 
 
-def score_by_elimination(prep, config, tilts=None, hypotheses=None):
+def score_by_elimination(prep, config, hypotheses=None):
     """Arm scores of each subset hypothesis from its own variable elimination.
 
     The slow, obvious form of the scorer: every hypothesis runs a full
@@ -302,6 +302,7 @@ def score_by_elimination(prep, config, tilts=None, hypotheses=None):
     """
     post, exp = prep.post, prep.exp
     x, y = exp.treatment, exp.outcome
+    tilts = None if prep.selection is None else prep.selection.theta_s
     if hypotheses is None:
         hypotheses = enumerate_hypotheses(prep.pool, config.max_subset_size)
     out = {h: [] for h in hypotheses if not h.is_not_exists}

@@ -3,8 +3,8 @@ import pytest
 
 from _oracles import conditional_from_joint, enumerate_joint
 from adjfas.bayesnet import (ZeroEvidenceError, _bdeu_local, fit_posterior, infer_conditional,
-                             joint_marginal, learn_structure, posterior_from_dict, posterior_mean,
-                             posterior_to_dict, sample_parameter_batch, sample_parameters)
+                             joint_marginal, learn_structure, posterior_mean,
+                             sample_parameter_batch, sample_parameters)
 from adjfas.data import CategoricalTable
 from adjfas.graph import Admg
 
@@ -113,17 +113,6 @@ class TestFitPosterior:
         assert np.allclose(post.alpha["A"], [30.5, 70.5])
         mean = posterior_mean(post).cpts["A"]
         assert np.allclose(mean, [30.5 / 101, 70.5 / 101])
-
-    def test_serialization_round_trip(self):
-        rng = np.random.default_rng(4)
-        t = table_from(rng, {"A": lambda r, n: r.integers(0, 2, n),
-                             "B": lambda r, n: r.integers(0, 3, n)}, 200)
-        dag = Admg(["A", "B"], directed=[("A", "B")])
-        post = fit_posterior(dag, t, ess=2.0)
-        back = posterior_from_dict(posterior_to_dict(post))
-        assert back.ess == post.ess
-        for v in post.dag.nodes:
-            assert np.array_equal(back.alpha[v], post.alpha[v])
 
 
 class TestSampling:
@@ -237,15 +226,3 @@ class TestInference:
         with pytest.raises(ZeroEvidenceError):
             infer_conditional(params, "B", {"A": 1})
 
-
-class TestInstantiationSerialization:
-    def test_round_trip_with_seed_lineage(self):
-        from adjfas.bayesnet import (instantiation_from_dict, instantiation_to_dict,
-                                     sample_parameters)
-        post = fit_posterior(Admg(["A"]), CategoricalTable(("A",), (2,),
-                                                           np.array([[0]] * 3 + [[1]] * 5)), 1.0)
-        inst = sample_parameters(post, np.random.default_rng(11))
-        doc = instantiation_to_dict(inst, seed_lineage={"seed": 11})
-        assert doc["seed_lineage"] == {"seed": 11}
-        back = instantiation_from_dict(doc)
-        assert np.array_equal(back.cpts["A"], inst.cpts["A"])

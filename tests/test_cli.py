@@ -27,6 +27,28 @@ def g1_files(tmp_path):
     return obs, expf
 
 
+def wide_table_file(tmp_path):
+    """A table whose candidate pool has 17 variables, one past the enumeration limit."""
+    rng = np.random.default_rng(0)
+    n = 1500
+    x = rng.integers(0, 2, n)
+    y = (x ^ (rng.random(n) < 0.1)).astype(int)
+    cols = {f"V{i:02d}": (y ^ (rng.random(n) < 0.2)).astype(int) for i in range(17)}
+    from adjfas.data import CategoricalTable
+    rows = np.column_stack([*cols.values(), x, y])
+    obs = tmp_path / "wide.csv"
+    save_observational(CategoricalTable((*cols, "X", "Y"), (2,) * 19, rows), obs)
+    return obs
+
+
+@pytest.fixture(scope="module")
+def selected_files(tmp_path_factory):
+    """A simulated selected trial whose pool holds a covariate it reports no marginal for."""
+    world = tmp_path_factory.mktemp("selworld")
+    assert main(["simulate", "--seed", "4", "--selection", "observed", "--out", str(world)]) == 0
+    return world / "observational.csv", world / "experiment.json"
+
+
 class TestFas:
     def test_names_the_confounder(self, g1_files, tmp_path, capsys):
         obs, expf = g1_files
@@ -80,16 +102,7 @@ class TestFas:
         assert main(["fas", str(obs), str(exp)]) == 2
 
     def test_enumeration_exit_code(self, tmp_path):
-        rng = np.random.default_rng(0)
-        n = 1500
-        x = rng.integers(0, 2, n)
-        y = (x ^ (rng.random(n) < 0.1)).astype(int)
-        cols = {f"V{i:02d}": (y ^ (rng.random(n) < 0.2)).astype(int) for i in range(17)}
-        from adjfas.data import CategoricalTable
-        rows = np.column_stack([*cols.values(), x, y])
-        t = CategoricalTable((*cols, "X", "Y"), (2,) * 19, rows)
-        obs = tmp_path / "wide.csv"
-        save_observational(t, obs)
+        obs = wide_table_file(tmp_path)
         exp = tmp_path / "e.json"
         exp.write_text(json.dumps({"treatment": "X", "outcome": "Y",
                                    "arms": [{"x": 0, "counts": [50, 50]},
@@ -148,14 +161,6 @@ class TestBenchmark:
         summary = json.loads((out / "benchmark_summary.json").read_text())
         assert summary["methods"]["DEXP"]["delta_median"] == pytest.approx(np.median(deltas))
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "t1", tmp_path / "t8"
-        for out, threads in ((a, "1"), (b, "8")):
-            assert main(["benchmark", "--replicates", "3", "--methods", "FAS,DEXP",
-                         "--n-obs", "1200", "--n-per-arm", "150", "--niters", "25",
-                         "--seed", "7", "--threads", threads, "--out", str(out)]) == 0
-        assert (a / "benchmark.csv").read_bytes() == (b / "benchmark.csv").read_bytes()
-
 
 class TestSelectionCheck:
     def test_matching_marginals(self, g1_files, tmp_path, capsys):
@@ -208,6 +213,38 @@ class TestSelectionCheck:
                                    "marginals": {"V": [0.3, 0.2, 0.5]}}))
         assert main(["selection-check", str(obs), str(exp)]) == 3
 
+    def test_reports_the_model_fas_scores_with(self, selected_files, tmp_path, monkeypatch):
+        from adjfas import score as score_module
+        obs, expf = selected_files
+        built = []
+        solve = score_module.build_selection_bn
+        monkeypatch.setattr(score_module, "build_selection_bn",
+                            lambda *a, **k: built.append(solve(*a, **k)) or built[-1])
+        fas_out = tmp_path / "fas.json"
+        assert main(["fas", str(obs), str(expf), "--seed", "1", "--niters", "20",
+                     "--out", str(fas_out)]) == 0
+        reported = json.loads(expf.read_text())["marginals"]
+        # the pool holds a covariate without a reported marginal, so a network
+        # over only the reported variables differs from the one fas learns
+        assert set(json.loads(fas_out.read_text())["pool"]) - set(reported)
+        sel_out = tmp_path / "sel.json"
+        assert main(["selection-check", str(obs), str(expf), "--seed", "1",
+                     "--out", str(sel_out)]) == 0
+        assert len(built) == 2
+        theta = json.loads(sel_out.read_text())["theta_s"]
+        assert sorted(theta) == list(built[0].selected_vars)
+        for v in theta:
+            np.testing.assert_allclose(theta[v], built[0].theta_s[v], rtol=0, atol=1e-12)
+
+    def test_enumeration_exit_code(self, tmp_path):
+        # selection-check learns over the pool as fas does, so it shares the guard
+        obs = wide_table_file(tmp_path)
+        exp = tmp_path / "e.json"
+        exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
+                                   "arms": [{"x": 0, "counts": [50, 50]}],
+                                   "marginals": {"V00": [0.5, 0.5]}}))
+        assert main(["selection-check", str(obs), str(exp)]) == 4
+
 
 class TestScoreCommand:
     def test_single_hypothesis(self, g1_files, capsys):
@@ -225,6 +262,22 @@ class TestScoreCommand:
         obs, expf = g1_files
         assert main(["score", str(obs), str(expf), "--set", "NOPE"]) == 2
 
+    def test_selected_trial_matches_fas(self, selected_files, tmp_path):
+        # both commands score a selected trial in the same reweighted population
+        obs, expf = selected_files
+        fas_out, score_out = tmp_path / "fas.json", tmp_path / "score.json"
+        common = ["--seed", "1", "--niters", "20"]
+        assert main(["fas", str(obs), str(expf), *common, "--out", str(fas_out)]) == 0
+        doc = json.loads(fas_out.read_text())
+        pool = sorted(doc["pool"])
+        want = next(h for h in doc["hypotheses"] if h["z"] == pool)
+        assert main(["score", str(obs), str(expf), "--set", ",".join(pool), *common,
+                     "--out", str(score_out)]) == 0
+        got = json.loads(score_out.read_text())
+        assert got["total_log_score"] == pytest.approx(want["total_log_score"], rel=0, abs=1e-9)
+        np.testing.assert_allclose(got["arm_log_marginals"], want["arm_log_marginals"],
+                                   rtol=0, atol=1e-9)
+
 
 class TestGlobalBehavior:
     def test_help_exits_zero(self, capsys):
@@ -238,15 +291,7 @@ class TestGlobalBehavior:
             main(["benchmark", "--help"])
         assert e.value.code == 0
         out = capsys.readouterr().out
-        for flag in ("--seed", "--threads", "--niters", "--alpha", "--ess", "--out",
+        for flag in ("--seed", "--niters", "--alpha", "--ess", "--out",
                      "--replicates", "--methods", "--selection", "--mode"):
             assert flag in out
-
-    def test_threads_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("ADJFAS_THREADS", "6")
-        from adjfas.cli import build_parser
-        args = build_parser().parse_args(["benchmark", "--replicates", "1"])
-        assert args.threads == 6
-        monkeypatch.setenv("ADJFAS_THREADS", "junk")
-        args = build_parser().parse_args(["benchmark", "--replicates", "1"])
-        assert args.threads == 1
+        assert "--threads" not in out

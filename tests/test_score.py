@@ -12,9 +12,9 @@ from adjfas.data import Arm, CategoricalTable, ValidationError
 from adjfas.graph import Admg, satisfies_adjustment_criterion
 from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig, FasResult,
                           Hypothesis, HypothesisRecord, candidate_pool, enumerate_hypotheses,
-                          find_adjustment_set, kl_select, pick_best, prepare_scoring,
+                          find_adjustment_set, pick_best, pick_min_kl, prepare_scoring,
                           prior_log_prob, score_exp_arm, score_hypotheses, score_not_exists)
-from adjfas.selection import prepare_selected
+from adjfas.selection import selected_conditional
 from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
@@ -180,14 +180,6 @@ class TestFindAdjustmentSet:
         for xv, vec in res.estimate.items():
             assert np.abs(np.array(vec) - np.array(gt.true_id[xv])).max() < 0.05
 
-    def test_selected_population_rejected(self):
-        gt = confounded_world()
-        table, exp = datasets_for(gt, 2000, 100, seed=14)
-        bad = type(exp)(treatment=exp.treatment, outcome=exp.outcome, arms=exp.arms,
-                        reported_marginals={"C": (0.5, 0.5)}, population="selected")
-        with pytest.raises(ValidationError):
-            find_adjustment_set(table, bad, FasConfig(seed=0))
-
     def test_determinism_bit_identical(self):
         gt = confounded_world()
         table, exp = datasets_for(gt, 4000, 300, seed=15)
@@ -257,18 +249,22 @@ class TestFindAdjustmentSet:
                     assert sum(sc.id_estimate) == pytest.approx(1.0, abs=1e-9)
 
 
+def kl_pick(table, exp, config):
+    return pick_min_kl(exp, score_hypotheses(prepare_scoring(table, exp, config), config))
+
+
 class TestKlSelect:
     def test_confounded_world(self):
         gt = confounded_world()
         table, exp = datasets_for(gt, 10000, 1000, seed=18)
-        assert kl_select(table, exp, FasConfig(seed=2)) == Hypothesis.adjustment(("C",))
+        assert kl_pick(table, exp, FasConfig(seed=2)) == Hypothesis.adjustment(("C",))
 
     def test_never_not_exists_under_latent_confounding(self):
         for rep in range(5):
             rng = np.random.default_rng(3000 + rep)
             gt = latent_confounder_world(rng)
             table, exp = datasets_for(gt, 10000, 5000, seed=4000 + rep)
-            h = kl_select(table, exp, FasConfig(seed=rep))
+            h = kl_pick(table, exp, FasConfig(seed=rep))
             assert not h.is_not_exists
 
     def test_exact_match_gives_zero_kl(self):
@@ -345,10 +341,7 @@ def _scoring_world(selection, seed=2):
     table, exp = sample_datasets(
         gt, cfg, np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,))))
     config = FasConfig(seed=seed)
-    if selection == "none":
-        return prepare_scoring(table, exp, config), config, None
-    prep, sbn = prepare_selected(table, exp, config)
-    return prep, config, dict(sbn.theta_s)
+    return prepare_scoring(table, exp, config), config
 
 
 def _assert_matches_elimination(records, oracle):
@@ -365,11 +358,12 @@ class TestLatticeScoring:
 
     @pytest.mark.parametrize("selection", ["none", "observed"])
     def test_full_enumeration_matches_elimination(self, selection):
-        prep, config, tilts = _scoring_world(selection)
+        prep, config = _scoring_world(selection)
         assert len(prep.pool) == 4
-        records = score_hypotheses(prep, config, tilts=tilts)
+        assert (prep.selection is None) == (selection == "none")
+        records = score_hypotheses(prep, config)
         assert list(records) == sorted(enumerate_hypotheses(prep.pool), key=Hypothesis.sort_key)
-        oracle = score_by_elimination(prep, config, tilts)
+        oracle = score_by_elimination(prep, config)
         _assert_matches_elimination(records, oracle)
         totals = {h: prior_log_prob(h, prep.pool) + sum(a[0] for a in arms)
                   for h, arms in oracle.items()}
@@ -380,15 +374,15 @@ class TestLatticeScoring:
 
     @pytest.mark.parametrize("selection", ["none", "observed"])
     def test_single_hypothesis_matches_elimination(self, selection):
-        prep, config, tilts = _scoring_world(selection)
+        prep, config = _scoring_world(selection)
         for z in ((), prep.pool[1:3], prep.pool):
             h = Hypothesis.adjustment(z)
-            records = score_hypotheses(prep, config, tilts=tilts, hypotheses=[h])
+            records = score_hypotheses(prep, config, hypotheses=[h])
             assert list(records) == [h]
-            _assert_matches_elimination(records, score_by_elimination(prep, config, tilts, [h]))
+            _assert_matches_elimination(records, score_by_elimination(prep, config, [h]))
 
     def test_over_cell_budget_scores_each_set_alone(self, monkeypatch):
-        prep, config, _ = _scoring_world("none")
+        prep, config = _scoring_world("none")
         hyps = [Hypothesis.adjustment(prep.pool[:2]), Hypothesis.adjustment(prep.pool[2:])]
         roots = []
         build = score_module._root_joint
@@ -397,7 +391,20 @@ class TestLatticeScoring:
                             lambda *a, **k: roots.append(a[4]) or build(*a, **k))
         records = score_hypotheses(prep, config, hypotheses=hyps)
         assert len(roots) == 2 * len(prep.exp.arms)  # one root per set and arm
-        _assert_matches_elimination(records, score_by_elimination(prep, config, None, hyps))
+        _assert_matches_elimination(records, score_by_elimination(prep, config, hyps))
+
+
+class TestPrepareScoring:
+    def test_population_dispatch(self):
+        prep, _ = _scoring_world("none")
+        assert prep.selection is None
+        prep, _ = _scoring_world("observed")
+        reported = prep.exp.reported_marginals
+        assert prep.selection.selected_vars == tuple(sorted(reported))
+        assert set(reported) <= set(prep.post.dag.nodes)
+        for v, marginal in reported.items():
+            np.testing.assert_allclose(selected_conditional(prep.selection, v), marginal,
+                                       rtol=0, atol=1e-6)
 
 
 class TestDegenerateAndValidationPaths:

@@ -6,8 +6,7 @@ from adjfas.bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditi
 from adjfas.data import ExperimentSummary, ValidationError
 from adjfas.graph import satisfies_adjustment_criterion
 from adjfas.score import FasConfig, find_adjustment_set
-from adjfas.selection import (InfeasibleSelectionError, build_selection_bn,
-                              find_adjustment_set_selected, selected_conditional)
+from adjfas.selection import InfeasibleSelectionError, build_selection_bn, selected_conditional
 from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
@@ -86,13 +85,6 @@ class TestBuildSelectionBn:
         after = selected_conditional(sbn, "V2")
         assert np.abs(after - before).max() < 1e-10
 
-    def test_selection_dag_shape(self):
-        sbn = build_selection_bn(chain_net(), {"V1": [0.3, 0.7]})
-        dag = sbn.selection_dag
-        assert "S" in dag.nodes and "S_V1" in dag.nodes
-        assert ("V1", "S_V1") in dag.directed_edges
-        assert ("S_V1", "S") in dag.directed_edges
-
 
 class TestSelectedConditional:
     def test_no_selection_matches_base(self):
@@ -124,17 +116,19 @@ class TestFindAdjustmentSetSelected:
         return gt, table, exp
 
     def test_population_flag_enforced(self):
+        # a trial flagged selected must report marginals of table variables
         gt, table, exp = self._selected_world(3)
-        same = ExperimentSummary(exp.treatment, exp.outcome, exp.arms,
-                                 exp.reported_marginals, population="same")
-        with pytest.raises(ValidationError):
-            find_adjustment_set_selected(table, same, FasConfig(seed=0))
+        for marginals in ({}, {"NOPE": (0.5, 0.5)}):
+            with pytest.raises(ValidationError):
+                flagged = ExperimentSummary(exp.treatment, exp.outcome, exp.arms, marginals,
+                                            population="selected")
+                find_adjustment_set(table, flagged, FasConfig(seed=0))
 
     def test_observed_selection_beats_raw_estimate_in_median(self):
         fas_d, raw_d = [], []
         for rep in range(10):
             gt, table, exp = self._selected_world(100 + rep)
-            res = find_adjustment_set_selected(table, exp, FasConfig(seed=rep))
+            res = find_adjustment_set(table, exp, FasConfig(seed=rep))
             emp = {a.x_value: tuple(np.array(a.outcome_counts) / a.total) for a in exp.arms}
             raw_d.append(mean_abs_diff(emp, gt))
             if res.estimate is not None:
@@ -152,7 +146,7 @@ class TestFindAdjustmentSetSelected:
         arms = tuple(Arm.from_counts(a.x_value, skew) for a in exp.arms)
         contradicting = ExperimentSummary(exp.treatment, exp.outcome, arms,
                                           exp.reported_marginals, population="selected")
-        res = find_adjustment_set_selected(table, contradicting, FasConfig(seed=1))
+        res = find_adjustment_set(table, contradicting, FasConfig(seed=1))
         if res.best.is_not_exists:
             assert res.estimate is None
 
@@ -166,7 +160,7 @@ class TestFindAdjustmentSetSelected:
         marg = {"C": tuple((t / t.sum()).tolist())}
         flagged = ExperimentSummary(exp.treatment, exp.outcome, exp.arms, marg, "selected")
         plain = find_adjustment_set(table, exp, FasConfig(seed=2))
-        sel = find_adjustment_set_selected(table, flagged, FasConfig(seed=2))
+        sel = find_adjustment_set(table, flagged, FasConfig(seed=2))
         assert sel.best == plain.best
         for xv in plain.estimate:
             assert np.abs(np.array(sel.estimate[xv]) - np.array(plain.estimate[xv])).max() < 0.02
@@ -183,7 +177,7 @@ class TestFindAdjustmentSetSelected:
             cfg = SimConfig(n_observed=2, n_latent=1, n_obs=10000, n_per_arm=1000,
                             selection="observed", seed=0)
             table, exp = sample_datasets(gt, cfg, np.random.default_rng(600 + rep))
-            res = find_adjustment_set_selected(table, exp, FasConfig(seed=rep))
+            res = find_adjustment_set(table, exp, FasConfig(seed=rep))
             if res.best.is_not_exists:
                 continue
             total += 1

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from _oracles import (adjusted_by_enumeration, confounded_world, interventional_by_enumeration,
-                      make_ground_truth)
+from _oracles import (adjusted_by_enumeration, confounded_world, enumerate_joint,
+                      interventional_by_enumeration, make_ground_truth)
 from adjfas.graph import Admg
 from adjfas.score import FasConfig
 from adjfas.sim import (METHODS, SimConfig, delta_theta, generate_world, run_benchmark,
@@ -142,6 +142,25 @@ class TestSampleDatasets:
             moved = max(moved, np.abs(np.array(exp.reported_marginals[v]) - obs).max())
         assert moved > 1e-4
 
+    def test_acceptance_prob_matches_enumeration(self):
+        # P(S=1 | do(X=x)): the mutilated joint weighted by every inclusion mechanism
+        from adjfas.sim import _acceptance_prob
+        cfg = SimConfig(n_observed=3, n_latent=1, selection="observed", seed=21)
+        gt = generate_world(cfg, np.random.default_rng(21))
+        nodes = list(gt.dag.nodes)
+        parents = {v: gt.parents(v) for v in nodes}
+        weight = np.ones([gt.cardinalities[v] for v in nodes])
+        for v, w in gt.selection.items():
+            shape = [1] * len(nodes)
+            shape[nodes.index(v)] = -1
+            weight = weight * w.reshape(shape)
+        for xv in range(gt.cardinalities[gt.x]):
+            point = np.eye(gt.cardinalities[gt.x])[xv]
+            cpts = {**gt.cpts, gt.x: np.broadcast_to(point, gt.cpts[gt.x].shape)}
+            joint = enumerate_joint(nodes, gt.cardinalities, parents, cpts)
+            want = float((joint * weight).sum())
+            assert _acceptance_prob(gt, xv) == pytest.approx(want, rel=1e-12)
+
     def test_latent_mode_hides_all_selected(self):
         cfg = SimConfig(selection="latent", seed=13)
         gt = generate_world(cfg, np.random.default_rng(13))
@@ -215,8 +234,8 @@ class TestRunBenchmark:
     def test_shapes_and_determinism(self, tmp_path):
         cfg = SimConfig(n_obs=2000, n_per_arm=200, seed=18)
         fcfg = FasConfig(niters=40)
-        r1 = run_benchmark(cfg, 3, methods=("FAS", "DEXP"), fas_config=fcfg, threads=1)
-        r2 = run_benchmark(cfg, 3, methods=("FAS", "DEXP"), fas_config=fcfg, threads=4)
+        r1 = run_benchmark(cfg, 3, methods=("FAS", "DEXP"), fas_config=fcfg)
+        r2 = run_benchmark(cfg, 3, methods=("FAS", "DEXP"), fas_config=fcfg)
         assert len(r1.results) == 6
         write_benchmark_csv(r1, tmp_path / "a.csv")
         write_benchmark_csv(r2, tmp_path / "b.csv")
