@@ -11,16 +11,15 @@ from .data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaE
 from .graph import (Admg, GraphError, forbidden_set, m_separated, proper_backdoor_graph,
                     satisfies_adjustment_criterion)
 from .bayesnet import (BayesNetPosterior, ParamInstantiation, ZeroEvidenceError,
-                       fit_posterior, infer_conditional, joint_marginal, learn_structure,
-                       posterior_mean, sample_parameters)
+                       fit_posterior, infer_conditional, learn_structure, posterior_mean)
 from .score import (ArmScore, EnumerationLimitError, FasConfig, FasResult, Hypothesis,
                     NOT_EXISTS, ScoringError, candidate_pool, find_adjustment_set,
                     prior_log_prob, score_exp_arm, score_not_exists)
 from .selection import (InfeasibleSelectionError, SelectionBn, SelectionError,
-                        SolverConvergenceError, build_selection_bn, selected_conditional)
+                        SolverConvergenceError, build_selection_bn)
 from .sim import (BenchmarkReport, GroundTruth, SimConfig, delta_theta, generate_world,
-                  run_benchmark, sample_datasets, true_interventional, vws_baseline,
-                  write_benchmark_csv, write_benchmark_summary)
+                  run_benchmark, sample_datasets, vws_baseline, write_benchmark_csv,
+                  write_benchmark_summary)
 
 __all__ = [
     "Admg", "Arm", "ArmScore", "BayesNetPosterior", "BenchmarkReport", "CategoricalTable",
@@ -30,11 +29,11 @@ __all__ = [
     "SelectionError", "SimConfig", "SolverConvergenceError", "ValidationError",
     "ZeroEvidenceError", "build_selection_bn", "candidate_pool", "contingency_counts",
     "delta_theta", "find_adjustment_set", "fit_posterior", "forbidden_set",
-    "g2_independence_test", "generate_world", "infer_conditional", "joint_marginal",
+    "g2_independence_test", "generate_world", "infer_conditional",
     "learn_structure", "load_experiment", "load_observational", "m_separated",
     "posterior_mean", "prior_log_prob",
-    "proper_backdoor_graph", "run_benchmark", "sample_datasets", "sample_parameters",
+    "proper_backdoor_graph", "run_benchmark", "sample_datasets",
     "satisfies_adjustment_criterion", "save_experiment", "save_observational",
-    "score_exp_arm", "score_not_exists", "true_interventional", "vws_baseline",
+    "score_exp_arm", "score_not_exists", "vws_baseline",
     "write_benchmark_csv", "write_benchmark_summary",
 ]

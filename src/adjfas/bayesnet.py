@@ -252,12 +252,6 @@ def _normalize_rows(draws: np.ndarray) -> np.ndarray:
     return draws / draws.sum(axis=-1, keepdims=True)
 
 
-def sample_parameters(post: BayesNetPosterior, rng: np.random.Generator) -> ParamInstantiation:
-    """Draw one CPT set from the posterior (independent Gammas, row-normalized)."""
-    cpts = {v: _normalize_rows(rng.standard_gamma(post.alpha[v])) for v in post.dag.nodes}
-    return ParamInstantiation(post.cardinalities, post.parents, cpts)
-
-
 def sample_parameter_batch(post: BayesNetPosterior, rng: np.random.Generator,
                            n: int) -> dict[str, np.ndarray]:
     """n independent posterior draws per node, stacked on a leading axis."""
@@ -325,13 +319,12 @@ def _min_fill_order(scopes: Sequence[tuple[str, ...]], elim: set[str]) -> list[s
     return order
 
 
-def product_marginal(factors: Sequence[Factor], keep: Sequence[str],
-                     elim_order: Sequence[str] | None = None) -> np.ndarray:
+def product_marginal(factors: Sequence[Factor], keep: Sequence[str]) -> np.ndarray:
     """Sum-product of the factor list, reduced to a tensor over ``keep``.
 
-    Eliminates every other variable (min-fill order unless one is given) and
-    returns the unnormalized result with axes ordered as ``keep``. With no
-    factors, or ``keep`` empty, the result degenerates to a scalar array.
+    Eliminates every other variable in min-fill order and returns the
+    unnormalized result with axes ordered as ``keep``. With no factors, or
+    ``keep`` empty, the result degenerates to a scalar array.
     """
     keep = tuple(keep)
     if not factors:
@@ -340,13 +333,7 @@ def product_marginal(factors: Sequence[Factor], keep: Sequence[str],
     missing = set(keep) - all_vars
     if missing:
         raise ValueError(f"variables absent from every factor: {sorted(missing)}")
-    elim = all_vars - set(keep)
-    if elim_order is None:
-        order = _min_fill_order([vars for vars, _ in factors], elim)
-    else:
-        order = [v for v in elim_order if v in elim]
-        if set(order) != elim:
-            raise ValueError("elim_order must cover exactly the eliminated variables")
+    order = _min_fill_order([vars for vars, _ in factors], all_vars - set(keep))
 
     live = [(tuple(vars), np.asarray(values, dtype=float)) for vars, values in factors]
     for v in order:
@@ -386,30 +373,22 @@ def _check_query(params: ParamInstantiation, vars: Iterable[str],
 
 def infer_conditional(params: ParamInstantiation, target: str,
                       evidence: Mapping[str, int] | None = None,
-                      elim_order: Sequence[str] | None = None) -> np.ndarray:
+                      tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
     """Exact P(target | evidence) by variable elimination.
 
-    Raises ZeroEvidenceError when the evidence has probability zero, so a
-    degenerate network fails loudly instead of returning NaNs.
+    With ``tilts`` (variable -> weight per category) the query runs in the
+    reweighted population ∝ P(V) · ∏_v tilts[v][V_v], the one a selected
+    trial sees. Raises ZeroEvidenceError when the evidence has probability zero,
+    so a degenerate network fails loudly instead of returning NaNs.
     """
     evidence = dict(evidence or {})
+    tilts = tilts or {}
     if target in evidence:
         raise ValueError("target must not appear in the evidence")
-    _check_query(params, [target], evidence)
-    factors = _evidence_sliced(params.factors(), evidence)
-    t = product_marginal(factors, (target,), elim_order)
+    _check_query(params, [target, *tilts], evidence)
+    factors = params.factors() + [((v,), np.asarray(w, dtype=float)) for v, w in tilts.items()]
+    t = product_marginal(_evidence_sliced(factors, evidence), (target,))
     total = t.sum()
     if total <= 0.0:
         raise ZeroEvidenceError(f"evidence {evidence} has probability 0")
     return t / total
-
-
-def joint_marginal(params: ParamInstantiation, vars: Sequence[str],
-                   elim_order: Sequence[str] | None = None) -> np.ndarray:
-    """Exact joint probability tensor over ``vars`` (scalar 1 for the empty set)."""
-    vars = tuple(vars)
-    _check_query(params, vars)
-    if not vars:
-        return np.array(1.0)
-    return product_marginal(params.factors(), vars, elim_order)
-

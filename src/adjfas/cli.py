@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bayesnet import infer_conditional
 from .data import (ParseError, SchemaError, ValidationError, load_experiment,
                    load_observational, save_experiment, save_observational)
 from .score import (EnumerationLimitError, FasConfig, Hypothesis, NOT_EXISTS, FasResult,
                     find_adjustment_set, prepare_scoring, score_hypotheses)
-from .selection import SelectionError, selected_conditional
+from .selection import SelectionError
 from .sim import (METHODS, SimConfig, generate_world, run_benchmark, sample_datasets,
                   write_benchmark_csv, write_benchmark_summary)
 
@@ -34,12 +35,38 @@ EXIT_ENUMERATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, *, model: bool = True, niters: bool = True) -> None:
+    """``--seed`` and ``--out``, plus the flags of the learned network
+    (``model``) and of the Monte-Carlo scorer (``niters``) for the commands
+    that read them."""
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--niters", type=int, default=100, help="sampling iterations per hypothesis/arm")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance for pool membership")
-    p.add_argument("--ess", type=float, default=1.0, help="equivalent sample size of the BDeu prior")
+    if niters:
+        p.add_argument("--niters", type=int, default=100,
+                       help="sampling iterations per hypothesis/arm")
+    if model:
+        p.add_argument("--alpha", type=float, default=0.05,
+                       help="significance for pool membership")
+        p.add_argument("--ess", type=float, default=1.0,
+                       help="equivalent sample size of the BDeu prior")
     p.add_argument("--out", type=str, default=None, help="output file or directory")
+
+
+def _add_world(p: argparse.ArgumentParser) -> None:
+    """The simulated world's flags, read back by ``_sim_config``."""
+    p.add_argument("--n-observed", type=int, default=6)
+    p.add_argument("--n-latent", type=int, default=4)
+    p.add_argument("--mean-in-degree", type=float, default=2.0)
+    p.add_argument("--n-obs", type=int, default=10000)
+    p.add_argument("--n-per-arm", type=int, default=500)
+    p.add_argument("--mode", choices=("random", "pretreatment"), default="random")
+    p.add_argument("--selection", choices=("none", "observed", "latent"), default="none")
+
+
+def _sim_config(args) -> SimConfig:
+    return SimConfig(n_observed=args.n_observed, n_latent=args.n_latent,
+                     mean_in_degree=args.mean_in_degree, n_obs=args.n_obs,
+                     n_per_arm=args.n_per_arm, mode=args.mode, selection=args.selection,
+                     seed=args.seed)
 
 
 def _fas_config(args) -> FasConfig:
@@ -63,33 +90,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("simulate", help="generate a ground-truth world and datasets")
-    p.add_argument("--n-observed", type=int, default=6)
-    p.add_argument("--n-latent", type=int, default=4)
-    p.add_argument("--mean-in-degree", type=float, default=2.0)
-    p.add_argument("--n-obs", type=int, default=10000)
-    p.add_argument("--n-per-arm", type=int, default=500)
-    p.add_argument("--mode", choices=("random", "pretreatment"), default="random")
-    p.add_argument("--selection", choices=("none", "observed", "latent"), default="none")
-    _add_common(p)
+    _add_world(p)
+    _add_common(p, model=False, niters=False)
 
     p = sub.add_parser("benchmark", help="replicated evaluation against baselines")
     p.add_argument("--replicates", type=int, default=20)
     p.add_argument("--methods", type=str, default="FAS,KL,DEXP,VWS",
                    help=f"comma list from {{{','.join(METHODS)}}}")
-    p.add_argument("--n-observed", type=int, default=6)
-    p.add_argument("--n-latent", type=int, default=4)
-    p.add_argument("--mean-in-degree", type=float, default=2.0)
-    p.add_argument("--n-obs", type=int, default=10000)
-    p.add_argument("--n-per-arm", type=int, default=500)
-    p.add_argument("--mode", choices=("random", "pretreatment"), default="random")
-    p.add_argument("--selection", choices=("none", "observed", "latent"), default="none")
+    _add_world(p)
     _add_common(p)
 
     p = sub.add_parser("selection-check", help="solve and report the selection model only")
     p.add_argument("obs")
     p.add_argument("exp")
-    p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
+    _add_common(p, niters=False)
 
     p = sub.add_parser("score", help="score one named hypothesis")
     p.add_argument("obs")
@@ -137,10 +151,7 @@ def cmd_fas(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = SimConfig(n_observed=args.n_observed, n_latent=args.n_latent,
-                    mean_in_degree=args.mean_in_degree, n_obs=args.n_obs,
-                    n_per_arm=args.n_per_arm, mode=args.mode, selection=args.selection,
-                    seed=args.seed)
+    cfg = _sim_config(args)
     world_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
     gt = generate_world(cfg, world_rng)
     data_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
@@ -161,11 +172,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
-    cfg = SimConfig(n_observed=args.n_observed, n_latent=args.n_latent,
-                    mean_in_degree=args.mean_in_degree, n_obs=args.n_obs,
-                    n_per_arm=args.n_per_arm, mode=args.mode, selection=args.selection,
-                    seed=args.seed)
-    report = run_benchmark(cfg, args.replicates, methods=methods,
+    report = run_benchmark(_sim_config(args), args.replicates, methods=methods,
                            fas_config=_fas_config(args))
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -186,11 +193,11 @@ def cmd_selection_check(args) -> int:
     table = load_observational(args.obs)
     # the model `fas` scores with, read as a selected trial whatever its flag
     exp = dataclasses.replace(load_experiment(args.exp), population="selected")
-    config = FasConfig(alpha=args.alpha, niters=args.niters, ess=args.ess, seed=args.seed,
-                       selection_tol=args.tol)
+    config = FasConfig(alpha=args.alpha, ess=args.ess, seed=args.seed)
     sbn = prepare_scoring(table, exp, config).selection
 
-    inferred = {v: selected_conditional(sbn, v).tolist() for v in sbn.selected_vars}
+    inferred = {v: infer_conditional(sbn.base, v, tilts=sbn.theta_s).tolist()
+                for v in sbn.selected_vars}
     doc = sbn.to_dict()
     doc["inferred_selected_marginals"] = inferred
     doc["reported_marginals"] = {v: list(p) for v, p in exp.reported_marginals.items()}

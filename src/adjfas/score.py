@@ -86,9 +86,6 @@ class FasConfig:
     ess: float = 1.0
     seed: int = 0
     max_subset_size: int | None = None
-    max_parents: int = 4
-    restarts: int = 5
-    selection_tol: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -157,8 +154,6 @@ class FasResult:
                 "alpha": self.config.alpha, "niters": self.config.niters,
                 "ess": self.config.ess, "seed": self.config.seed,
                 "max_subset_size": self.config.max_subset_size,
-                "max_parents": self.config.max_parents, "restarts": self.config.restarts,
-                "selection_tol": self.config.selection_tol,
             },
         }
 
@@ -425,11 +420,9 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
     keep = set(pool) | {x, y} | set(reported)
     sub = table.restrict(keep)
     learn_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    dag = learn_structure(sub, ess=config.ess, max_parents=config.max_parents,
-                          restarts=config.restarts, rng=learn_rng)
+    dag = learn_structure(sub, ess=config.ess, rng=learn_rng)
     post = fit_posterior(dag, sub, config.ess)
-    selection = (build_selection_bn(posterior_mean(post), reported, tol=config.selection_tol)
-                 if reported else None)
+    selection = build_selection_bn(posterior_mean(post), reported) if reported else None
     return PreparedScoring(table=table, exp=exp, pool=pool, sub=sub, post=post,
                            selection=selection)
 

@@ -15,12 +15,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (Factor, ParamInstantiation, ZeroEvidenceError, product_marginal,
-                       _evidence_sliced)
+from .bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditional
 from .data import CategoricalTable, ValidationError, contingency_counts
 
 MAX_SWEEPS = 10000
 DAMPING = 0.5
+TOL = 1e-6  # largest residual between a reported and a reproduced marginal
 
 
 class SelectionError(RuntimeError):
@@ -48,9 +48,6 @@ class SelectionBn:
     theta_s: dict[str, np.ndarray]
     solved_residual: float
 
-    def tilt_factors(self) -> list[Factor]:
-        return [((v,), self.theta_s[v]) for v in self.selected_vars]
-
     def to_dict(self) -> dict:
         return {
             "selected_vars": list(self.selected_vars),
@@ -65,12 +62,12 @@ class SelectionBn:
         }
 
 
-def _weighted_marginal(factors: Sequence[Factor], var: str) -> np.ndarray:
-    t = product_marginal(factors, (var,))
-    total = t.sum()
-    if total <= 0.0:
-        raise InfeasibleSelectionError("selection weights drive P(S=1) to zero")
-    return t / total
+def _weighted_marginal(params: ParamInstantiation, var: str,
+                       tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+    try:
+        return infer_conditional(params, var, tilts=tilts)
+    except ZeroEvidenceError:
+        raise InfeasibleSelectionError("selection weights drive P(S=1) to zero") from None
 
 
 def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Sequence[float]]) -> None:
@@ -95,7 +92,7 @@ def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Seq
 
 
 def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Sequence[float]],
-                       tol: float = 1e-6, rng: np.random.Generator | None = None) -> SelectionBn:
+                       rng: np.random.Generator | None = None) -> SelectionBn:
     """Solve inclusion weights so the tilted network reproduces each reported marginal.
 
     Damped multiplicative fixed point: θ_v ← θ_v · (target / current)^DAMPING,
@@ -104,7 +101,6 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
     exactly 0. Infeasible when a reported marginal puts mass on a category the
     observational model gives probability 0.
     """
-    base_factors = params.factors()
     selected = tuple(sorted(marginals))
     if not selected:
         raise ValidationError("no reported marginals to constrain the selection model")
@@ -117,7 +113,7 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
         if t.shape != (params.cardinalities[v],):
             raise ValidationError(
                 f"marginal for {v!r} has {t.size} entries, cardinality is {params.cardinalities[v]}")
-        obs = _weighted_marginal(base_factors, v)
+        obs = _weighted_marginal(params, v)
         bad = (obs == 0.0) & (t > 0.0)
         if bad.any():
             c = int(np.argmax(bad))
@@ -133,46 +129,29 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
         init = np.where(targets[v] > 0.0, init, 0.0)
         theta[v] = init / init.max()
 
-    def tilted_factors():
-        return base_factors + [((v,), theta[v]) for v in selected]
-
     # Aim well below the contract tolerance so independently initialized runs
     # land on the same distribution within it; error only past the contract.
-    aim = tol * 0.05
+    aim = TOL * 0.05
     residual = np.inf
     for _ in range(MAX_SWEEPS):
         for v in selected:
-            current = _weighted_marginal(tilted_factors(), v)
+            current = _weighted_marginal(params, v, theta)
             pos = targets[v] > 0.0
             ratio = np.ones_like(current)
             ratio[pos] = targets[v][pos] / current[pos]
             theta[v] = theta[v] * ratio ** DAMPING
             theta[v] = theta[v] / theta[v].max()
         residual = max(
-            float(np.abs(_weighted_marginal(tilted_factors(), v) - targets[v]).max())
+            float(np.abs(_weighted_marginal(params, v, theta) - targets[v]).max())
             for v in selected)
         if residual < aim:
             break
-    if residual >= tol:
+    if residual >= TOL:
         raise SolverConvergenceError(
-            f"selection solver did not reach residual {tol:g} in {MAX_SWEEPS} sweeps "
+            f"selection solver did not reach residual {TOL:g} in {MAX_SWEEPS} sweeps "
             f"(best {residual:.3g})")
 
     return SelectionBn(base=params, selected_vars=selected,
                        theta_s={v: theta[v] for v in selected},
                        solved_residual=residual)
-
-
-def selected_conditional(sbn: SelectionBn, target: str,
-                         evidence: Mapping[str, int] | None = None) -> np.ndarray:
-    """Exact P(target | evidence, S=1) on the tilted network."""
-    evidence = dict(evidence or {})
-    if target in evidence:
-        raise ValueError("target must not appear in the evidence")
-    factors = _evidence_sliced(sbn.base.factors() + sbn.tilt_factors(), evidence)
-    t = product_marginal(factors, (target,))
-    total = t.sum()
-    if total <= 0.0:
-        raise ZeroEvidenceError(f"evidence {evidence} has probability 0 under selection")
-    return t / total
 

@@ -20,15 +20,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (Factor, _evidence_sliced, fit_posterior, learn_structure,
+from .bayesnet import (Factor, ParamInstantiation, _canonical, _evidence_sliced,
+                       _normalize_rows, fit_posterior, infer_conditional, learn_structure,
                        posterior_mean, product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
 from .graph import Admg, satisfies_adjustment_criterion
 from .score import (FasConfig, Hypothesis, _assemble, _root_joint, _walk_lattice, pick_min_kl,
                     prepare_scoring, score_hypotheses)
 
-MAX_STATE_SPACE = 3 ** 12
 MIN_ACCEPTANCE = 1e-6
+CARDINALITIES = (2, 3)  # each variable's number of categories is drawn from these
 
 METHODS = ("FAS", "KL", "DEXP", "VWS")
 
@@ -38,7 +39,6 @@ class SimConfig:
     n_observed: int = 6
     n_latent: int = 4
     mean_in_degree: float = 2.0
-    cardinalities: tuple[int, ...] = (2, 3)
     n_obs: int = 10000
     n_per_arm: int = 500
     mode: str = "random"          # random | pretreatment
@@ -58,44 +58,29 @@ class SimConfig:
 
 @dataclass
 class GroundTruth:
-    """A fully specified world: graph, mechanisms, treatment/outcome, truths."""
+    """A fully specified world: graph, mechanisms, treatment/outcome, truths.
+
+    ``params`` holds the mechanisms over every node of ``dag``, in its node
+    order, with each CPT's parents in that order too.
+    """
 
     dag: Admg
-    cardinalities: dict[str, int]
-    cpts: dict[str, np.ndarray]     # shape (*parent cards, card), parents in dag order
+    params: ParamInstantiation
     x: str
     y: str
     selection: dict[str, np.ndarray] | None
     true_id: dict[int, tuple[float, ...]]
 
-    def parents(self, v: str) -> tuple[str, ...]:
-        order = {u: i for i, u in enumerate(self.dag.nodes)}
-        return tuple(sorted(self.dag.parents(v), key=order.__getitem__))
 
-    def factors(self) -> list[Factor]:
-        return [((*self.parents(v), v), self.cpts[v]) for v in self.dag.nodes]
-
-
-def _state_space(cards: Mapping[str, int]) -> int:
-    out = 1
-    for c in cards.values():
-        out *= int(c)
-    return out
+def _mutilated(params: ParamInstantiation, x: str, x_value: int) -> list[Factor]:
+    """The network's factors under do(x = x_value): x's mechanism removed, x fixed."""
+    factors = [f for f in params.factors() if f[0][-1] != x]
+    return _evidence_sliced(factors, {x: x_value})
 
 
-def _interventional(dag: Admg, cpts, parents, x: str, y: str, x_value: int) -> np.ndarray:
-    factors = [((*parents(v), v), cpts[v]) for v in dag.nodes if v != x]
-    return product_marginal(_evidence_sliced(factors, {x: x_value}), (y,))
-
-
-def true_interventional(gt: GroundTruth, x_value: int) -> np.ndarray:
-    """Exact P(Y | do(X=x)) by truncated factorization (treatment mechanism removed)."""
-    if _state_space(gt.cardinalities) > MAX_STATE_SPACE:
-        raise ValueError(
-            f"state space {_state_space(gt.cardinalities)} exceeds the exact-computation limit")
-    if not 0 <= x_value < gt.cardinalities[gt.x]:
-        raise ValueError(f"x value {x_value} outside cardinality of {gt.x!r}")
-    return _interventional(gt.dag, gt.cpts, gt.parents, gt.x, gt.y, x_value)
+def _interventional(params: ParamInstantiation, x: str, y: str, x_value: int) -> np.ndarray:
+    """Exact P(y | do(x = x_value)) by truncated factorization."""
+    return product_marginal(_mutilated(params, x, x_value), (y,))
 
 
 def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
@@ -148,27 +133,22 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
     else:
         raise RuntimeError("could not draw a world satisfying the structural constraints")
 
-    cards = {v: int(rng.choice(cfg.cardinalities)) for v in order}
+    cards = {v: int(rng.choice(CARDINALITIES)) for v in order}
     order_idx = {v: i for i, v in enumerate(dag.nodes)}
+    parents = {v: _canonical(dag.parents(v), order_idx) for v in dag.nodes}
     cpts = {}
     for v in dag.nodes:
-        pa = tuple(sorted(dag.parents(v), key=order_idx.__getitem__))
-        q = int(np.prod([cards[p] for p in pa], dtype=np.int64)) if pa else 1
-        draws = rng.standard_gamma(1.0, size=(q, cards[v]))
-        draws = np.maximum(draws, 1e-300)
-        cpt = draws / draws.sum(axis=1, keepdims=True)
-        cpts[v] = cpt.reshape(tuple(cards[p] for p in pa) + (cards[v],))
+        shape = (*(cards[p] for p in parents[v]), cards[v])
+        cpts[v] = _normalize_rows(rng.standard_gamma(1.0, size=shape))
+    params = ParamInstantiation(cards, parents, cpts)
 
     if cfg.selection != "none":
         for v in chosen:
             selection[v] = rng.uniform(0.2, 1.0, cards[v])
 
-    parents = lambda v: tuple(sorted(dag.parents(v), key=order_idx.__getitem__))
-    true_id = {
-        xv: tuple(_interventional(dag, cpts, parents, "X", "Y", xv).tolist())
-        for xv in range(cards["X"])
-    }
-    return GroundTruth(dag=dag, cardinalities=cards, cpts=cpts, x="X", y="Y",
+    true_id = {xv: tuple(_interventional(params, "X", "Y", xv).tolist())
+               for xv in range(cards["X"])}
+    return GroundTruth(dag=dag, params=params, x="X", y="Y",
                        selection=selection, true_id=true_id)
 
 
@@ -177,16 +157,17 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
 
 def _forward_sample(gt: GroundTruth, n: int, rng: np.random.Generator,
                     do: Mapping[str, int] | None = None) -> dict[str, np.ndarray]:
+    cards = gt.params.cardinalities
     cols: dict[str, np.ndarray] = {}
     for v in gt.dag.topological_order():
         if do and v in do:
             cols[v] = np.full(n, do[v], dtype=np.int64)
             continue
-        pa = gt.parents(v)
-        r = gt.cardinalities[v]
-        flat = gt.cpts[v].reshape(-1, r)
+        pa = gt.params.parents[v]
+        r = cards[v]
+        flat = gt.params.cpts[v].reshape(-1, r)
         if pa:
-            idx = np.ravel_multi_index([cols[p] for p in pa], [gt.cardinalities[p] for p in pa])
+            idx = np.ravel_multi_index([cols[p] for p in pa], [cards[p] for p in pa])
             probs = flat[idx]
         else:
             probs = np.broadcast_to(flat[0], (n, r))
@@ -199,14 +180,7 @@ def _forward_sample(gt: GroundTruth, n: int, rng: np.random.Generator,
 
 def _acceptance_prob(gt: GroundTruth, x_value: int) -> float:
     tilt = [((v,), w) for v, w in (gt.selection or {}).items()]
-    factors = [f for f in gt.factors() if f[0][-1] != gt.x]
-    return float(product_marginal(_evidence_sliced(factors + tilt, {gt.x: x_value}), ()))
-
-
-def _selected_marginal_exact(gt: GroundTruth, var: str) -> np.ndarray:
-    tilt = [((v,), w) for v, w in (gt.selection or {}).items()]
-    t = product_marginal(gt.factors() + tilt, (var,))
-    return t / t.sum()
+    return float(product_marginal(_mutilated(gt.params, gt.x, x_value) + tilt, ()))
 
 
 def sample_datasets(gt: GroundTruth, cfg: SimConfig,
@@ -226,10 +200,11 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
     obs_vars = [v for v in gt.dag.nodes if v in gt.dag.observed]
     cols = _forward_sample(gt, cfg.n_obs, rng)
     rows = np.column_stack([cols[v] for v in obs_vars])
-    table = CategoricalTable(tuple(obs_vars), tuple(gt.cardinalities[v] for v in obs_vars), rows)
+    cards = gt.params.cardinalities
+    table = CategoricalTable(tuple(obs_vars), tuple(cards[v] for v in obs_vars), rows)
 
     arms = []
-    for xv in range(gt.cardinalities[gt.x]):
+    for xv in range(cards[gt.x]):
         if gt.selection:
             acc = _acceptance_prob(gt, xv)
             if acc < MIN_ACCEPTANCE:
@@ -249,7 +224,7 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
             ycol = np.concatenate(got)
         else:
             ycol = _forward_sample(gt, cfg.n_per_arm, rng, do={gt.x: xv})[gt.y]
-        counts = np.bincount(ycol, minlength=gt.cardinalities[gt.y])
+        counts = np.bincount(ycol, minlength=cards[gt.y])
         arms.append(Arm.from_counts(xv, counts.tolist()))
 
     covs = [v for v in obs_vars if v not in (gt.x, gt.y)]
@@ -267,7 +242,8 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
     else:
         reported = [v for v in covs if rng.random() < 0.5]
 
-    marginals = {v: tuple(_selected_marginal_exact(gt, v).tolist()) for v in sorted(reported)}
+    marginals = {v: tuple(infer_conditional(gt.params, v, tilts=gt.selection).tolist())
+                 for v in sorted(reported)}
     population = "same" if cfg.selection == "none" else "selected"
     return table, ExperimentSummary(
         treatment=gt.x, outcome=gt.y, arms=tuple(arms),
@@ -435,8 +411,7 @@ def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
             z = vws_baseline(gt)
             sub = table.restrict(set(z) | {gt.x, gt.y})
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 3)))
-            dag = learn_structure(sub, ess=fcfg.ess, max_parents=fcfg.max_parents,
-                                  restarts=fcfg.restarts, rng=rng)
+            dag = learn_structure(sub, ess=fcfg.ess, rng=rng)
             params = posterior_mean(fit_posterior(dag, sub, fcfg.ess))
             est = _adjusted_from_instantiation(params, gt.x, gt.y, z)
             results.append(ReplicateResult(

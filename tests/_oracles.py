@@ -12,7 +12,7 @@ from itertools import combinations, product
 import numpy as np
 from scipy.special import logsumexp
 
-from adjfas.bayesnet import product_marginal, sample_parameter_batch
+from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
 from adjfas.graph import Admg
 from adjfas.score import enumerate_hypotheses
 from adjfas.sim import GroundTruth
@@ -135,7 +135,7 @@ def conditional_from_joint(joint, nodes, target, evidence) -> np.ndarray:
 def interventional_by_enumeration(gt: GroundTruth, x_value: int) -> np.ndarray:
     """P(Y | do(X=x)) from the mutilated joint, by explicit loops."""
     nodes = list(gt.dag.nodes)
-    cards = gt.cardinalities
+    cards, parents, cpts = gt.params.cardinalities, gt.params.parents, gt.params.cpts
     idx = {v: i for i, v in enumerate(nodes)}
     out = np.zeros(cards[gt.y])
     for assign in product(*(range(cards[v]) for v in nodes)):
@@ -145,8 +145,8 @@ def interventional_by_enumeration(gt: GroundTruth, x_value: int) -> np.ndarray:
         for v in nodes:
             if v == gt.x:
                 continue
-            key = tuple(assign[idx[q]] for q in gt.parents(v)) + (assign[idx[v]],)
-            p *= float(gt.cpts[v][key])
+            key = tuple(assign[idx[q]] for q in parents[v]) + (assign[idx[v]],)
+            p *= float(cpts[v][key])
         out[assign[idx[gt.y]]] += p
     return out
 
@@ -154,11 +154,12 @@ def interventional_by_enumeration(gt: GroundTruth, x_value: int) -> np.ndarray:
 def adjusted_by_enumeration(gt: GroundTruth, z, x_value: int) -> np.ndarray:
     """Σ_z P(y|x,z)P(z) evaluated on the exact enumerated joint."""
     nodes = list(gt.dag.nodes)
-    joint = enumerate_joint(nodes, gt.cardinalities, {v: gt.parents(v) for v in nodes}, gt.cpts)
+    cards = gt.params.cardinalities
+    joint = enumerate_joint(nodes, cards, gt.params.parents, gt.params.cpts)
     idx = {v: i for i, v in enumerate(nodes)}
     zvars = sorted(z)
-    out = np.zeros(gt.cardinalities[gt.y])
-    for zvals in product(*(range(gt.cardinalities[v]) for v in zvars)):
+    out = np.zeros(cards[gt.y])
+    for zvals in product(*(range(cards[v]) for v in zvars)):
         sl = joint
         kept = list(nodes)
         for v, c in sorted(zip(zvars, zvals), key=lambda kv: -idx[kv[0]]):
@@ -193,8 +194,11 @@ def random_cpts(dag: Admg, cards, rng) -> dict[str, np.ndarray]:
 
 
 def make_ground_truth(dag: Admg, cards, cpts, x="X", y="Y", selection=None) -> GroundTruth:
-    gt = GroundTruth(dag=dag, cardinalities=dict(cards), cpts=cpts, x=x, y=y,
-                     selection=selection, true_id={})
+    """A world over ``dag``; each CPT's parents are in the dag's node order."""
+    order = {v: i for i, v in enumerate(dag.nodes)}
+    parents = {v: tuple(sorted(dag.parents(v), key=order.__getitem__)) for v in dag.nodes}
+    params = ParamInstantiation(dict(cards), parents, {v: cpts[v] for v in dag.nodes})
+    gt = GroundTruth(dag=dag, params=params, x=x, y=y, selection=selection, true_id={})
     for xv in range(cards[x]):
         gt.true_id[xv] = tuple(interventional_by_enumeration(gt, xv).tolist())
     return gt

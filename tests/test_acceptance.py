@@ -21,7 +21,7 @@ from adjfas.data import Arm, CategoricalTable
 from adjfas.graph import Admg
 from adjfas.score import (FasConfig, pick_best, pick_min_kl, prepare_scoring,
                           score_exp_arm, score_hypotheses, score_not_exists)
-from adjfas.selection import build_selection_bn, selected_conditional
+from adjfas.selection import build_selection_bn
 from adjfas.sim import SimConfig, run_benchmark, sample_datasets
 
 
@@ -127,7 +127,7 @@ def test_criterion_3_adjustment_criterion_oracle():
         for size in range(len(covs) + 1):
             for z in combinations(covs, size):
                 est = {xv: tuple(adjusted_by_enumeration(gt, z, xv).tolist())
-                       for xv in range(gt.cardinalities["X"])}
+                       for xv in range(gt.params.cardinalities["X"])}
                 err = mean_abs_diff(est, gt)
                 if frozenset(z) in valid:
                     worst_accept = max(worst_accept, err)
@@ -254,7 +254,8 @@ def test_criterion_9_selection_solver():
     targets = {"V1": [0.3, 0.7], "V2": [0.45, 0.55]}
     a = build_selection_bn(params, targets, rng=np.random.default_rng(1))
     b = build_selection_bn(params, targets, rng=np.random.default_rng(2))
-    init_gap = max(float(np.abs(selected_conditional(a, v) - selected_conditional(b, v)).max())
+    init_gap = max(float(np.abs(infer_conditional(params, v, tilts=a.theta_s)
+                                - infer_conditional(params, v, tilts=b.theta_s)).max())
                    for v in ("V1", "V2"))
 
     single = ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([0.5, 0.5])})

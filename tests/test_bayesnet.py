@@ -3,8 +3,8 @@ import pytest
 
 from _oracles import conditional_from_joint, enumerate_joint
 from adjfas.bayesnet import (ZeroEvidenceError, _bdeu_local, fit_posterior, infer_conditional,
-                             joint_marginal, learn_structure, posterior_mean,
-                             sample_parameter_batch, sample_parameters)
+                             learn_structure, posterior_mean, product_marginal,
+                             sample_parameter_batch)
 from adjfas.data import CategoricalTable
 from adjfas.graph import Admg
 
@@ -126,14 +126,14 @@ class TestSampling:
         big = {v: a * 0 + 1e9 for v, a in post.alpha.items()}
         post2 = type(post)(dag=post.dag, cardinalities=post.cardinalities,
                            parents=post.parents, alpha=big, ess=post.ess)
-        inst = sample_parameters(post2, np.random.default_rng(0))
-        assert np.abs(inst.cpts["A"] - 0.5).max() < 1e-3
+        draws = sample_parameter_batch(post2, np.random.default_rng(0), 1)["A"]
+        assert np.abs(draws - 0.5).max() < 1e-3
 
     def test_fixed_seed_repeats(self):
         post = self._post()
-        a = sample_parameters(post, np.random.default_rng(42))
-        b = sample_parameters(post, np.random.default_rng(42))
-        assert np.array_equal(a.cpts["A"], b.cpts["A"])
+        a = sample_parameter_batch(post, np.random.default_rng(42), 3)
+        b = sample_parameter_batch(post, np.random.default_rng(42), 3)
+        assert np.array_equal(a["A"], b["A"])
 
     def test_moments_match_dirichlet_mean(self):
         post = self._post()
@@ -191,26 +191,40 @@ class TestInference:
             got = infer_conditional(params, target, evidence)
             assert np.abs(got - want).max() < 1e-10
 
+    def test_tilted_matches_enumeration(self):
+        # the selected population: the joint times every tilt, then conditioned
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n = int(rng.integers(3, 8))
+            nodes, cards, parents, params = self._random_net(rng, n)
+            target = nodes[int(rng.integers(n))]
+            others = [v for v in nodes if v != target]
+            evidence = {v: int(rng.integers(cards[v])) for v in others if rng.random() < 0.3}
+            tilted = [v for v in nodes if rng.random() < 0.5] or [target]
+            tilts = {v: rng.uniform(0.05, 1.0, cards[v]) for v in tilted}
+            joint = enumerate_joint(nodes, cards, parents, params.cpts)
+            for v, w in tilts.items():
+                shape = [1] * n
+                shape[nodes.index(v)] = -1
+                joint = joint * w.reshape(shape)
+            want = conditional_from_joint(joint, nodes, target, evidence)
+            got = infer_conditional(params, target, evidence, tilts=tilts)
+            assert np.abs(got - want).max() < 1e-10
+
+    def test_unknown_tilt_variable_rejected(self):
+        rng = np.random.default_rng(9)
+        nodes, cards, parents, params = self._random_net(rng, 3)
+        with pytest.raises(KeyError, match="NOPE"):
+            infer_conditional(params, nodes[0], tilts={"NOPE": np.ones(2)})
+
     def test_joint_marginal_cases(self):
         from adjfas.bayesnet import ParamInstantiation
         params = ParamInstantiation({"A": 2, "B": 3}, {"A": (), "B": ()},
                                     {"A": np.array([0.3, 0.7]),
                                      "B": np.array([0.2, 0.5, 0.3])})
-        assert joint_marginal(params, []) == pytest.approx(1.0)
-        outer = joint_marginal(params, ["A", "B"])
+        assert product_marginal(params.factors(), []) == pytest.approx(1.0)
+        outer = product_marginal(params.factors(), ["A", "B"])
         assert np.allclose(outer, np.outer([0.3, 0.7], [0.2, 0.5, 0.3]))
-
-    def test_elimination_order_independence(self):
-        rng = np.random.default_rng(6)
-        nodes, cards, parents, params = self._random_net(rng, 7)
-        target = nodes[3]
-        others = [v for v in nodes if v != target]
-        base = infer_conditional(params, target, {}, elim_order=others)
-        for _ in range(5):
-            perm = list(others)
-            rng.shuffle(perm)
-            alt = infer_conditional(params, target, {}, elim_order=perm)
-            assert np.abs(alt - base).max() < 1e-12
 
     def test_conditional_sums_to_one(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import adjfas
 from _oracles import confounded_world
+from adjfas import cli
 from adjfas.cli import main
 from adjfas.data import save_experiment, save_observational
 from adjfas.sim import SimConfig, sample_datasets
@@ -39,6 +41,16 @@ def wide_table_file(tmp_path):
     obs = tmp_path / "wide.csv"
     save_observational(CategoricalTable((*cols, "X", "Y"), (2,) * 19, rows), obs)
     return obs
+
+
+class ReadRecorder(argparse.Namespace):
+    """Parsed arguments that remember which of them were read, once ``reads`` is set."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +180,7 @@ class TestSelectionCheck:
         exp = tmp_path / "e.json"
         gt = confounded_world()
         from adjfas.bayesnet import product_marginal
-        t = product_marginal(gt.factors(), ("C",))
+        t = product_marginal(gt.params.factors(), ("C",))
         marg = (t / t.sum()).tolist()
         exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
                                    "arms": [{"x": 0, "counts": [10, 10]}],
@@ -295,3 +307,43 @@ class TestGlobalBehavior:
                      "--replicates", "--methods", "--selection", "--mode"):
             assert flag in out
         assert "--threads" not in out
+
+    def test_every_listed_flag_is_read(self, g1_files, tmp_path):
+        # each command's --help lists only flags its command function reads
+        obs, expf = map(str, g1_files)
+        sel = tmp_path / "sel.json"
+        sel.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
+                                   "arms": [{"x": 0, "counts": [10, 10]}],
+                                   "marginals": {"C": [0.5, 0.5]}}))
+        world = ["--n-observed", "2", "--n-latent", "1", "--n-obs", "300", "--n-per-arm", "30"]
+        runs = {
+            "fas": ["fas", obs, expf, "--niters", "5"],
+            "score": ["score", obs, expf, "--set", "C", "--niters", "5"],
+            "selection-check": ["selection-check", obs, str(sel)],
+            "simulate": ["simulate", *world],
+            "benchmark": ["benchmark", "--replicates", "1", "--methods", "DEXP", *world],
+        }
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(runs) == set(commands) == set(cli._COMMANDS)
+        for name, argv in runs.items():
+            args = parser.parse_args([*argv, "--out", str(tmp_path / name)],
+                                     namespace=ReadRecorder())
+            args.reads = set()
+            assert cli._COMMANDS[name](args) == 0
+            flags = {a.dest for a in commands[name]._actions
+                     if a.option_strings and a.dest != "help"}
+            assert flags <= args.reads, f"{name} never reads {sorted(flags - args.reads)}"
+
+    def test_unread_flags_are_gone(self, capsys):
+        for name, gone in (("simulate", ("--niters", "--alpha", "--ess")),
+                           ("selection-check", ("--niters", "--tol"))):
+            with pytest.raises(SystemExit):
+                main([name, "--help"])
+            text = capsys.readouterr().out
+            assert not [flag for flag in gone if flag in text]
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--niters", "3"])
+        assert e.value.code == 2
+

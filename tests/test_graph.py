@@ -154,7 +154,7 @@ class TestCriterionSoundnessAndCompleteness:
         for _ in range(40):
             gt = _random_world(rng)
             for z in all_valid_subsets(gt):
-                for xv in range(gt.cardinalities["X"]):
+                for xv in range(gt.params.cardinalities["X"]):
                     adj = adjusted_by_enumeration(gt, z, xv)
                     truth = np.asarray(gt.true_id[xv])
                     assert np.abs(adj - truth).max() <= 1e-9
@@ -174,7 +174,7 @@ class TestCriterionSoundnessAndCompleteness:
                     if frozenset(z) in valid:
                         continue
                     est = {xv: tuple(adjusted_by_enumeration(gt, z, xv).tolist())
-                           for xv in range(gt.cardinalities["X"])}
+                           for xv in range(gt.params.cardinalities["X"])}
                     total += 1
                     violating += mean_abs_diff(est, gt) > 1e-6
         assert total > 30

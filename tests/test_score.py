@@ -7,14 +7,13 @@ from scipy.special import gammaln
 from _oracles import (confounded_world, latent_confounder_world, mean_abs_diff,
                       score_by_elimination, valid_set_world)
 from adjfas import score as score_module
-from adjfas.bayesnet import fit_posterior
+from adjfas.bayesnet import fit_posterior, infer_conditional
 from adjfas.data import Arm, CategoricalTable, ValidationError
 from adjfas.graph import Admg, satisfies_adjustment_criterion
 from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig, FasResult,
                           Hypothesis, HypothesisRecord, candidate_pool, enumerate_hypotheses,
                           find_adjustment_set, pick_best, pick_min_kl, prepare_scoring,
                           prior_log_prob, score_exp_arm, score_hypotheses, score_not_exists)
-from adjfas.selection import selected_conditional
 from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
@@ -402,9 +401,10 @@ class TestPrepareScoring:
         reported = prep.exp.reported_marginals
         assert prep.selection.selected_vars == tuple(sorted(reported))
         assert set(reported) <= set(prep.post.dag.nodes)
+        sbn = prep.selection
         for v, marginal in reported.items():
-            np.testing.assert_allclose(selected_conditional(prep.selection, v), marginal,
-                                       rtol=0, atol=1e-6)
+            np.testing.assert_allclose(infer_conditional(sbn.base, v, tilts=sbn.theta_s),
+                                       marginal, rtol=0, atol=1e-6)
 
 
 class TestDegenerateAndValidationPaths:

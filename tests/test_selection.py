@@ -6,12 +6,17 @@ from adjfas.bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditi
 from adjfas.data import ExperimentSummary, ValidationError
 from adjfas.graph import satisfies_adjustment_criterion
 from adjfas.score import FasConfig, find_adjustment_set
-from adjfas.selection import InfeasibleSelectionError, build_selection_bn, selected_conditional
+from adjfas.selection import InfeasibleSelectionError, build_selection_bn
 from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
 def binary_root(p1=0.5):
     return ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([1 - p1, p1])})
+
+
+def selected(sbn, target, evidence=None):
+    """P(target | evidence) in the population the solved weights select."""
+    return infer_conditional(sbn.base, target, evidence, tilts=sbn.theta_s)
 
 
 def chain_net():
@@ -33,12 +38,19 @@ class TestBuildSelectionBn:
     def test_exclusion_criterion(self):
         sbn = build_selection_bn(binary_root(0.5), {"V": [0.0, 1.0]})
         assert sbn.theta_s["V"][0] == 0.0
-        assert np.allclose(selected_conditional(sbn, "V"), [0.0, 1.0])
+        assert np.allclose(selected(sbn, "V"), [0.0, 1.0])
 
     def test_infeasible_unsupported_mass(self):
         degenerate = ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([1.0, 0.0])})
         with pytest.raises(InfeasibleSelectionError, match="'V'"):
             build_selection_bn(degenerate, {"V": [0.5, 0.5]})
+
+    def test_infeasible_contradictory_marginals(self):
+        # B copies A, so no weights put all of A on 0 and all of B on 1
+        copy = ParamInstantiation({"A": 2, "B": 2}, {"A": (), "B": ("A",)},
+                                  {"A": np.array([0.5, 0.5]), "B": np.eye(2)})
+        with pytest.raises(InfeasibleSelectionError):
+            build_selection_bn(copy, {"A": [1.0, 0.0], "B": [0.0, 1.0]})
 
     def test_marginal_preservation_random_instances(self):
         rng = np.random.default_rng(0)
@@ -67,7 +79,7 @@ class TestBuildSelectionBn:
             sbn = build_selection_bn(params, marg)
             assert sbn.solved_residual <= 1e-6
             for v in chosen:
-                got = selected_conditional(sbn, v)
+                got = selected(sbn, v)
                 assert np.abs(got - np.asarray(marg[v])).max() <= 1e-6
 
     def test_two_initializations_agree(self):
@@ -76,13 +88,13 @@ class TestBuildSelectionBn:
         a = build_selection_bn(params, targets, rng=np.random.default_rng(1))
         b = build_selection_bn(params, targets, rng=np.random.default_rng(2))
         for v in ("V1", "V2"):
-            assert np.abs(selected_conditional(a, v) - selected_conditional(b, v)).max() <= 1e-6
+            assert np.abs(selected(a, v) - selected(b, v)).max() <= 1e-6
 
     def test_scale_invariance(self):
         sbn = build_selection_bn(chain_net(), {"V1": [0.3, 0.7]})
-        before = selected_conditional(sbn, "V2")
+        before = selected(sbn, "V2")
         sbn.theta_s["V1"] = sbn.theta_s["V1"] * 0.37
-        after = selected_conditional(sbn, "V2")
+        after = selected(sbn, "V2")
         assert np.abs(after - before).max() < 1e-10
 
 
@@ -90,22 +102,22 @@ class TestSelectedConditional:
     def test_no_selection_matches_base(self):
         params = chain_net()
         sbn = build_selection_bn(params, {"V1": [0.6, 0.4]})
-        assert np.abs(selected_conditional(sbn, "V2") - infer_conditional(params, "V2")).max() < 1e-6
+        assert np.abs(selected(sbn, "V2") - infer_conditional(params, "V2")).max() < 1e-6
 
     def test_constraint_restated(self):
         sbn = build_selection_bn(chain_net(), {"V1": [0.3, 0.7]})
-        assert np.abs(selected_conditional(sbn, "V1") - np.array([0.3, 0.7])).max() <= 1e-6
+        assert np.abs(selected(sbn, "V1") - np.array([0.3, 0.7])).max() <= 1e-6
 
     def test_hand_factorization(self):
         sbn = build_selection_bn(chain_net(), {"V1": [0.3, 0.7]})
         want = 0.3 * np.array([0.9, 0.1]) + 0.7 * np.array([0.3, 0.7])
-        assert np.abs(selected_conditional(sbn, "V2") - want).max() < 1e-5
+        assert np.abs(selected(sbn, "V2") - want).max() < 1e-5
 
     def test_zero_probability_evidence_flagged(self):
         # V1=0 is an exclusion criterion, so conditioning on it under S=1 is undefined
         sbn = build_selection_bn(chain_net(), {"V1": [0.0, 1.0]})
         with pytest.raises(ZeroEvidenceError):
-            selected_conditional(sbn, "V2", {"V1": 0})
+            selected(sbn, "V2", {"V1": 0})
 
 
 class TestFindAdjustmentSetSelected:
@@ -156,7 +168,7 @@ class TestFindAdjustmentSetSelected:
         cfg = SimConfig(n_obs=10000, n_per_arm=1000, seed=0)
         table, exp = sample_datasets(gt, cfg, np.random.default_rng(40))
         from adjfas.bayesnet import product_marginal
-        t = product_marginal(gt.factors(), ("C",))
+        t = product_marginal(gt.params.factors(), ("C",))
         marg = {"C": tuple((t / t.sum()).tolist())}
         flagged = ExperimentSummary(exp.treatment, exp.outcome, exp.arms, marg, "selected")
         plain = find_adjustment_set(table, exp, FasConfig(seed=2))

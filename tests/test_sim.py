@@ -5,9 +5,9 @@ from _oracles import (adjusted_by_enumeration, confounded_world, enumerate_joint
                       interventional_by_enumeration, make_ground_truth)
 from adjfas.graph import Admg
 from adjfas.score import FasConfig
-from adjfas.sim import (METHODS, SimConfig, delta_theta, generate_world, run_benchmark,
-                        sample_datasets, true_interventional, vws_baseline,
-                        write_benchmark_csv, write_benchmark_summary)
+from adjfas.sim import (METHODS, SimConfig, _interventional, delta_theta, generate_world,
+                        run_benchmark, sample_datasets, vws_baseline, write_benchmark_csv,
+                        write_benchmark_summary)
 
 
 class TestGenerateWorld:
@@ -64,12 +64,12 @@ class TestTrueInterventional:
         dag = Admg(["X", "Y"], directed=[("X", "Y")])
         cpts = {"X": np.array([0.4, 0.6]), "Y": np.array([[0.8, 0.2], [0.3, 0.7]])}
         gt = make_ground_truth(dag, {"X": 2, "Y": 2}, cpts)
-        assert np.allclose(true_interventional(gt, 1), [0.3, 0.7])
+        assert np.allclose(_interventional(gt.params, "X", "Y", 1), [0.3, 0.7])
 
     def test_adjustment_cross_check(self):
         gt = confounded_world()
         for xv in (0, 1):
-            ti = true_interventional(gt, xv)
+            ti = _interventional(gt.params, gt.x, gt.y, xv)
             adj = adjusted_by_enumeration(gt, ("C",), xv)
             assert np.abs(ti - adj).max() < 1e-12
 
@@ -78,25 +78,30 @@ class TestTrueInterventional:
         cfg = SimConfig(seed=6)
         for rep in range(10):
             gt = generate_world(cfg, rng)
-            for xv in range(gt.cardinalities["X"]):
-                assert abs(true_interventional(gt, xv).sum() - 1.0) < 1e-12
+            assert sorted(gt.true_id) == list(range(gt.params.cardinalities["X"]))
+            for vec in gt.true_id.values():
+                assert abs(sum(vec) - 1.0) < 1e-12
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(7)
         cfg = SimConfig(n_observed=2, n_latent=2, seed=7)
         for rep in range(10):
             gt = generate_world(cfg, rng)
-            for xv in range(gt.cardinalities["X"]):
+            for xv in range(gt.params.cardinalities["X"]):
                 want = interventional_by_enumeration(gt, xv)
-                got = true_interventional(gt, xv)
+                got = np.array(gt.true_id[xv])
                 assert np.abs(got - want).max() < 1e-12
 
-    def test_state_space_guard(self):
-        cfg = SimConfig(n_observed=0, n_latent=0, seed=0)
-        gt = generate_world(cfg, np.random.default_rng(0))
-        gt.cardinalities = {v: 100000 for v in gt.dag.nodes}
-        with pytest.raises(ValueError):
-            true_interventional(gt, 0)
+
+def tilt_weights(gt):
+    """∏_v θ_v over the full joint's axes (the world's nodes), 1 without selection."""
+    nodes = list(gt.dag.nodes)
+    weight = np.ones([gt.params.cardinalities[v] for v in nodes])
+    for v, w in (gt.selection or {}).items():
+        shape = [1] * len(nodes)
+        shape[nodes.index(v)] = -1
+        weight = weight * w.reshape(shape)
+    return weight
 
 
 class TestSampleDatasets:
@@ -137,7 +142,7 @@ class TestSampleDatasets:
         from adjfas.bayesnet import product_marginal
         moved = 0.0
         for v in gt.selection:
-            t = product_marginal(gt.factors(), (v,))
+            t = product_marginal(gt.params.factors(), (v,))
             obs = t / t.sum()
             moved = max(moved, np.abs(np.array(exp.reported_marginals[v]) - obs).max())
         assert moved > 1e-4
@@ -148,18 +153,29 @@ class TestSampleDatasets:
         cfg = SimConfig(n_observed=3, n_latent=1, selection="observed", seed=21)
         gt = generate_world(cfg, np.random.default_rng(21))
         nodes = list(gt.dag.nodes)
-        parents = {v: gt.parents(v) for v in nodes}
-        weight = np.ones([gt.cardinalities[v] for v in nodes])
-        for v, w in gt.selection.items():
-            shape = [1] * len(nodes)
-            shape[nodes.index(v)] = -1
-            weight = weight * w.reshape(shape)
-        for xv in range(gt.cardinalities[gt.x]):
-            point = np.eye(gt.cardinalities[gt.x])[xv]
-            cpts = {**gt.cpts, gt.x: np.broadcast_to(point, gt.cpts[gt.x].shape)}
-            joint = enumerate_joint(nodes, gt.cardinalities, parents, cpts)
+        cards, parents = gt.params.cardinalities, gt.params.parents
+        weight = tilt_weights(gt)
+        for xv in range(cards[gt.x]):
+            point = np.eye(cards[gt.x])[xv]
+            cpts = {**gt.params.cpts, gt.x: np.broadcast_to(point, gt.params.cpts[gt.x].shape)}
+            joint = enumerate_joint(nodes, cards, parents, cpts)
             want = float((joint * weight).sum())
             assert _acceptance_prob(gt, xv) == pytest.approx(want, rel=1e-12)
+
+    def test_reported_marginals_match_tilted_enumeration(self):
+        cfg = SimConfig(n_observed=3, n_latent=1, n_obs=200, n_per_arm=20,
+                        selection="observed", seed=22)
+        gt = generate_world(cfg, np.random.default_rng(22))
+        _, exp = sample_datasets(gt, cfg, np.random.default_rng(23))
+        assert set(gt.selection) <= set(exp.reported_marginals)
+        nodes = list(gt.dag.nodes)
+        joint = enumerate_joint(nodes, gt.params.cardinalities, gt.params.parents,
+                                gt.params.cpts) * tilt_weights(gt)
+        joint /= joint.sum()
+        for v, reported in exp.reported_marginals.items():
+            i = nodes.index(v)
+            want = joint.sum(axis=tuple(a for a in range(len(nodes)) if a != i))
+            np.testing.assert_allclose(reported, want, rtol=0, atol=1e-12)
 
     def test_latent_mode_hides_all_selected(self):
         cfg = SimConfig(selection="latent", seed=13)
@@ -178,7 +194,7 @@ class TestSampleDatasets:
         # with C=0 excluded, arm outcomes follow P(Y | x, C=1) exactly
         for arm in exp.arms:
             emp = np.array(arm.outcome_counts) / arm.total
-            want = gt.cpts["Y"][1, arm.x_value]
+            want = gt.params.cpts["Y"][1, arm.x_value]
             assert np.abs(emp - want).max() < 0.08
 
     def test_observational_table_has_no_latents(self):
@@ -202,7 +218,7 @@ class TestDeltaTheta:
     def test_symmetry(self):
         gt = confounded_world()
         a = {0: (0.6, 0.4)}
-        swapped = make_ground_truth(gt.dag, gt.cardinalities, gt.cpts)
+        swapped = make_ground_truth(gt.dag, gt.params.cardinalities, gt.params.cpts)
         swapped.true_id[0] = (0.6, 0.4)
         d1 = delta_theta(a, gt)
         d2 = delta_theta({0: gt.true_id[0]}, swapped)
