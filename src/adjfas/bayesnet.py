@@ -386,6 +386,10 @@ def infer_conditional(params: ParamInstantiation, target: str,
     if target in evidence:
         raise ValueError("target must not appear in the evidence")
     _check_query(params, [target, *tilts], evidence)
+    for v, w in tilts.items():
+        if np.shape(w) != (params.cardinalities[v],):
+            raise ValueError(f"tilt for {v!r} has {np.size(w)} entries, "
+                             f"cardinality is {params.cardinalities[v]}")
     factors = params.factors() + [((v,), np.asarray(w, dtype=float)) for v, w in tilts.items()]
     t = product_marginal(_evidence_sliced(factors, evidence), (target,))
     total = t.sum()

@@ -203,7 +203,8 @@ def cmd_selection_check(args) -> int:
     doc["reported_marginals"] = {v: list(p) for v, p in exp.reported_marginals.items()}
     out = Path(args.out) if args.out else Path("selection_report.json")
     _write_json(doc, out)
-    print(f"solved selection model: residual {sbn.solved_residual:.3g}")
+    print(f"solved selection model: residual {sbn.solved_residual:.3g} "
+          f"in {sbn.sweeps} sweeps")
     for v in sbn.selected_vars:
         vec = ", ".join(f"{w:.4f}" for w in sbn.theta_s[v])
         print(f"  theta[{v}] = [{vec}]")

@@ -416,7 +416,6 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
         if not 0 <= arm.x_value < table.cardinality(x):
             raise ValidationError(f"arm x value {arm.x_value} outside cardinality of {x!r}")
     pool = candidate_pool(table, x, y, config.alpha)
-    enumerate_hypotheses(pool, config.max_subset_size)  # enforce the enumeration guard early
     keep = set(pool) | {x, y} | set(reported)
     sub = table.restrict(keep)
     learn_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))

@@ -10,17 +10,21 @@ population and still reports estimates for the unselected one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditional
+from .bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditional, product_marginal
 from .data import CategoricalTable, ValidationError, contingency_counts
 
 MAX_SWEEPS = 10000
 DAMPING = 0.5
 TOL = 1e-6  # largest residual between a reported and a reproduced marginal
+# largest reported-variable joint the solver holds; past it each marginal is
+# its own elimination (the same budget as score.LATTICE_CELL_BUDGET)
+JOINT_CELL_BUDGET = 1 << 22
 
 
 class SelectionError(RuntimeError):
@@ -47,12 +51,14 @@ class SelectionBn:
     selected_vars: tuple[str, ...]
     theta_s: dict[str, np.ndarray]
     solved_residual: float
+    sweeps: int
 
     def to_dict(self) -> dict:
         return {
             "selected_vars": list(self.selected_vars),
             "theta_s": {v: self.theta_s[v].tolist() for v in self.selected_vars},
             "solved_residual": self.solved_residual,
+            "sweeps": self.sweeps,
             "base": {
                 v: {"parents": list(self.base.parents[v]),
                     "shape": list(self.base.cpts[v].shape),
@@ -62,12 +68,46 @@ class SelectionBn:
         }
 
 
+_ZERO_MASS = "selection weights drive P(S=1) to zero"
+
+
 def _weighted_marginal(params: ParamInstantiation, var: str,
-                       tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+                       tilts: Mapping[str, np.ndarray]) -> np.ndarray:
     try:
         return infer_conditional(params, var, tilts=tilts)
     except ZeroEvidenceError:
-        raise InfeasibleSelectionError("selection weights drive P(S=1) to zero") from None
+        raise InfeasibleSelectionError(_ZERO_MASS) from None
+
+
+def _marginal_fn(params: ParamInstantiation, selected: tuple[str, ...]
+                 ) -> Callable[[str, Mapping[str, np.ndarray]], np.ndarray]:
+    """``marginal(v, theta)``: P(v) normalized in the population tilted by ``theta``.
+
+    The weights touch only the reported variables R, so that marginal is a
+    margin of P(R) · ∏_u θ_u(r_u): one elimination gives P(R), after which
+    every query is dense arithmetic on ∏ card(R) cells. Past
+    ``JOINT_CELL_BUDGET`` cells each query is its own elimination over the
+    whole network.
+    """
+    if math.prod(params.cardinalities[v] for v in selected) > JOINT_CELL_BUDGET:
+        return lambda v, theta: _weighted_marginal(params, v, theta)
+
+    joint = product_marginal(params.factors(), selected)
+    axes = range(len(selected))
+    along = {v: [-1 if j == i else 1 for j in axes] for i, v in enumerate(selected)}
+    others = {v: tuple(j for j in axes if j != i) for i, v in enumerate(selected)}
+
+    def marginal(v: str, theta: Mapping[str, np.ndarray]) -> np.ndarray:
+        tilted = joint
+        for u, w in theta.items():
+            tilted = tilted * w.reshape(along[u])
+        t = tilted.sum(axis=others[v])
+        total = t.sum()
+        if total <= 0.0:
+            raise InfeasibleSelectionError(_ZERO_MASS)
+        return t / total
+
+    return marginal
 
 
 def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Sequence[float]]) -> None:
@@ -95,11 +135,12 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
                        rng: np.random.Generator | None = None) -> SelectionBn:
     """Solve inclusion weights so the tilted network reproduces each reported marginal.
 
-    Damped multiplicative fixed point: θ_v ← θ_v · (target / current)^DAMPING,
-    rescaled so max θ_v = 1 (solutions are scale-equivalent per variable). A
-    category with zero reported mass is an exclusion criterion and gets weight
-    exactly 0. Infeasible when a reported marginal puts mass on a category the
-    observational model gives probability 0.
+    Damped iterative proportional fitting on the joint of the reported
+    variables: θ_v ← θ_v · (target / current)^DAMPING, rescaled so max θ_v = 1
+    (solutions are scale-equivalent per variable), one variable at a time in
+    sorted order. A category with zero reported mass is an exclusion criterion
+    and gets weight exactly 0. Infeasible when a reported marginal puts mass
+    on a category the observational model gives probability 0.
     """
     selected = tuple(sorted(marginals))
     if not selected:
@@ -113,14 +154,17 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
         if t.shape != (params.cardinalities[v],):
             raise ValidationError(
                 f"marginal for {v!r} has {t.size} entries, cardinality is {params.cardinalities[v]}")
-        obs = _weighted_marginal(params, v)
+        targets[v] = t
+
+    marginal = _marginal_fn(params, selected)
+    for v, t in targets.items():
+        obs = marginal(v, {})
         bad = (obs == 0.0) & (t > 0.0)
         if bad.any():
             c = int(np.argmax(bad))
             raise InfeasibleSelectionError(
                 f"variable {v!r}, category {c}: trial reports mass {t[c]:.6g} "
                 "on a category with no observational support")
-        targets[v] = t
 
     theta: dict[str, np.ndarray] = {}
     for v in selected:
@@ -133,16 +177,16 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
     # land on the same distribution within it; error only past the contract.
     aim = TOL * 0.05
     residual = np.inf
-    for _ in range(MAX_SWEEPS):
+    for sweeps in range(1, MAX_SWEEPS + 1):
         for v in selected:
-            current = _weighted_marginal(params, v, theta)
+            current = marginal(v, theta)
             pos = targets[v] > 0.0
             ratio = np.ones_like(current)
             ratio[pos] = targets[v][pos] / current[pos]
             theta[v] = theta[v] * ratio ** DAMPING
             theta[v] = theta[v] / theta[v].max()
         residual = max(
-            float(np.abs(_weighted_marginal(params, v, theta) - targets[v]).max())
+            float(np.abs(marginal(v, theta) - targets[v]).max())
             for v in selected)
         if residual < aim:
             break
@@ -153,5 +197,5 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
 
     return SelectionBn(base=params, selected_vars=selected,
                        theta_s={v: theta[v] for v in selected},
-                       solved_residual=residual)
+                       solved_residual=residual, sweeps=sweeps)
 

@@ -217,6 +217,17 @@ class TestInference:
         with pytest.raises(KeyError, match="NOPE"):
             infer_conditional(params, nodes[0], tilts={"NOPE": np.ones(2)})
 
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_tilt_of_wrong_length_rejected(self, length):
+        # a length-1 tilt would broadcast as a constant weight, a length-3 one
+        # would fail inside the product with no variable named
+        from adjfas.bayesnet import ParamInstantiation
+        params = ParamInstantiation({"A": 2, "B": 2}, {"A": (), "B": ("A",)},
+                                    {"A": np.array([0.6, 0.4]),
+                                     "B": np.array([[0.9, 0.1], [0.3, 0.7]])})
+        with pytest.raises(ValueError, match=f"'A' has {length} entries, cardinality is 2"):
+            infer_conditional(params, "B", tilts={"A": np.ones(length)})
+
     def test_joint_marginal_cases(self):
         from adjfas.bayesnet import ParamInstantiation
         params = ParamInstantiation({"A": 2, "B": 3}, {"A": (), "B": ()},

@@ -189,6 +189,8 @@ class TestSelectionCheck:
         assert main(["selection-check", str(obs), str(exp), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["solved_residual"] < 1e-6
+        assert doc["sweeps"] >= 1
+        assert f"in {doc['sweeps']} sweeps" in capsys.readouterr().out
         theta = np.array(doc["theta_s"]["C"])
         assert np.abs(theta - theta.max()).max() < 0.05  # near ratio-1
 
@@ -249,13 +251,19 @@ class TestSelectionCheck:
             np.testing.assert_allclose(theta[v], built[0].theta_s[v], rtol=0, atol=1e-12)
 
     def test_enumeration_exit_code(self, tmp_path):
-        # selection-check learns over the pool as fas does, so it shares the guard
+        # selection-check scores no hypothesis, so a pool too large to
+        # enumerate (fas exits 4 on it) still gets a solved model
         obs = wide_table_file(tmp_path)
         exp = tmp_path / "e.json"
         exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
                                    "arms": [{"x": 0, "counts": [50, 50]}],
                                    "marginals": {"V00": [0.5, 0.5]}}))
-        assert main(["selection-check", str(obs), str(exp)]) == 4
+        out = tmp_path / "sel.json"
+        assert main(["selection-check", str(obs), str(exp), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["solved_residual"] < 1e-6
+        assert np.abs(np.array(doc["inferred_selected_marginals"]["V00"]) - 0.5).max() < 1e-6
+        assert len(doc["theta_s"]["V00"]) == 2 and max(doc["theta_s"]["V00"]) == 1.0
 
 
 class TestScoreCommand:

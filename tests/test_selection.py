@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from _oracles import confounded_world, mean_abs_diff, valid_set_world
-from adjfas.bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditional
+from adjfas import selection as selection_module
+from adjfas.bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditional, product_marginal
 from adjfas.data import ExperimentSummary, ValidationError
 from adjfas.graph import satisfies_adjustment_criterion
 from adjfas.score import FasConfig, find_adjustment_set
-from adjfas.selection import InfeasibleSelectionError, build_selection_bn
+from adjfas.selection import TOL, InfeasibleSelectionError, build_selection_bn
 from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
@@ -23,6 +24,30 @@ def chain_net():
     return ParamInstantiation(
         {"V1": 2, "V2": 2}, {"V1": (), "V2": ("V1",)},
         {"V1": np.array([0.6, 0.4]), "V2": np.array([[0.9, 0.1], [0.3, 0.7]])})
+
+
+def random_params(rng, cards):
+    """A random network over ``cards`` (name -> cardinality), parents drawn in key order."""
+    nodes = list(cards)
+    parents, cpts = {}, {}
+    for j, v in enumerate(nodes):
+        pa = tuple(nodes[i] for i in range(j) if rng.random() < 0.5)
+        parents[v] = pa
+        q = int(np.prod([cards[p] for p in pa])) if pa else 1
+        d = np.maximum(rng.standard_gamma(1.0, size=(q, cards[v])), 1e-300)
+        cpts[v] = (d / d.sum(1, keepdims=True)).reshape(
+            tuple(cards[p] for p in pa) + (cards[v],))
+    return ParamInstantiation(cards, parents, cpts)
+
+
+def reachable_marginals(rng, params, chosen):
+    """Marginals a selected trial would report under random true weights."""
+    tilt = [((v,), rng.uniform(0.2, 1.0, params.cardinalities[v])) for v in chosen]
+    marg = {}
+    for v in chosen:
+        t = product_marginal(params.factors() + tilt, (v,))
+        marg[v] = (t / t.sum()).tolist()
+    return marg
 
 
 class TestBuildSelectionBn:
@@ -49,38 +74,74 @@ class TestBuildSelectionBn:
         # B copies A, so no weights put all of A on 0 and all of B on 1
         copy = ParamInstantiation({"A": 2, "B": 2}, {"A": (), "B": ("A",)},
                                   {"A": np.array([0.5, 0.5]), "B": np.eye(2)})
-        with pytest.raises(InfeasibleSelectionError):
+        with pytest.raises(InfeasibleSelectionError, match="P\\(S=1\\) to zero"):
             build_selection_bn(copy, {"A": [1.0, 0.0], "B": [0.0, 1.0]})
+
+    def test_fallback_raises_the_same_infeasibility(self, monkeypatch):
+        monkeypatch.setattr(selection_module, "JOINT_CELL_BUDGET", 1)
+        self.test_infeasible_unsupported_mass()
+        self.test_infeasible_contradictory_marginals()
 
     def test_marginal_preservation_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(2, 5))
-            nodes = [f"N{i}" for i in range(n)]
-            cards = {v: int(rng.integers(2, 4)) for v in nodes}
-            parents, cpts = {}, {}
-            for j, v in enumerate(nodes):
-                pa = tuple(nodes[i] for i in range(j) if rng.random() < 0.5)
-                parents[v] = pa
-                q = int(np.prod([cards[p] for p in pa])) if pa else 1
-                d = np.maximum(rng.standard_gamma(1.0, size=(q, cards[v])), 1e-300)
-                cpts[v] = (d / d.sum(1, keepdims=True)).reshape(
-                    tuple(cards[p] for p in pa) + (cards[v],))
-            params = ParamInstantiation(cards, parents, cpts)
-            # reachable targets: the marginals implied by random true weights
-            from adjfas.bayesnet import product_marginal
-            chosen = [v for v in nodes if rng.random() < 0.6] or [nodes[0]]
-            weights = {v: rng.uniform(0.2, 1.0, cards[v]) for v in chosen}
-            tilt = [((w,), weights[w]) for w in chosen]
-            marg = {}
-            for v in chosen:
-                t = product_marginal(params.factors() + tilt, (v,))
-                marg[v] = (t / t.sum()).tolist()
+            params = random_params(rng, {f"N{i}": int(rng.integers(2, 4)) for i in range(n)})
+            chosen = [v for v in params.nodes if rng.random() < 0.6] or [params.nodes[0]]
+            marg = reachable_marginals(rng, params, chosen)
             sbn = build_selection_bn(params, marg)
             assert sbn.solved_residual <= 1e-6
             for v in chosen:
                 got = selected(sbn, v)
                 assert np.abs(got - np.asarray(marg[v])).max() <= 1e-6
+
+    def test_joint_solve_reproduces_three_way_targets(self):
+        # 3-4 reported variables of cardinality 3 among unreported ones, so
+        # the joint over them is a dense table of up to 81 cells; the check is
+        # the independent whole-network elimination, not the solver's joint
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            k = int(rng.integers(3, 5))
+            cards = {f"R{i}": 3 for i in range(k)}
+            cards.update({f"U{i}": int(rng.integers(2, 4)) for i in range(int(rng.integers(1, 4)))})
+            names = list(cards)
+            rng.shuffle(names)
+            params = random_params(rng, {v: cards[v] for v in names})
+            chosen = [v for v in names if v.startswith("R")]
+            marg = reachable_marginals(rng, params, chosen)
+            sbn = build_selection_bn(params, marg)
+            for v in chosen:
+                assert np.abs(selected(sbn, v) - np.asarray(marg[v])).max() <= TOL
+
+    def test_fallback_gives_the_joint_solution(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            n = int(rng.integers(3, 7))
+            params = random_params(rng, {f"N{i}": int(rng.integers(2, 4)) for i in range(n)})
+            chosen = [v for v in params.nodes if rng.random() < 0.7] or [params.nodes[0]]
+            marg = reachable_marginals(rng, params, chosen)
+            init = int(rng.integers(1 << 30))
+            joint = build_selection_bn(params, marg, rng=np.random.default_rng(init))
+            with monkeypatch.context() as m:
+                m.setattr(selection_module, "JOINT_CELL_BUDGET", 1)
+                fallback = build_selection_bn(params, marg, rng=np.random.default_rng(init))
+            assert fallback.sweeps == joint.sweeps
+            for v in chosen:
+                np.testing.assert_allclose(fallback.theta_s[v], joint.theta_s[v], rtol=0, atol=1e-12)
+
+    def test_one_elimination_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return product_marginal(*args, **kwargs)
+
+        monkeypatch.setattr(selection_module, "product_marginal", counted)
+        params = random_params(np.random.default_rng(13), {f"N{i}": 3 for i in range(6)})
+        marg = reachable_marginals(np.random.default_rng(14), params, ["N1", "N3", "N4"])
+        sbn = build_selection_bn(params, marg)
+        assert sbn.sweeps > 1
+        assert calls == [("N1", "N3", "N4")]
 
     def test_two_initializations_agree(self):
         params = chain_net()
