@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaError,
                    ValidationError, contingency_counts, g2_independence_test,
                    load_experiment, load_observational, save_experiment, save_observational)
-from .graph import (Admg, GraphError, forbidden_set, m_separated, proper_backdoor_graph,
+from .graph import (Dag, GraphError, d_separated, forbidden_set, proper_backdoor_graph,
                     satisfies_adjustment_criterion)
 from .bayesnet import (BayesNetPosterior, ParamInstantiation, ZeroEvidenceError,
                        fit_posterior, infer_conditional, learn_structure, posterior_mean)
@@ -22,16 +22,15 @@ from .sim import (BenchmarkReport, GroundTruth, SimConfig, delta_theta, generate
                   write_benchmark_summary)
 
 __all__ = [
-    "Admg", "Arm", "ArmScore", "BayesNetPosterior", "BenchmarkReport", "CategoricalTable",
+    "Arm", "ArmScore", "BayesNetPosterior", "BenchmarkReport", "CategoricalTable", "Dag",
     "EnumerationLimitError", "ExperimentSummary", "FasConfig", "FasResult", "GraphError",
     "GroundTruth", "Hypothesis", "InfeasibleSelectionError", "NOT_EXISTS",
     "ParamInstantiation", "ParseError", "SchemaError", "ScoringError", "SelectionBn",
     "SelectionError", "SimConfig", "SolverConvergenceError", "ValidationError",
     "ZeroEvidenceError", "build_selection_bn", "candidate_pool", "contingency_counts",
-    "delta_theta", "find_adjustment_set", "fit_posterior", "forbidden_set",
-    "g2_independence_test", "generate_world", "infer_conditional",
-    "learn_structure", "load_experiment", "load_observational", "m_separated",
-    "posterior_mean", "prior_log_prob",
+    "d_separated", "delta_theta", "find_adjustment_set", "fit_posterior", "forbidden_set",
+    "g2_independence_test", "generate_world", "infer_conditional", "learn_structure",
+    "load_experiment", "load_observational", "posterior_mean", "prior_log_prob",
     "proper_backdoor_graph", "run_benchmark", "sample_datasets",
     "satisfies_adjustment_criterion", "save_experiment", "save_observational",
     "score_exp_arm", "score_not_exists", "vws_baseline",

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import CategoricalTable, contingency_counts
-from .graph import Admg
+from .graph import Dag
 
 
 class ZeroEvidenceError(ValueError):
@@ -39,7 +39,7 @@ class BayesNetPosterior:
     parents ordered as in ``parents[v]``; every entry is strictly positive.
     """
 
-    dag: Admg
+    dag: Dag
     cardinalities: dict[str, int]
     parents: dict[str, tuple[str, ...]]
     alpha: dict[str, np.ndarray]
@@ -114,12 +114,12 @@ class _HillClimbState:
         self.children = {v: set() for v in nodes}
         self.local = {v: _bdeu_local(table, v, (), ess, cache) for v in nodes}
 
-    def creates_cycle(self, u, v) -> bool:
-        # adding u -> v cycles iff v already reaches u
-        stack, seen = [v], set()
+    def _reaches(self, starts, goal) -> bool:
+        """Whether a directed path leads from any of ``starts`` to ``goal``."""
+        stack, seen = list(starts), set()
         while stack:
             w = stack.pop()
-            if w == u:
+            if w == goal:
                 return True
             if w in seen:
                 continue
@@ -138,25 +138,15 @@ class _HillClimbState:
                     continue
                 if v in self.children[u]:
                     out.append(("del", u, v))
-                    if len(self.parents[u]) < self.max_parents and not self._reverse_cycles(u, v):
+                    # reversing u -> v cycles iff u reaches v without that edge
+                    if (len(self.parents[u]) < self.max_parents
+                            and not self._reaches(self.children[u] - {v}, v)):
                         out.append(("rev", u, v))
                 elif u not in self.children[v]:
-                    if len(self.parents[v]) < self.max_parents and not self.creates_cycle(u, v):
+                    # adding u -> v cycles iff v already reaches u
+                    if len(self.parents[v]) < self.max_parents and not self._reaches([v], u):
                         out.append(("add", u, v))
         return out
-
-    def _reverse_cycles(self, u, v) -> bool:
-        # u -> v becomes v -> u; cycle iff u reaches v without the edge u -> v
-        stack, seen = list(self.children[u] - {v}), set()
-        while stack:
-            w = stack.pop()
-            if w == v:
-                return True
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(self.children[w])
-        return False
 
     def delta(self, move) -> float:
         kind, u, v = move
@@ -188,7 +178,7 @@ class _HillClimbState:
 
 
 def learn_structure(table: CategoricalTable, *, ess: float = 1.0, max_parents: int = 4,
-                    restarts: int = 5, rng: np.random.Generator | int | None = None) -> Admg:
+                    restarts: int = 5, rng: np.random.Generator | int | None = None) -> Dag:
     """Greedy hill-climbing DAG search under the BDeu score.
 
     Moves are single-edge additions, deletions and reversals; the search runs
@@ -224,13 +214,13 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0, max_parents: i
             best_parents = {v: frozenset(ps) for v, ps in state.parents.items()}
 
     edges = [(u, v) for v, ps in best_parents.items() for u in ps]
-    return Admg(nodes, directed=edges)
+    return Dag(nodes, directed=edges)
 
 
 # --- posterior and sampling
 
 
-def fit_posterior(dag: Admg, table: CategoricalTable, ess: float = 1.0) -> BayesNetPosterior:
+def fit_posterior(dag: Dag, table: CategoricalTable, ess: float = 1.0) -> BayesNetPosterior:
     """Product-Dirichlet posterior: a flat BDeu-style prior plus observed counts."""
     if set(dag.nodes) != set(table.variable_names):
         raise ValueError("dag nodes must equal the table's variables")

@@ -84,9 +84,6 @@ class CategoricalTable:
     def cardinality(self, var: str) -> int:
         return self.cardinalities[self.index(var)]
 
-    def column(self, var: str) -> np.ndarray:
-        return self.rows[:, self.index(var)]
-
     def restrict(self, vars: Iterable[str]) -> "CategoricalTable":
         """Project onto a subset of variables, keeping this table's column order."""
         keep = set(vars)

@@ -1,9 +1,9 @@
-"""Acyclic directed mixed graphs, m-separation, and the adjustment criterion.
+"""Causal DAGs with latent nodes, d-separation, and the adjustment criterion.
 
-Graphs carry directed edges (causal mechanisms) and bidirected edges (latent
-common causes). Nodes can additionally be flagged unobserved, so a ground-truth
-DAG with explicit latent nodes and a projected mixed graph are both
-representable. All queries are pure; graphs are immutable after construction.
+A graph is a DAG over observed and unobserved nodes; a hidden common cause is
+an explicit node left out of ``observed``, so a ground-truth world and the
+graph its criteria are judged on are the same object. All queries are pure;
+graphs are immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,52 +17,38 @@ class GraphError(ValueError):
     """Malformed graph or reference to an unknown node."""
 
 
-class Admg:
-    """Acyclic directed mixed graph with an observed-node subset.
+class Dag:
+    """Directed acyclic graph with an observed-node subset.
 
-    Directed edges are (tail, head) pairs; bidirected edges are unordered
-    pairs. The directed part must be acyclic, self-loops are rejected, and
-    duplicate edges collapse. ``observed`` defaults to all nodes.
+    Edges are (tail, head) pairs. Cycles and self-loops are rejected, and
+    duplicate edges collapse. ``observed`` defaults to all nodes; the nodes
+    absent from it are latent.
     """
 
-    __slots__ = ("_nodes", "_index", "_directed", "_bidirected", "_observed",
-                 "_parents", "_children", "_siblings")
+    __slots__ = ("_nodes", "_index", "_directed", "_observed", "_parents", "_children",
+                 "_order")
 
     def __init__(self, nodes: Iterable[str], directed: Iterable[tuple[str, str]] = (),
-                 bidirected: Iterable[tuple[str, str]] = (), observed: Iterable[str] | None = None):
+                 observed: Iterable[str] | None = None):
         self._nodes = tuple(nodes)
         if len(set(self._nodes)) != len(self._nodes):
             raise GraphError("duplicate node names")
         self._index = {v: i for i, v in enumerate(self._nodes)}
 
-        self._parents = {v: set() for v in self._nodes}
-        self._children = {v: set() for v in self._nodes}
-        self._siblings = {v: set() for v in self._nodes}
-
-        dir_edges = set()
+        edges = set()
+        parents = {v: set() for v in self._nodes}
+        children = {v: set() for v in self._nodes}
         for u, v in directed:
             self._check_node(u)
             self._check_node(v)
             if u == v:
                 raise GraphError(f"self-loop on {u!r}")
-            dir_edges.add((u, v))
-        self._directed = frozenset(dir_edges)
-        for u, v in self._directed:
-            self._children[u].add(v)
-            self._parents[v].add(u)
-
-        bi_edges = set()
-        for u, v in bidirected:
-            self._check_node(u)
-            self._check_node(v)
-            if u == v:
-                raise GraphError(f"self-loop on {u!r}")
-            bi_edges.add(frozenset((u, v)))
-        self._bidirected = frozenset(bi_edges)
-        for e in self._bidirected:
-            u, v = tuple(e)
-            self._siblings[u].add(v)
-            self._siblings[v].add(u)
+            edges.add((u, v))
+            children[u].add(v)
+            parents[v].add(u)
+        self._directed = frozenset(edges)
+        self._parents = {v: frozenset(ps) for v, ps in parents.items()}
+        self._children = {v: frozenset(cs) for v, cs in children.items()}
 
         if observed is None:
             self._observed = frozenset(self._nodes)
@@ -72,25 +58,26 @@ class Admg:
             if unknown:
                 raise GraphError(f"observed flags for unknown nodes: {sorted(unknown)}")
 
-        self._assert_acyclic()
+        # One Kahn pass both rejects cycles and fixes the topological order.
+        # Each node releases its children in node-index order: the simulator
+        # samples in this order, so every simulated value depends on the rule.
+        indeg = {v: len(parents[v]) for v in self._nodes}
+        queue = deque(v for v in self._nodes if indeg[v] == 0)
+        order = []
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for c in sorted(children[v], key=self._index.__getitem__):
+                indeg[c] -= 1
+                if indeg[c] == 0:
+                    queue.append(c)
+        if len(order) != len(self._nodes):
+            raise GraphError("graph contains a directed cycle")
+        self._order = tuple(order)
 
     def _check_node(self, v: str) -> None:
         if v not in self._index:
             raise GraphError(f"unknown node {v!r}")
-
-    def _assert_acyclic(self) -> None:
-        indeg = {v: len(self._parents[v]) for v in self._nodes}
-        queue = deque(v for v in self._nodes if indeg[v] == 0)
-        seen = 0
-        while queue:
-            v = queue.popleft()
-            seen += 1
-            for c in self._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen != len(self._nodes):
-            raise GraphError("directed part contains a cycle")
 
     # --- basic accessors
 
@@ -103,178 +90,110 @@ class Admg:
         return self._directed
 
     @property
-    def bidirected_edges(self) -> frozenset[frozenset[str]]:
-        return self._bidirected
-
-    @property
     def observed(self) -> frozenset[str]:
         return self._observed
 
-    @property
-    def latent(self) -> frozenset[str]:
-        return frozenset(self._nodes) - self._observed
-
     def parents(self, v: str) -> frozenset[str]:
         self._check_node(v)
-        return frozenset(self._parents[v])
+        return self._parents[v]
 
     def children(self, v: str) -> frozenset[str]:
         self._check_node(v)
-        return frozenset(self._children[v])
+        return self._children[v]
 
-    def siblings(self, v: str) -> frozenset[str]:
-        """Nodes joined to v by a bidirected edge."""
-        self._check_node(v)
-        return frozenset(self._siblings[v])
+    def topological_order(self) -> tuple[str, ...]:
+        return self._order
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Admg):
+        if not isinstance(other, Dag):
             return NotImplemented
         return (self._nodes == other._nodes and self._directed == other._directed
-                and self._bidirected == other._bidirected and self._observed == other._observed)
-
-    def __hash__(self):
-        return hash((self._nodes, self._directed, self._bidirected, self._observed))
+                and self._observed == other._observed)
 
     def __repr__(self):
-        return (f"Admg(nodes={len(self._nodes)}, directed={len(self._directed)}, "
-                f"bidirected={len(self._bidirected)})")
+        return (f"Dag(nodes={len(self._nodes)}, directed={len(self._directed)}, "
+                f"latent={len(self._nodes) - len(self._observed)})")
 
     # --- reachability
 
-    def ancestors(self, vs: Iterable[str]) -> set[str]:
-        """All ancestors of vs via directed edges, including vs themselves."""
+    def _closure(self, vs: Iterable[str], step: dict[str, frozenset[str]]) -> set[str]:
         out = set()
         stack = list(vs)
         for v in stack:
             self._check_node(v)
         while stack:
             v = stack.pop()
-            if v in out:
-                continue
-            out.add(v)
-            stack.extend(self._parents[v])
+            if v not in out:
+                out.add(v)
+                stack.extend(step[v])
         return out
+
+    def ancestors(self, vs: Iterable[str]) -> set[str]:
+        """All ancestors of vs, including vs themselves."""
+        return self._closure(vs, self._parents)
 
     def descendants(self, vs: Iterable[str]) -> set[str]:
-        """All descendants of vs via directed edges, including vs themselves."""
-        out = set()
-        stack = list(vs)
-        for v in stack:
-            self._check_node(v)
-        while stack:
-            v = stack.pop()
-            if v in out:
-                continue
-            out.add(v)
-            stack.extend(self._children[v])
-        return out
-
-    def topological_order(self) -> tuple[str, ...]:
-        indeg = {v: len(self._parents[v]) for v in self._nodes}
-        queue = deque(v for v in self._nodes if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for c in sorted(self._children[v], key=self._index.__getitem__):
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return tuple(order)
-
-    def without_directed(self, edges: Iterable[tuple[str, str]]) -> "Admg":
-        drop = set(edges)
-        return Admg(self._nodes, self._directed - drop, self._bidirected, self._observed)
+        """All descendants of vs, including vs themselves."""
+        return self._closure(vs, self._children)
 
     # --- serialization
 
-    def to_dict(self) -> dict:
-        return {
-            "nodes": list(self._nodes),
-            "observed": sorted(self._observed, key=self._index.__getitem__),
-            "directed": sorted([list(e) for e in self._directed]),
-            "bidirected": sorted([sorted(e) for e in self._bidirected]),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Admg":
-        return cls(d["nodes"], [tuple(e) for e in d["directed"]],
-                   [tuple(e) for e in d["bidirected"]], d.get("observed"))
-
     def save(self, path) -> None:
+        """Write the graph as JSON; latent nodes are those absent from ``observed``."""
+        doc = {
+            "nodes": list(self._nodes),
+            "observed": [v for v in self._nodes if v in self._observed],
+            "directed": sorted([list(e) for e in self._directed]),
+            "bidirected": [],  # always empty, kept so files keep their earlier format
+        }
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=1)
+            json.dump(doc, f, indent=1)
             f.write("\n")
 
-    @classmethod
-    def load(cls, path) -> "Admg":
-        with open(path, encoding="utf-8") as f:
-            return cls.from_dict(json.load(f))
 
+def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], z: Iterable[str]) -> bool:
+    """Test whether node sets a and b are d-separated given z.
 
-_HEAD, _TAIL = True, False
-
-
-def _incident(g: Admg, v: str):
-    """Edges at v as (neighbor, mark at v, mark at neighbor) triples."""
-    for p in g.parents(v):
-        yield p, _HEAD, _TAIL
-    for c in g.children(v):
-        yield c, _TAIL, _HEAD
-    for s in g.siblings(v):
-        yield s, _HEAD, _HEAD
-
-
-def m_separated(g: Admg, a: Iterable[str], b: Iterable[str], z: Iterable[str]) -> bool:
-    """Test whether node sets a and b are m-separated given z.
-
-    A path is m-connecting given z when every non-collider on it is outside z
-    and every collider is an ancestor of z. The test runs the standard
-    reachability over (node, incoming-mark) states instead of enumerating
-    paths, so it is linear in the number of edges.
+    A path is d-connecting given z when every non-collider on it is outside z
+    and every collider is an ancestor of z. The test is the Bayes-ball
+    reachability (Shachter, UAI 1998) over (node, entered from a parent)
+    states instead of an enumeration of paths, so it is linear in the number
+    of edges.
     """
     a, b, z = set(a), set(b), set(z)
     for v in a | b | z:
-        if v not in g.nodes:
-            raise GraphError(f"unknown node {v!r}")
+        g._check_node(v)
     if (a & b) or (a & z) or (b & z):
         raise GraphError("a, b, z must be pairwise disjoint")
 
     anz = g.ancestors(z) if z else set()
-    visited: set[tuple[str, bool]] = set()
-    stack: list[tuple[str, bool]] = []
-
-    for s in a:
-        for w, _, mark_w in _incident(g, s):
-            state = (w, mark_w)
+    # a start node acts as if entered from a child: it passes both ways
+    stack = [(v, False) for v in a]
+    visited = set(stack)
+    while stack:
+        v, from_parent = stack.pop()
+        if v in b:
+            return False
+        nxt = []
+        if v not in z:
+            nxt += [(c, True) for c in g._children[v]]
+            if not from_parent:
+                nxt += [(p, False) for p in g._parents[v]]
+        if from_parent and v in anz:  # an open collider
+            nxt += [(p, False) for p in g._parents[v]]
+        for state in nxt:
             if state not in visited:
                 visited.add(state)
                 stack.append(state)
-
-    while stack:
-        v, came_head = stack.pop()
-        if v in b:
-            return False
-        for w, mark_v, mark_w in _incident(g, v):
-            if came_head and mark_v is _HEAD:
-                passable = v in anz  # collider at v
-            else:
-                passable = v not in z
-            if passable:
-                state = (w, mark_w)
-                if state not in visited:
-                    visited.add(state)
-                    stack.append(state)
     return True
 
 
-def _causal_nodes(g: Admg, x: str, y: str) -> set[str]:
+def _causal_nodes(g: Dag, x: str, y: str) -> set[str]:
     """Nodes other than x lying on a directed path from x to y."""
     return (g.descendants({x}) & g.ancestors({y})) - {x}
 
 
-def forbidden_set(g: Admg, x: str, y: str) -> set[str]:
+def forbidden_set(g: Dag, x: str, y: str) -> set[str]:
     """Nodes no valid adjustment set for (x, y) may contain.
 
     These are the descendants of any node (other than x) on a directed path
@@ -286,17 +205,17 @@ def forbidden_set(g: Admg, x: str, y: str) -> set[str]:
     return g.descendants(cn) if cn else set()
 
 
-def proper_backdoor_graph(g: Admg, x: str, y: str) -> Admg:
+def proper_backdoor_graph(g: Dag, x: str, y: str) -> Dag:
     """Remove the first edge of every directed path from x to y."""
     an_y = g.ancestors({y})
-    drop = [(x, w) for (u, w) in g.directed_edges if u == x and w in an_y]
-    return g.without_directed(drop)
+    drop = {(x, w) for w in g.children(x) if w in an_y}
+    return Dag(g.nodes, g.directed_edges - drop, g.observed)
 
 
-def satisfies_adjustment_criterion(g: Admg, x: str, y: str, z: Iterable[str]) -> bool:
+def satisfies_adjustment_criterion(g: Dag, x: str, y: str, z: Iterable[str]) -> bool:
     """Sound-and-complete graphical test that z is an adjustment set for (x, y).
 
-    z must avoid the forbidden set and must m-separate x from y in the graph
+    z must avoid the forbidden set and must d-separate x from y in the graph
     with every causal path's first edge removed. z is required to be a set of
     observed nodes not containing x or y.
     """
@@ -314,4 +233,4 @@ def satisfies_adjustment_criterion(g: Admg, x: str, y: str, z: Iterable[str]) ->
 
     if z & forbidden_set(g, x, y):
         return False
-    return m_separated(proper_backdoor_graph(g, x, y), {x}, {y}, z)
+    return d_separated(proper_backdoor_graph(g, x, y), {x}, {y}, z)

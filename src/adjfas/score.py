@@ -446,9 +446,12 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     """
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
-    all_hyps = set(enumerate_hypotheses(prep.pool, config.max_subset_size))
+    pool, cap = set(prep.pool), config.max_subset_size
     if hypotheses is None:
-        hypotheses = sorted(all_hyps, key=Hypothesis.sort_key)
+        hypotheses = enumerate_hypotheses(prep.pool, cap)
+    for h in hypotheses:
+        if not h.is_not_exists and not (h.z <= pool and (cap is None or len(h.z) <= cap)):
+            raise ValueError(f"hypothesis {h.label()} outside the enumerated space")
     tilts = None if prep.selection is None else dict(prep.selection.theta_s)
 
     batches = []
@@ -456,9 +459,6 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, a_idx)))
         batches.append(sample_parameter_batch(post, rng, config.niters))
 
-    for h in hypotheses:
-        if h not in all_hyps:
-            raise ValueError(f"hypothesis {h.label()} outside the enumerated space")
     subsets = [h for h in hypotheses if not h.is_not_exists]
     zsets = [tuple(v for v in post.dag.nodes if v in h.z) for h in subsets]
     per_arm = [_score_arm(batch, post.parents, x, y, zsets, arm, tilts=tilts) if zsets else []

@@ -24,7 +24,7 @@ from .bayesnet import (Factor, ParamInstantiation, _canonical, _evidence_sliced,
                        _normalize_rows, fit_posterior, infer_conditional, learn_structure,
                        posterior_mean, product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
-from .graph import Admg, satisfies_adjustment_criterion
+from .graph import Dag, satisfies_adjustment_criterion
 from .score import (FasConfig, Hypothesis, _assemble, _root_joint, _walk_lattice, pick_min_kl,
                     prepare_scoring, score_hypotheses)
 
@@ -64,7 +64,7 @@ class GroundTruth:
     order, with each CPT's parents in that order too.
     """
 
-    dag: Admg
+    dag: Dag
     params: ParamInstantiation
     x: str
     y: str
@@ -111,7 +111,7 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
         for j in range(1, n):
             mask = rng.random(j) < p_edge
             edges.extend((order[i], order[j]) for i in range(j) if mask[i])
-        dag = Admg(order, directed=edges, observed=observed & set(order))
+        dag = Dag(order, directed=edges, observed=observed & set(order))
 
         if "Y" not in dag.descendants({"X"}):
             continue

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
-from adjfas.graph import Admg
+from adjfas.graph import Dag
 from adjfas.score import enumerate_hypotheses
 from adjfas.sim import GroundTruth
 
@@ -21,7 +21,7 @@ from adjfas.sim import GroundTruth
 # --- graph oracles
 
 
-def _edges_at(g: Admg, v: str):
+def _edges_at(g: Dag, v: str):
     """(neighbor, head_at_v, head_at_neighbor) triples for every edge at v."""
     out = []
     for u, w in g.directed_edges:
@@ -29,14 +29,10 @@ def _edges_at(g: Admg, v: str):
             out.append((w, False, True))
         elif w == v:
             out.append((u, True, False))
-    for e in g.bidirected_edges:
-        if v in e:
-            (other,) = tuple(e - {v}) if len(e) == 2 else (v,)
-            out.append((other, True, True))
     return out
 
 
-def _all_paths(g: Admg, a: str, b: str):
+def _all_paths(g: Dag, a: str, b: str):
     """All simple paths a..b as lists of (node, head_in, head_out) triples."""
     paths = []
 
@@ -55,8 +51,8 @@ def _all_paths(g: Admg, a: str, b: str):
     return paths
 
 
-def msep_by_enumeration(g: Admg, a: str, b: str, z: set[str]) -> bool:
-    """m-separation decided by checking every simple path explicitly."""
+def dsep_by_enumeration(g: Dag, a: str, b: str, z: set[str]) -> bool:
+    """d-separation decided by checking every simple path explicitly."""
     anz = g.ancestors(z) if z else set()
     for path in _all_paths(g, a, b):
         blocked = False
@@ -78,7 +74,7 @@ def msep_by_enumeration(g: Admg, a: str, b: str, z: set[str]) -> bool:
     return True
 
 
-def forbidden_by_enumeration(g: Admg, x: str, y: str) -> set[str]:
+def forbidden_by_enumeration(g: Dag, x: str, y: str) -> set[str]:
     """Descendants of nodes on directed x..y paths, via explicit DFS."""
     on_path = set()
 
@@ -181,7 +177,7 @@ def adjusted_by_enumeration(gt: GroundTruth, z, x_value: int) -> np.ndarray:
 # --- constructed worlds
 
 
-def random_cpts(dag: Admg, cards, rng) -> dict[str, np.ndarray]:
+def random_cpts(dag: Dag, cards, rng) -> dict[str, np.ndarray]:
     order = {v: i for i, v in enumerate(dag.nodes)}
     cpts = {}
     for v in dag.nodes:
@@ -193,7 +189,7 @@ def random_cpts(dag: Admg, cards, rng) -> dict[str, np.ndarray]:
     return cpts
 
 
-def make_ground_truth(dag: Admg, cards, cpts, x="X", y="Y", selection=None) -> GroundTruth:
+def make_ground_truth(dag: Dag, cards, cpts, x="X", y="Y", selection=None) -> GroundTruth:
     """A world over ``dag``; each CPT's parents are in the dag's node order."""
     order = {v: i for i, v in enumerate(dag.nodes)}
     parents = {v: tuple(sorted(dag.parents(v), key=order.__getitem__)) for v in dag.nodes}
@@ -206,7 +202,7 @@ def make_ground_truth(dag: Admg, cards, cpts, x="X", y="Y", selection=None) -> G
 
 def confounded_world(rng=None) -> GroundTruth:
     """Observed confounder C of X and Y with strong, fixed mechanisms."""
-    dag = Admg(["C", "X", "Y"], directed=[("C", "X"), ("C", "Y"), ("X", "Y")])
+    dag = Dag(["C", "X", "Y"], directed=[("C", "X"), ("C", "Y"), ("X", "Y")])
     cards = {"C": 2, "X": 2, "Y": 2}
     cpts = {
         "C": np.array([0.5, 0.5]),
@@ -230,9 +226,9 @@ def latent_confounder_world(rng, min_bias: float = 0.05) -> GroundTruth:
     CPTs are redrawn until the unadjusted estimate is off by at least
     ``min_bias``, so the confounding is detectable at benchmark sample sizes.
     """
-    dag = Admg(["L", "C1", "C2", "X", "Y"],
-               directed=[("L", "X"), ("L", "Y"), ("X", "Y"), ("C1", "X"), ("C2", "Y")],
-               observed=["C1", "C2", "X", "Y"])
+    dag = Dag(["L", "C1", "C2", "X", "Y"],
+              directed=[("L", "X"), ("L", "Y"), ("X", "Y"), ("C1", "X"), ("C2", "Y")],
+              observed=["C1", "C2", "X", "Y"])
     cards = {"L": 2, "C1": 2, "C2": 2, "X": 2, "Y": 2}
     while True:
         cpts = random_cpts(dag, cards, rng)
@@ -250,9 +246,9 @@ def valid_set_world(rng, min_bias: float = 0.05) -> GroundTruth:
     cause of B add texture without breaking {C}'s validity. Redraws until the
     unadjusted bias is at least ``min_bias`` so the confounder is detectable.
     """
-    dag = Admg(["U", "C", "B", "X", "Y"],
-               directed=[("C", "X"), ("C", "Y"), ("X", "Y"), ("B", "Y"), ("U", "B"), ("U", "C")],
-               observed=["C", "B", "X", "Y"])
+    dag = Dag(["U", "C", "B", "X", "Y"],
+              directed=[("C", "X"), ("C", "Y"), ("X", "Y"), ("B", "Y"), ("U", "B"), ("U", "C")],
+              observed=["C", "B", "X", "Y"])
     cards = {"U": 2, "C": 2, "B": 2, "X": 2, "Y": 2}
     while True:
         cpts = random_cpts(dag, cards, rng)

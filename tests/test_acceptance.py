@@ -18,7 +18,7 @@ from _oracles import (adjusted_by_enumeration, all_valid_subsets, conditional_fr
 from adjfas.bayesnet import ParamInstantiation, fit_posterior, infer_conditional
 from adjfas.cli import main as cli_main
 from adjfas.data import Arm, CategoricalTable
-from adjfas.graph import Admg
+from adjfas.graph import Dag
 from adjfas.score import (FasConfig, pick_best, pick_min_kl, prepare_scoring,
                           score_exp_arm, score_hypotheses, score_not_exists)
 from adjfas.selection import build_selection_bn
@@ -70,7 +70,7 @@ def test_criterion_1_closed_form_consistency():
         x = rng.integers(0, 2, n)
         y = rng.integers(0, ky, n)
         table = CategoricalTable(("X", "Y"), (2, ky), np.column_stack([x, y]))
-        post = fit_posterior(Admg(["X", "Y"], directed=[("X", "Y")]), table, 1.0)
+        post = fit_posterior(Dag(["X", "Y"], directed=[("X", "Y")]), table, 1.0)
         xv = int(rng.integers(0, 2))
         counts = rng.multinomial(int(rng.integers(20, 60)), np.ones(ky) / ky)
         arm = Arm.from_counts(xv, counts.tolist())

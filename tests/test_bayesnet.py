@@ -6,7 +6,7 @@ from adjfas.bayesnet import (ZeroEvidenceError, _bdeu_local, fit_posterior, infe
                              learn_structure, posterior_mean, product_marginal,
                              sample_parameter_batch)
 from adjfas.data import CategoricalTable
-from adjfas.graph import Admg
+from adjfas.graph import Dag
 
 
 def table_from(rng, cols, n):
@@ -75,7 +75,7 @@ class TestLearnStructure:
                     variants = [trial]
                 for tr in variants:
                     try:
-                        Admg(dag.nodes, [(p, w) for w, ps in tr.items() for p in ps])
+                        Dag(dag.nodes, [(p, w) for w, ps in tr.items() for p in ps])
                     except Exception:
                         continue
                     score = sum(_bdeu_local(t, w, canon(tr[w]), 1.0, cache) for w in dag.nodes)
@@ -101,7 +101,7 @@ class TestLearnStructure:
 class TestFitPosterior:
     def test_prior_only_on_empty_table(self):
         t = CategoricalTable(("A", "B"), (2, 2), np.empty((0, 2), dtype=int))
-        dag = Admg(["A", "B"], directed=[("A", "B")])
+        dag = Dag(["A", "B"], directed=[("A", "B")])
         post = fit_posterior(dag, t, ess=1.0)
         assert np.allclose(post.alpha["A"], [0.5, 0.5])
         assert np.allclose(post.alpha["B"], [[0.25, 0.25], [0.25, 0.25]])
@@ -109,7 +109,7 @@ class TestFitPosterior:
     def test_counts_added(self):
         rows = np.array([[0]] * 30 + [[1]] * 70)
         t = CategoricalTable(("A",), (2,), rows)
-        post = fit_posterior(Admg(["A"]), t, ess=1.0)
+        post = fit_posterior(Dag(["A"]), t, ess=1.0)
         assert np.allclose(post.alpha["A"], [30.5, 70.5])
         mean = posterior_mean(post).cpts["A"]
         assert np.allclose(mean, [30.5 / 101, 70.5 / 101])
@@ -119,7 +119,7 @@ class TestSampling:
     def _post(self):
         rows = np.array([[0]] * 30 + [[1]] * 70)
         t = CategoricalTable(("A",), (2,), rows)
-        return fit_posterior(Admg(["A"]), t, ess=1.0)
+        return fit_posterior(Dag(["A"]), t, ess=1.0)
 
     def test_concentrated_row(self):
         post = self._post()

@@ -145,9 +145,13 @@ class TestSimulate:
         out = tmp_path / "pre"
         assert main(["simulate", "--seed", "5", "--mode", "pretreatment",
                      "--n-obs", "1000", "--n-per-arm", "100", "--out", str(out)]) == 0
-        from adjfas.graph import Admg
-        g = Admg.load(out / "world_graph.json")
-        assert not (g.descendants({"X"}) - {"X", "Y"})
+        doc = json.loads((out / "world_graph.json").read_text())
+        desc, frontier = set(), {"X"}
+        while frontier:
+            frontier = {w for u, w in doc["directed"] if u in frontier} - desc
+            desc |= frontier
+        assert "Y" in desc
+        assert not (desc - {"X", "Y"})
 
 
 class TestBenchmark:
@@ -281,6 +285,16 @@ class TestScoreCommand:
     def test_outside_pool_exit_2(self, g1_files):
         obs, expf = g1_files
         assert main(["score", str(obs), str(expf), "--set", "NOPE"]) == 2
+
+    def test_one_set_on_a_pool_too_large_to_enumerate(self, tmp_path):
+        # score checks its one set against the pool; only fas enumerates and refuses
+        obs = wide_table_file(tmp_path)
+        exp = tmp_path / "e.json"
+        exp.write_text(json.dumps({"treatment": "X", "outcome": "Y",
+                                   "arms": [{"x": 0, "counts": [50, 50]},
+                                            {"x": 1, "counts": [40, 60]}]}))
+        assert main(["score", str(obs), str(exp), "--set", "V00", "--niters", "20"]) == 0
+        assert main(["fas", str(obs), str(exp)]) == 4
 
     def test_selected_trial_matches_fas(self, selected_files, tmp_path):
         # both commands score a selected trial in the same reweighted population

@@ -9,7 +9,7 @@ from _oracles import (confounded_world, latent_confounder_world, mean_abs_diff,
 from adjfas import score as score_module
 from adjfas.bayesnet import fit_posterior, infer_conditional
 from adjfas.data import Arm, CategoricalTable, ValidationError
-from adjfas.graph import Admg, satisfies_adjustment_criterion
+from adjfas.graph import Dag, satisfies_adjustment_criterion
 from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig, FasResult,
                           Hypothesis, HypothesisRecord, candidate_pool, enumerate_hypotheses,
                           find_adjustment_set, pick_best, pick_min_kl, prepare_scoring,
@@ -91,7 +91,7 @@ def xy_posterior(seed, n=400, p0=0.3, p1=0.7):
     x = rng.integers(0, 2, n)
     y = (rng.random(n) < np.where(x == 1, p1, p0)).astype(int)
     t = CategoricalTable(("X", "Y"), (2, 2), np.column_stack([x, y]))
-    return fit_posterior(Admg(["X", "Y"], directed=[("X", "Y")]), t, 1.0)
+    return fit_posterior(Dag(["X", "Y"], directed=[("X", "Y")]), t, 1.0)
 
 
 def dirichlet_multinomial_log(alpha, counts):
@@ -169,7 +169,7 @@ class TestFindAdjustmentSet:
 
     def test_no_covariates_unconfounded(self):
         rng = np.random.default_rng(12)
-        dag = Admg(["X", "Y"], directed=[("X", "Y")])
+        dag = Dag(["X", "Y"], directed=[("X", "Y")])
         cpts = {"X": np.array([0.5, 0.5]), "Y": np.array([[0.8, 0.2], [0.3, 0.7]])}
         from _oracles import make_ground_truth
         gt = make_ground_truth(dag, {"X": 2, "Y": 2}, cpts)
@@ -427,6 +427,20 @@ class TestDegenerateAndValidationPaths:
                         arms=(Arm.from_counts(5, [10, 10]),))
         with pytest.raises(ValidationError):
             find_adjustment_set(table, bad, FasConfig(seed=0))
+
+    def test_named_hypotheses_checked_against_pool_and_cap(self):
+        gt = confounded_world()
+        table, exp = datasets_for(gt, 5000, 100, seed=32)
+        config = FasConfig(seed=0, niters=10, max_subset_size=0)
+        prep = prepare_scoring(table, exp, config)
+        assert prep.pool == ("C",)
+        for h in (Hypothesis.adjustment(("C",)), Hypothesis.adjustment(("Q",))):
+            with pytest.raises(ValueError, match="outside the enumerated space"):
+                score_hypotheses(prep, config, [h])
+        ok = [Hypothesis.adjustment(()), NOT_EXISTS]
+        assert list(score_hypotheses(prep, config, ok)) == ok
+        uncapped = FasConfig(seed=0, niters=10)
+        assert list(score_hypotheses(prep, uncapped, [Hypothesis.adjustment(("C",))]))
 
     def test_outcome_cardinality_mismatch(self):
         gt = confounded_world()

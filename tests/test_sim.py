@@ -3,7 +3,7 @@ import pytest
 
 from _oracles import (adjusted_by_enumeration, confounded_world, enumerate_joint,
                       interventional_by_enumeration, make_ground_truth)
-from adjfas.graph import Admg
+from adjfas.graph import Dag
 from adjfas.score import FasConfig
 from adjfas.sim import (METHODS, SimConfig, _interventional, delta_theta, generate_world,
                         run_benchmark, sample_datasets, vws_baseline, write_benchmark_csv,
@@ -61,7 +61,7 @@ class TestGenerateWorld:
 
 class TestTrueInterventional:
     def test_unconfounded_equals_cpt_row(self):
-        dag = Admg(["X", "Y"], directed=[("X", "Y")])
+        dag = Dag(["X", "Y"], directed=[("X", "Y")])
         cpts = {"X": np.array([0.4, 0.6]), "Y": np.array([[0.8, 0.2], [0.3, 0.7]])}
         gt = make_ground_truth(dag, {"X": 2, "Y": 2}, cpts)
         assert np.allclose(_interventional(gt.params, "X", "Y", 1), [0.3, 0.7])
@@ -108,8 +108,8 @@ class TestSampleDatasets:
     def test_forward_sampling_fidelity(self):
         # empirical joint of 1e6 samples vs the enumerated joint, in total variation
         from _oracles import enumerate_joint
-        dag = Admg(["A", "B", "C", "D"],
-                   directed=[("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")])
+        dag = Dag(["A", "B", "C", "D"],
+                  directed=[("A", "B"), ("B", "C"), ("A", "C"), ("C", "D")])
         rng0 = np.random.default_rng(8)
         from _oracles import random_cpts
         cards = {"A": 2, "B": 3, "C": 2, "D": 3}
@@ -231,15 +231,15 @@ class TestVws:
         assert vws_baseline(gt) == frozenset({"C"})
 
     def test_mediator_world_empty(self):
-        dag = Admg(["X", "M", "Y"], directed=[("X", "M"), ("M", "Y")])
+        dag = Dag(["X", "M", "Y"], directed=[("X", "M"), ("M", "Y")])
         from _oracles import random_cpts
         cpts = random_cpts(dag, {"X": 2, "M": 2, "Y": 2}, np.random.default_rng(0))
         gt = make_ground_truth(dag, {"X": 2, "M": 2, "Y": 2}, cpts)
         assert vws_baseline(gt) == frozenset()
 
     def test_latent_cause_excluded(self):
-        dag = Admg(["L", "X", "Y"], directed=[("L", "X"), ("L", "Y"), ("X", "Y")],
-                   observed=["X", "Y"])
+        dag = Dag(["L", "X", "Y"], directed=[("L", "X"), ("L", "Y"), ("X", "Y")],
+                  observed=["X", "Y"])
         from _oracles import random_cpts
         cpts = random_cpts(dag, {"L": 2, "X": 2, "Y": 2}, np.random.default_rng(1))
         gt = make_ground_truth(dag, {"L": 2, "X": 2, "Y": 2}, cpts)
