@@ -14,11 +14,11 @@ whole Monte-Carlo batch of parameter draws run through one elimination pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import CategoricalTable, contingency_counts
 from .graph import Dag
@@ -79,6 +79,10 @@ class ParamInstantiation:
 
 # --- structure learning
 
+# Two BDeu scores closer than this share of their magnitude count as tied
+# (see ``learn_structure``).
+_TIE_RTOL = 1e-12
+
 
 def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
                 ess: float, cache: dict) -> float:
@@ -87,13 +91,15 @@ def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
     if hit is not None:
         return hit
     r = table.cardinality(node)
-    counts = contingency_counts(table, [*parents, node]).reshape(-1, r).astype(float)
+    counts = contingency_counts(table, [*parents, node]).reshape(-1, r)
     q = counts.shape[0]
     a_jk = ess / (q * r)
     a_j = ess / q
-    nj = counts.sum(axis=1)
-    score = float(np.sum(gammaln(a_j) - gammaln(a_j + nj))
-                  + np.sum(gammaln(a_jk + counts) - gammaln(a_jk)))
+    # an empty cell or parent row adds lgamma(a) - lgamma(a) = 0, so only
+    # the nonzero counts are visited
+    lg_j, lg_jk = math.lgamma(a_j), math.lgamma(a_jk)
+    score = (sum(lg_j - math.lgamma(a_j + n) for n in counts.sum(axis=1).tolist() if n)
+             + sum(math.lgamma(a_jk + c) - lg_jk for c in counts[counts > 0].tolist()))
     cache[key] = score
     return score
 
@@ -114,23 +120,21 @@ class _HillClimbState:
         self.children = {v: set() for v in nodes}
         self.local = {v: _bdeu_local(table, v, (), ess, cache) for v in nodes}
 
-    def _reaches(self, starts, goal) -> bool:
-        """Whether a directed path leads from any of ``starts`` to ``goal``."""
-        stack, seen = list(starts), set()
+    def _below(self, v) -> set:
+        """Every node a directed path of one or more edges leads to from ``v``."""
+        stack, seen = list(self.children[v]), set()
         while stack:
             w = stack.pop()
-            if w == goal:
-                return True
-            if w in seen:
-                continue
-            seen.add(w)
-            stack.extend(self.children[w])
-        return False
+            if w not in seen:
+                seen.add(w)
+                stack.extend(self.children[w])
+        return seen
 
     def local_with(self, v, parents) -> float:
         return _bdeu_local(self.table, v, _canonical(parents, self.order), self.ess, self.cache)
 
     def moves(self):
+        below = {v: self._below(v) for v in self.nodes}
         out = []
         for u in self.nodes:
             for v in self.nodes:
@@ -138,13 +142,13 @@ class _HillClimbState:
                     continue
                 if v in self.children[u]:
                     out.append(("del", u, v))
-                    # reversing u -> v cycles iff u reaches v without that edge
+                    # reversing u -> v cycles iff another child of u reaches v
                     if (len(self.parents[u]) < self.max_parents
-                            and not self._reaches(self.children[u] - {v}, v)):
+                            and not any(v in below[w] for w in self.children[u] if w != v)):
                         out.append(("rev", u, v))
                 elif u not in self.children[v]:
                     # adding u -> v cycles iff v already reaches u
-                    if len(self.parents[v]) < self.max_parents and not self._reaches([v], u):
+                    if len(self.parents[v]) < self.max_parents and u not in below[v]:
                         out.append(("add", u, v))
         return out
 
@@ -185,6 +189,13 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0, max_parents: i
     ``restarts`` times from the empty graph (the first pass in canonical move
     order, the rest in a shuffled order to break ties differently) and keeps
     the best-scoring local maximum.
+
+    Tie rule: a move is taken only if its score gain beats the incumbent's
+    (at first, no move: 0) by more than ``_TIE_RTOL``·|total score|, and a
+    restart replaces the best so far only if its score beats it by more than
+    ``_TIE_RTOL``·|its score|. BDeu is score-equivalent, so adding u→v or v→u
+    to two parentless nodes is an exact tie; the rule settles it by move
+    order, never by the last bits of the log-gamma sums.
     """
     if table.n < 1:
         raise ValueError("structure learning needs at least one sample")
@@ -200,16 +211,17 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0, max_parents: i
             if restart > 0:
                 perm = rng.permutation(len(moves))
                 moves = [moves[i] for i in perm]
-            best_move, best_delta = None, 1e-9
+            tol = _TIE_RTOL * abs(state.total())
+            best_move, best_delta = None, 0.0
             for m in moves:
                 d = state.delta(m)
-                if d > best_delta:
+                if d - best_delta > tol:
                     best_move, best_delta = m, d
             if best_move is None:
                 break
             state.apply(best_move)
         score = state.total()
-        if score > best_score + 1e-9:
+        if score - best_score > _TIE_RTOL * abs(score):
             best_score = score
             best_parents = {v: frozenset(ps) for v, ps in state.parents.items()}
 

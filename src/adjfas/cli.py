@@ -140,9 +140,10 @@ def _print_fas(result: FasResult, out) -> None:
 
 
 def cmd_fas(args) -> int:
+    config = _fas_config(args)
     table = load_observational(args.obs)
     exp = load_experiment(args.exp)
-    result = find_adjustment_set(table, exp, _fas_config(args))
+    result = find_adjustment_set(table, exp, config)
     out = Path(args.out) if args.out else Path("fas_report.json")
     _write_json(result.to_dict(), out)
     _print_fas(result, sys.stdout)
@@ -190,10 +191,10 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_selection_check(args) -> int:
+    config = FasConfig(alpha=args.alpha, ess=args.ess, seed=args.seed)
     table = load_observational(args.obs)
     # the model `fas` scores with, read as a selected trial whatever its flag
     exp = dataclasses.replace(load_experiment(args.exp), population="selected")
-    config = FasConfig(alpha=args.alpha, ess=args.ess, seed=args.seed)
     sbn = prepare_scoring(table, exp, config).selection
 
     inferred = {v: infer_conditional(sbn.base, v, tilts=sbn.theta_s).tolist()
@@ -213,9 +214,9 @@ def cmd_selection_check(args) -> int:
 
 
 def cmd_score(args) -> int:
+    config = _fas_config(args)
     table = load_observational(args.obs)
     exp = load_experiment(args.exp)
-    config = _fas_config(args)
     if args.not_exists:
         hyp = NOT_EXISTS
     else:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import chdtrc
 
 
 class ParseError(ValueError):
@@ -321,7 +320,10 @@ def contingency_counts(table: CategoricalTable, vars: Sequence[str]) -> np.ndarr
         return np.array(table.n, dtype=np.int64)
     if table.n == 0:
         return np.zeros(cards, dtype=np.int64)
-    flat = np.ravel_multi_index([table.rows[:, i] for i in idx], cards)
+    # row-major index of each row's joint category (codes are < cardinality)
+    flat = table.rows[:, idx[0]]
+    for i, c in zip(idx[1:], cards[1:]):
+        flat = flat * c + table.rows[:, i]
     counts = np.bincount(flat, minlength=int(np.prod(cards)))
     return counts.reshape(cards)
 
@@ -354,4 +356,66 @@ def g2_independence_test(table: CategoricalTable, a: str, b: str,
     df = (ra - 1) * (rb - 1) * int(np.prod([table.cardinality(c) for c in cond], dtype=np.int64))
     if df <= 0:
         return 1.0
-    return float(chdtrc(df, g2))
+    return _chi2_sf(g2, df)
+
+
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _stirlerr(n: float) -> float:
+    """log n! − [(n + ½) log n − n + log √(2π)], the error of Stirling's formula."""
+    if n <= 15.0:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _LN_SQRT_2PI
+    nn = n * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(n: float, lam: float) -> float:
+    """n log(n/λ) + λ − n without cancellation when n is near λ."""
+    if abs(n - lam) < 0.1 * (n + lam):
+        v = (n - lam) / (n + lam)
+        s, ej, v2, j = (n - lam) * v, 2.0 * n * v, v * v, 1
+        while True:
+            ej *= v2
+            s1 = s + ej / (2 * j + 1)
+            if s1 == s:
+                return s
+            s, j = s1, j + 1
+    return n * math.log(n / lam) + lam - n
+
+
+def _poisson_term(n: float, lam: float) -> float:
+    """λ^n e^−λ / Γ(n + 1) for n ≥ 0, in Loader's saddle-point form."""
+    if n == 0:
+        return math.exp(-lam)
+    return math.exp(-_stirlerr(n) - _bd0(n, lam)) / math.sqrt(2.0 * math.pi * n)
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """P(χ²_df > x) for integer df ≥ 1, as an exact finite sum.
+
+    With h = x/2 the tail is Σ_{j<⌊df/2⌋} h^(j+o) e^−h / Γ(j+o+1), where o = 0
+    for even df and o = ½ for odd df, which also adds erfc(√h). The largest
+    term is evaluated on its own (Loader, "Fast and accurate computation of
+    binomial probabilities", 2000) and the others by the ratio to their
+    neighbour, walking away from it, so no term overflows for any df.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    k, odd = divmod(df, 2)
+    o = 0.5 * odd
+    base = math.erfc(math.sqrt(h)) if odd else 0.0
+    if k == 0:
+        return base
+    peak = min(k - 1, max(0, int(h - o)))
+    top = _poisson_term(peak + o, h)
+    terms, t = [top], top
+    for j in range(peak + 1, k):
+        t *= h / (j + o)
+        terms.append(t)
+    t = top
+    for j in range(peak, 0, -1):
+        t *= (j + o) / h
+        terms.append(t)
+    return base + math.fsum(terms)

@@ -24,7 +24,6 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .bayesnet import (BayesNetPosterior, fit_posterior, learn_structure, posterior_mean,
                        product_marginal, sample_parameter_batch)
@@ -81,11 +80,23 @@ NOT_EXISTS = Hypothesis(None)
 
 @dataclass(frozen=True)
 class FasConfig:
+    """Search settings, checked here for every command that reads them."""
+
     alpha: float = 0.05
     niters: int = 100
     ess: float = 1.0
     seed: int = 0
     max_subset_size: int | None = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.ess) and self.ess > 0):
+            raise ValueError(f"--ess must be finite and greater than 0, got {self.ess}")
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"--alpha must lie strictly between 0 and 1, got {self.alpha}")
+        if self.niters < 1:
+            raise ValueError(f"--niters must be at least 1, got {self.niters}")
+        if self.max_subset_size is not None and self.max_subset_size < 0:
+            raise ValueError(f"--max-subset-size must be at least 0, got {self.max_subset_size}")
 
 
 @dataclass(frozen=True)
@@ -202,8 +213,8 @@ def score_not_exists(arm: Arm) -> float:
     log Γ(|Y|) + Σ_y log Γ(N^y + 1) − log Γ(N + |Y|).
     """
     k = len(arm.outcome_counts)
-    counts = np.asarray(arm.outcome_counts, dtype=float)
-    return float(gammaln(k) + gammaln(counts + 1.0).sum() - gammaln(arm.total + k))
+    return (math.lgamma(k) + sum(math.lgamma(c + 1.0) for c in arm.outcome_counts)
+            - math.lgamma(arm.total + k))
 
 
 def _root_joint(batched: Mapping[str, np.ndarray], parents: Mapping[str, tuple[str, ...]],
@@ -282,6 +293,24 @@ def _loglik(theta: np.ndarray, counts: Sequence[int]) -> np.ndarray:
         return np.einsum("y,...yb->...b", counts[pos], np.log(theta[..., pos, :]))
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log Σ exp(a) over the last axis, with the numerics of scipy 1.17's logsumexp.
+
+    The m entries tied at the maximum are taken out of the sum, which gives
+    log1p(s/m) + log(m) + max; a row where that is not finite (all -inf, or
+    +inf) falls back to the direct log of the sum of exponentials.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.exp(a).sum(axis=-1))
+        top = a.max(axis=-1, keepdims=True)
+        tied = a == top
+        m = tied.sum(axis=-1, keepdims=True, dtype=a.dtype)
+        s = np.exp(np.where(tied, -np.inf, a) - top).sum(axis=-1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + top)[..., 0]
+    return np.where(np.isfinite(out), out, direct)
+
+
 def _masked_means(theta: np.ndarray, degenerate: np.ndarray) -> list[tuple[float, ...]]:
     """Per set, the mean predictive over its non-degenerate draws."""
     ok = ~degenerate
@@ -326,7 +355,7 @@ def _score_arm(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: Ar
     all from the same parameter batch."""
     theta_trial, degen_trial = _predictives(batched, parents, x, y, zsets, arm, tilts)
     ll = np.where(degen_trial, -np.inf, _loglik(theta_trial, arm.outcome_counts))
-    log_marginals = logsumexp(ll, axis=-1) - math.log(ll.shape[-1])
+    log_marginals = _logsumexp(ll) - math.log(ll.shape[-1])
     if tilts:
         theta_id, degen_id = _predictives(batched, parents, x, y, zsets, arm)
     else:

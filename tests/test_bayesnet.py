@@ -1,7 +1,11 @@
+import zlib
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from _oracles import conditional_from_joint, enumerate_joint
+from adjfas import bayesnet
 from adjfas.bayesnet import (ZeroEvidenceError, _bdeu_local, fit_posterior, infer_conditional,
                              learn_structure, posterior_mean, product_marginal,
                              sample_parameter_batch)
@@ -96,6 +100,54 @@ class TestLearnStructure:
               + _bdeu_local(t, "B", ("C",), 1.0, cache)
               + _bdeu_local(t, "A", ("B", "C"), 1.0, cache))
         assert s1 == pytest.approx(s2, abs=1e-9)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_tie_rule_ignores_last_bit_rounding(self, monkeypatch, sign):
+        # chain A -> B -> C: the first move adds A -> B or B -> A, an exact
+        # BDeu tie (score equivalence) that only the tie rule settles
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, 2, 3000)
+        b = (a ^ (rng.random(3000) < 0.1)).astype(int)
+        c = (b ^ (rng.random(3000) < 0.3)).astype(int)
+        t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
+        cache = {}
+        gains = {(u, v): _bdeu_local(t, v, (u,), 1.0, cache) - _bdeu_local(t, v, (), 1.0, cache)
+                 for u in "ABC" for v in "ABC" if u != v}
+        top = max(gains.values())
+        assert sum(g == pytest.approx(top, rel=1e-12) for g in gains.values()) == 2
+        plain = sorted(learn_structure(t, rng=0).directed_edges)
+        assert plain == [("A", "B"), ("B", "C")]
+
+        exact = bayesnet._bdeu_local
+
+        def perturbed(table, node, parents, ess, cache):
+            # a deterministic ±1e-13 relative error per local score
+            s = 1 if zlib.crc32(repr((node, parents)).encode()) & 1 else -1
+            return exact(table, node, parents, ess, cache) * (1 + sign * s * 1e-13)
+
+        monkeypatch.setattr(bayesnet, "_bdeu_local", perturbed)
+        assert sorted(learn_structure(t, rng=0).directed_edges) == plain
+
+    def test_local_score_matches_gammaln_formula(self):
+        # the textbook BDeu local score over every cell, with scipy's gammaln
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            cards = tuple(int(c) for c in rng.integers(1, 5, size=3))
+            n = int(rng.integers(1, 5000))
+            rows = np.column_stack([rng.integers(0, c, n) for c in cards])
+            rows[:, 2] = np.where(rng.random(n) < 0.5, rows[:, 0] % cards[2], rows[:, 2])
+            t = CategoricalTable(("P", "Q", "V"), cards, rows)
+            ess = float(rng.choice([0.5, 1.0, 10.0]))
+            parents = (("P", "Q"), ("P",), ())[trial % 3]
+            r = cards[2]
+            counts = np.zeros((*[cards["PQ".index(p)] for p in parents], r))
+            np.add.at(counts, tuple(rows[:, "PQV".index(v)] for v in (*parents, "V")), 1)
+            counts = counts.reshape(-1, r)
+            q = counts.shape[0]
+            a_jk, a_j = ess / (q * r), ess / q
+            ref = (np.sum(gammaln(a_j) - gammaln(a_j + counts.sum(axis=1)))
+                   + np.sum(gammaln(a_jk + counts) - gammaln(a_jk)))
+            assert _bdeu_local(t, "V", parents, ess, {}) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestFitPosterior:

@@ -313,6 +313,34 @@ class TestScoreCommand:
                                    rtol=0, atol=1e-9)
 
 
+class TestModelFlags:
+    """Out-of-range model flags exit 2 with a message naming the flag."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--ess", "0"), ("--ess", "nan"), ("--ess", "-1"), ("--ess", "inf"),
+        ("--alpha", "1.5"), ("--alpha", "-0.1"), ("--alpha", "0"), ("--alpha", "1"),
+        ("--niters", "0"), ("--max-subset-size", "-1"),
+    ])
+    def test_fas_rejects(self, g1_files, tmp_path, capsys, flag, value):
+        obs, expf = g1_files
+        out = tmp_path / "report.json"
+        assert main(["fas", str(obs), str(expf), flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_every_model_command_rejects(self, g1_files, tmp_path, capsys):
+        obs, expf = map(str, g1_files)
+        world = ["--n-observed", "2", "--n-latent", "1", "--n-obs", "300", "--n-per-arm", "30"]
+        for flag, argv in (("--ess", ["score", obs, expf, "--set", "C", "--ess", "0"]),
+                           ("--alpha", ["selection-check", obs, expf, "--alpha", "1.5"]),
+                           ("--niters", ["benchmark", "--replicates", "1", *world,
+                                         "--niters", "0"])):
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == 2, argv
+            assert capsys.readouterr().err.startswith(f"error: {flag} must")
+            assert not (tmp_path / argv[0]).exists()
+
+
 class TestGlobalBehavior:
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as e:
@@ -369,3 +397,14 @@ class TestGlobalBehavior:
             main(["simulate", "--niters", "3"])
         assert e.value.code == 2
 
+    def test_import_leaves_scipy_unloaded(self):
+        # the runtime needs numpy only; scipy serves the tests as a reference
+        src = str(Path(adjfas.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = ("import sys, adjfas, adjfas.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.special import chdtrc
 from scipy.stats import kstest
 
 from adjfas.data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaError,
-                         ValidationError, contingency_counts, g2_independence_test,
+                         ValidationError, _chi2_sf, contingency_counts, g2_independence_test,
                          load_experiment, load_observational, save_experiment,
                          save_observational)
 
@@ -189,6 +190,38 @@ class TestG2:
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
         assert g2_independence_test(t, "A", "B") < 0.001
         assert g2_independence_test(t, "A", "B", ["C"]) > 0.01
+
+
+class TestChiSquareTail:
+    """``_chi2_sf`` against scipy's ``chdtrc`` as the reference."""
+
+    @staticmethod
+    def _grid(df):
+        return np.concatenate([[0.0, 1e-12], np.geomspace(1e-6, 8 * df + 1500, 40)])
+
+    @pytest.mark.parametrize("dfs, rtol", [
+        ([*range(1, 301), *range(301, 1001, 11)], 1e-12),
+        # here chdtrc itself strays up to 1.6e-12 from a 40-digit reference
+        # (mpmath) in the far tail, while _chi2_sf stays within about 2e-13 of it
+        (range(1001, 2001, 23), 2.5e-12),
+    ])
+    def test_matches_chdtrc(self, dfs, rtol):
+        worst = 0.0
+        for df in dfs:
+            for x in self._grid(df).tolist():
+                want, got = float(chdtrc(df, x)), _chi2_sf(x, df)
+                if want < 1e-300:  # past the normal range: both must be negligible
+                    assert got < 1e-290, (df, x, got)
+                    continue
+                worst = max(worst, abs(got - want) / want)
+        assert worst <= rtol
+
+    def test_edges(self):
+        assert _chi2_sf(0.0, 1) == 1.0 == _chi2_sf(0.0, 2000)
+        assert _chi2_sf(-1e-15, 3) == 1.0  # a G² rounded below zero
+        assert _chi2_sf(1e6, 1) == 0.0 == float(chdtrc(1, 1e6))
+        for df in (1, 2, 3):
+            assert _chi2_sf(1e-300, df) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestG2ZeroStrata:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from _oracles import (confounded_world, latent_confounder_world, mean_abs_diff,
                       score_by_elimination, valid_set_world)
@@ -140,6 +140,35 @@ class TestScoreExpArm:
         with pytest.raises(ValueError):
             score_exp_arm("X", "Y", ("Q",), post, Arm.from_counts(0, [1, 1]), 10,
                           np.random.default_rng(0))
+
+
+class TestLogSumExp:
+    """``score._logsumexp`` gives scipy's ``logsumexp`` bit for bit."""
+
+    @staticmethod
+    def _same_bits(a):
+        got, want = score_module._logsumexp(a), logsumexp(a, axis=-1)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(0)
+        for shape in [(1, 1), (3, 7), (5, 100), (40, 2000), (2, 3, 64)]:
+            for scale in (1e-3, 1.0, 50.0, 800.0):
+                self._same_bits(rng.normal(-scale, scale, size=shape))
+
+    def test_minus_infinity_and_repeated_maxima(self):
+        rng = np.random.default_rng(1)
+        a = rng.normal(-40.0, 5.0, size=(60, 500))
+        a[rng.random(a.shape) < 0.3] = -np.inf  # degenerate draws
+        a[1] = -np.inf  # every draw degenerate
+        a[2, :7] = a[2].max() + 1.0  # seven tied maxima
+        a[3] = -12.5  # every entry tied
+        a[4, 0] = 0.0  # one finite entry among -inf
+        a[4, 1:] = -np.inf
+        a[5, ::2] = np.round(a[5, ::2])  # many repeats
+        self._same_bits(a)
+        assert score_module._logsumexp(a)[1] == -np.inf
 
 
 class TestFindAdjustmentSet:
