@@ -14,7 +14,7 @@ from .bayesnet import (BayesNetPosterior, ParamInstantiation, ZeroEvidenceError,
                        fit_posterior, infer_conditional, learn_structure, posterior_mean)
 from .score import (ArmScore, EnumerationLimitError, FasConfig, FasResult, Hypothesis,
                     NOT_EXISTS, ScoringError, candidate_pool, find_adjustment_set,
-                    prior_log_prob, score_exp_arm, score_not_exists)
+                    prior_log_prob, score_not_exists)
 from .selection import (InfeasibleSelectionError, SelectionBn, SelectionError,
                         SolverConvergenceError, build_selection_bn)
 from .sim import (BenchmarkReport, GroundTruth, SimConfig, delta_theta, generate_world,
@@ -33,6 +33,6 @@ __all__ = [
     "load_experiment", "load_observational", "posterior_mean", "prior_log_prob",
     "proper_backdoor_graph", "run_benchmark", "sample_datasets",
     "satisfies_adjustment_criterion", "save_experiment", "save_observational",
-    "score_exp_arm", "score_not_exists", "vws_baseline",
+    "score_not_exists", "vws_baseline",
     "write_benchmark_csv", "write_benchmark_summary",
 ]

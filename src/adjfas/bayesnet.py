@@ -30,6 +30,11 @@ class ZeroEvidenceError(ValueError):
 
 Factor = tuple[tuple[str, ...], np.ndarray]
 
+# Largest dense table, in cells, that the scorer's lattice root (Monte-Carlo
+# axis counted) or the selection solver's reported-variable joint may hold;
+# past it each query is its own elimination.
+CELL_BUDGET = 1 << 22
+
 
 @dataclass(frozen=True)
 class BayesNetPosterior:
@@ -43,7 +48,6 @@ class BayesNetPosterior:
     cardinalities: dict[str, int]
     parents: dict[str, tuple[str, ...]]
     alpha: dict[str, np.ndarray]
-    ess: float
 
     def __post_init__(self):
         for v in self.dag.nodes:
@@ -82,6 +86,8 @@ class ParamInstantiation:
 # Two BDeu scores closer than this share of their magnitude count as tied
 # (see ``learn_structure``).
 _TIE_RTOL = 1e-12
+MAX_PARENTS = 4
+RESTARTS = 5
 
 
 def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
@@ -109,12 +115,11 @@ def _canonical(parents: Iterable[str], order: Mapping[str, int]) -> tuple[str, .
 
 
 class _HillClimbState:
-    def __init__(self, nodes, table, ess, max_parents, cache):
+    def __init__(self, nodes, table, ess, cache):
         self.nodes = nodes
         self.order = {v: i for i, v in enumerate(nodes)}
         self.table = table
         self.ess = ess
-        self.max_parents = max_parents
         self.cache = cache
         self.parents = {v: set() for v in nodes}
         self.children = {v: set() for v in nodes}
@@ -143,12 +148,12 @@ class _HillClimbState:
                 if v in self.children[u]:
                     out.append(("del", u, v))
                     # reversing u -> v cycles iff another child of u reaches v
-                    if (len(self.parents[u]) < self.max_parents
+                    if (len(self.parents[u]) < MAX_PARENTS
                             and not any(v in below[w] for w in self.children[u] if w != v)):
                         out.append(("rev", u, v))
                 elif u not in self.children[v]:
                     # adding u -> v cycles iff v already reaches u
-                    if len(self.parents[v]) < self.max_parents and u not in below[v]:
+                    if len(self.parents[v]) < MAX_PARENTS and u not in below[v]:
                         out.append(("add", u, v))
         return out
 
@@ -181,14 +186,15 @@ class _HillClimbState:
         return float(sum(self.local.values()))
 
 
-def learn_structure(table: CategoricalTable, *, ess: float = 1.0, max_parents: int = 4,
-                    restarts: int = 5, rng: np.random.Generator | int | None = None) -> Dag:
+def learn_structure(table: CategoricalTable, *, ess: float = 1.0,
+                    rng: np.random.Generator | int | None = None) -> Dag:
     """Greedy hill-climbing DAG search under the BDeu score.
 
-    Moves are single-edge additions, deletions and reversals; the search runs
-    ``restarts`` times from the empty graph (the first pass in canonical move
-    order, the rest in a shuffled order to break ties differently) and keeps
-    the best-scoring local maximum.
+    Moves are single-edge additions, deletions and reversals that keep every
+    node at ``MAX_PARENTS`` parents or fewer; the search runs ``RESTARTS``
+    times from the empty graph (the first pass in canonical move order, the
+    rest in a shuffled order to break ties differently) and keeps the
+    best-scoring local maximum.
 
     Tie rule: a move is taken only if its score gain beats the incumbent's
     (at first, no move: 0) by more than ``_TIE_RTOL``·|total score|, and a
@@ -204,8 +210,8 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0, max_parents: i
     cache: dict = {}
 
     best_score, best_parents = -np.inf, None
-    for restart in range(max(1, restarts)):
-        state = _HillClimbState(nodes, table, ess, max_parents, cache)
+    for restart in range(RESTARTS):
+        state = _HillClimbState(nodes, table, ess, cache)
         while True:
             moves = state.moves()
             if restart > 0:
@@ -246,7 +252,7 @@ def fit_posterior(dag: Dag, table: CategoricalTable, ess: float = 1.0) -> BayesN
         counts = contingency_counts(table, [*pa, v]).astype(float).reshape(shape)
         q = int(np.prod(shape[:-1], dtype=np.int64))
         alpha[v] = ess / (q * cards[v]) + counts
-    return BayesNetPosterior(dag=dag, cardinalities=cards, parents=parents, alpha=alpha, ess=ess)
+    return BayesNetPosterior(dag=dag, cardinalities=cards, parents=parents, alpha=alpha)
 
 
 def _normalize_rows(draws: np.ndarray) -> np.ndarray:

@@ -223,13 +223,7 @@ def cmd_score(args) -> int:
         names = tuple(s.strip() for s in args.zset.split(",") if s.strip())
         hyp = Hypothesis.adjustment(names)
 
-    prep = prepare_scoring(table, exp, config)
-    if not hyp.is_not_exists and not hyp.z <= set(prep.pool):
-        raise ValidationError(
-            f"hypothesis {hyp.label()} is not a subset of the candidate pool "
-            f"{{{','.join(prep.pool)}}}")
-    records = score_hypotheses(prep, config, hypotheses=[hyp])
-    rec = records[hyp]
+    rec = score_hypotheses(prepare_scoring(table, exp, config), config, hypotheses=[hyp])[hyp]
     if args.out:
         _write_json({
             "hypothesis": hyp.label(),

@@ -230,6 +230,10 @@ def save_observational(table: CategoricalTable, path) -> None:
         writer.writerows(table.rows.tolist())
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_experiment(path) -> ExperimentSummary:
     """Read a trial-summary JSON file.
 
@@ -255,21 +259,31 @@ def load_experiment(path) -> ExperimentSummary:
         if key not in raw:
             raise ValidationError(f"{path}: missing required key {key!r}")
 
+    if not isinstance(raw["arms"], list):
+        raise ValidationError(f"{path}: 'arms' must be a list of objects")
     arms = []
     for i, a in enumerate(raw["arms"]):
-        if "x" not in a or "counts" not in a:
-            raise ValidationError(f"{path}: arm {i}: needs 'x' and 'counts'")
+        if not isinstance(a, dict) or "x" not in a or "counts" not in a:
+            raise ValidationError(f"{path}: 'arms' entry {i} must be an object with 'x' and 'counts'")
+        for key in ("x", "n"):
+            if key in a and not _is_int(a[key]):
+                raise ValidationError(f"{path}: arm {i}: {key!r} must be an integer")
         counts = a["counts"]
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
-            raise ValidationError(f"{path}: arm {i}: counts must be integers")
+        if not (isinstance(counts, list) and all(_is_int(c) for c in counts)):
+            raise ValidationError(f"{path}: arm {i}: 'counts' must be a list of integers")
         arm = Arm.from_counts(a["x"], counts)
-        if "n" in a and int(a["n"]) != arm.total:
+        if "n" in a and a["n"] != arm.total:
             raise ValidationError(
                 f"{path}: arm {i}: counts sum to {arm.total} but n={a['n']}")
         arms.append(arm)
 
+    reported = raw.get("marginals") or {}
+    if not isinstance(reported, dict):
+        raise ValidationError(f"{path}: 'marginals' must be an object mapping variables to lists")
     marginals = {}
-    for var, vec in (raw.get("marginals") or {}).items():
+    for var, vec in reported.items():
+        if not (isinstance(vec, list) and all(_is_int(p) or isinstance(p, float) for p in vec)):
+            raise ValidationError(f"{path}: 'marginals' entry {var!r} must be a list of numbers")
         vec = [float(p) for p in vec]
         s = sum(vec)
         if not math.isfinite(s) or abs(s - 1.0) > MARGINAL_SUM_TOL:

@@ -19,22 +19,19 @@ argmax), so log scores are comparable only within a single run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (BayesNetPosterior, fit_posterior, learn_structure, posterior_mean,
-                       product_marginal, sample_parameter_batch)
+from .bayesnet import (CELL_BUDGET, BayesNetPosterior, fit_posterior, learn_structure,
+                       posterior_mean, product_marginal, sample_parameter_batch)
 from .data import Arm, CategoricalTable, ExperimentSummary, ValidationError, g2_independence_test
 from .selection import SelectionBn, build_selection_bn, check_empirical_support
 
 POOL_ENUMERATION_LIMIT = 16
 TIE_TOL = 1e-9
-# Largest root tensor, in cells with the Monte-Carlo axis counted, that one
-# lattice walk builds; past it every hypothesis is eliminated on its own.
-LATTICE_CELL_BUDGET = 1 << 22
 
 _BATCH = "\x00batch"  # reserved pseudo-variable naming the Monte-Carlo axis
 
@@ -127,10 +124,9 @@ class HypothesisRecord:
 
 @dataclass
 class FasResult:
-    """Outcome of a full search: best hypothesis, all scores, diagnostics."""
+    """Outcome of a full search: best hypothesis, every scored record, diagnostics."""
 
     best: Hypothesis
-    scores: dict[Hypothesis, float]
     estimate: dict[int, tuple[float, ...]] | None
     pool: tuple[str, ...]
     records: dict[Hypothesis, HypothesisRecord]
@@ -138,10 +134,11 @@ class FasResult:
     config: FasConfig
 
     def ranked(self) -> list[tuple[Hypothesis, float]]:
-        """``best`` first (it wins ties within TIE_TOL), then by total and sort key."""
-        rest = sorted(((h, t) for h, t in self.scores.items() if h != self.best),
+        """(hypothesis, total): ``best`` first (it wins ties within TIE_TOL),
+        then by total and sort key."""
+        rest = sorted(((h, r.total) for h, r in self.records.items() if h != self.best),
                       key=lambda kv: (-kv[1], kv[0].sort_key()))
-        return [(self.best, self.scores[self.best]), *rest]
+        return [(self.best, self.records[self.best].total), *rest]
 
     def to_dict(self) -> dict:
         return {
@@ -153,19 +150,15 @@ class FasResult:
             "hypotheses": [
                 {
                     **_hypothesis_dict(h),
-                    "total_log_score": self.scores[h],
+                    "total_log_score": total,
                     "prior_log": self.records[h].prior_log,
                     "arm_log_marginals": [a.log_marginal for a in self.records[h].arm_scores],
                     "arm_id_estimates": [None if a.id_estimate is None else list(a.id_estimate)
                                          for a in self.records[h].arm_scores],
                 }
-                for h, _ in self.ranked()
+                for h, total in self.ranked()
             ],
-            "config": {
-                "alpha": self.config.alpha, "niters": self.config.niters,
-                "ess": self.config.ess, "seed": self.config.seed,
-                "max_subset_size": self.config.max_subset_size,
-            },
+            "config": asdict(self.config),
         }
 
 
@@ -196,10 +189,9 @@ def candidate_pool(table: CategoricalTable, x: str, y: str, alpha: float = 0.05)
     return tuple(pool)
 
 
-def prior_log_prob(h: Hypothesis, pool: Sequence[str]) -> float:
-    """Uniform prior over all 2^|pool| subsets plus the no-set hypothesis."""
-    if not h.is_not_exists and not h.z <= set(pool):
-        raise ValueError(f"hypothesis {h.label()} is not a subset of the candidate pool")
+def prior_log_prob(pool: Sequence[str]) -> float:
+    """Log prior of each hypothesis: uniform over all 2^|pool| subsets plus the
+    no-set hypothesis."""
     return -math.log(2 ** len(pool) + 1)
 
 
@@ -322,14 +314,14 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: 
                  tilts=None) -> tuple[np.ndarray, np.ndarray]:
     """θ_{Y_x} of every set in ``zsets`` for the arm's x: shapes (H, |Y|, batch), (H, batch).
 
-    One root holds the union of the sets; past ``LATTICE_CELL_BUDGET`` cells
+    One root holds the union of the sets; past ``CELL_BUDGET`` cells
     each set is its own root instead.
     """
     union = set().union(*zsets)
     zvars = tuple(v for v in batched if v in union)
     n_draws = len(batched[x])
     cells = n_draws * np.prod([batched[v].shape[-1] for v in (y, x, *zvars)], dtype=float)
-    if cells <= LATTICE_CELL_BUDGET:
+    if cells <= CELL_BUDGET:
         groups = [(zvars, zsets)]
     else:
         groups = [(z, [z]) for z in dict.fromkeys(zsets)]
@@ -365,30 +357,6 @@ def _score_arm(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: Ar
         _masked_means(theta_trial, degen_trial))]
 
 
-def score_exp_arm(x: str, y: str, z: Sequence[str], post: BayesNetPosterior, arm: Arm,
-                  niters: int, rng: np.random.Generator | int | None,
-                  tilts: Mapping[str, np.ndarray] | None = None) -> ArmScore:
-    """Monte-Carlo marginal likelihood of one arm under the hypothesis 'z adjusts'.
-
-    Per draw from the posterior: compute θ_{Y|x,z} and θ_z exactly, combine
-    through the adjustment formula into θ_{Y_x}, and weigh the arm counts by
-    ∏_y θ_{y_x}^{N^y}. The log marginal is the log of the mean over draws;
-    the estimate is the mean predictive over non-degenerate draws.
-    """
-    if niters < 1:
-        raise ValueError("niters must be >= 1")
-    nodes = set(post.dag.nodes)
-    missing = (set(z) | {x, y}) - nodes
-    if missing:
-        raise ValueError(f"variables not in the network: {sorted(missing)}")
-    if not 0 <= arm.x_value < post.cardinalities[x]:
-        raise ValidationError(f"arm x value {arm.x_value} outside cardinality of {x!r}")
-    rng = np.random.default_rng(rng)
-    batched = sample_parameter_batch(post, rng, niters)
-    zvars = tuple(v for v in post.dag.nodes if v in set(z))
-    return _score_arm(batched, post.parents, x, y, [zvars], arm, tilts=tilts)[0]
-
-
 # --- hypothesis enumeration and the search itself
 
 
@@ -408,16 +376,14 @@ def enumerate_hypotheses(pool: Sequence[str], max_subset_size: int | None = None
 
 @dataclass
 class PreparedScoring:
-    """Pool, restricted table and fitted posterior shared by every hypothesis.
+    """Trial, candidate pool and fitted posterior shared by every hypothesis.
 
     ``selection`` holds the solved inclusion weights when the trial population
     was selected, and is None when it is the observational one.
     """
 
-    table: CategoricalTable
     exp: ExperimentSummary
     pool: tuple[str, ...]
-    sub: CategoricalTable
     post: BayesNetPosterior
     selection: SelectionBn | None
 
@@ -451,8 +417,7 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
     dag = learn_structure(sub, ess=config.ess, rng=learn_rng)
     post = fit_posterior(dag, sub, config.ess)
     selection = build_selection_bn(posterior_mean(post), reported) if reported else None
-    return PreparedScoring(table=table, exp=exp, pool=pool, sub=sub, post=post,
-                           selection=selection)
+    return PreparedScoring(exp=exp, pool=pool, post=post, selection=selection)
 
 
 def _empirical(arm: Arm) -> tuple[float, ...]:
@@ -471,7 +436,9 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     shared by every hypothesis: common random numbers make the score
     differences between near-equivalent hypotheses reflect their true gap
     instead of independent Monte-Carlo noise. A selected trial's arms are
-    scored in the population tilted by ``prep.selection``.
+    scored in the population tilted by ``prep.selection``, and there the
+    no-set hypothesis has no estimate: the raw trial frequencies describe the
+    selected population, not the observational one.
     """
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
@@ -480,7 +447,10 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         hypotheses = enumerate_hypotheses(prep.pool, cap)
     for h in hypotheses:
         if not h.is_not_exists and not (h.z <= pool and (cap is None or len(h.z) <= cap)):
-            raise ValueError(f"hypothesis {h.label()} outside the enumerated space")
+            limit = "" if cap is None else f" of at most {cap} variables"
+            raise ValidationError(
+                f"hypothesis {h.label()} outside the enumerated space: the subsets"
+                f"{limit} of the candidate pool {{{','.join(prep.pool)}}}")
     tilts = None if prep.selection is None else dict(prep.selection.theta_s)
 
     batches = []
@@ -495,6 +465,7 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     subset_scores = {h: tuple(arm_scores[i] for arm_scores in per_arm)
                      for i, h in enumerate(subsets)}
 
+    prior = prior_log_prob(prep.pool)
     records = {}
     for h in hypotheses:
         if h.is_not_exists:
@@ -504,39 +475,19 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
                 trial_estimate=None) for arm in exp.arms)
         else:
             arm_scores = subset_scores[h]
-        records[h] = HypothesisRecord(h, prior_log_prob(h, prep.pool), arm_scores)
+        records[h] = HypothesisRecord(h, prior, arm_scores)
     return records
 
 
+def _pick(values: Mapping[Hypothesis, float]) -> Hypothesis:
+    """Highest value; ties within TIE_TOL go to smaller sets, then lexicographic."""
+    top = max(values.values())
+    return min((h for h, v in values.items() if v >= top - TIE_TOL), key=Hypothesis.sort_key)
+
+
 def pick_best(records: Mapping[Hypothesis, HypothesisRecord]) -> Hypothesis:
-    """Highest total score; ties within 1e-9 go to smaller sets, then lexicographic."""
-    totals = {h: r.total for h, r in records.items()}
-    m = max(totals.values())
-    ties = [h for h, t in totals.items() if t >= m - TIE_TOL]
-    return min(ties, key=Hypothesis.sort_key)
-
-
-def _assemble(prep: PreparedScoring, records, config: FasConfig) -> FasResult:
-    """The search's result: the best hypothesis, its estimate and every score.
-
-    Under selection the no-set verdict has no estimate: the raw trial
-    frequencies describe the selected population, not the observational one.
-    """
-    best = pick_best(records)
-    rec = records[best]
-    if best.is_not_exists and prep.selection is not None:
-        estimate = None
-    else:
-        estimate = {arm.x_value: score.id_estimate
-                    for arm, score in zip(prep.exp.arms, rec.arm_scores)}
-    return FasResult(
-        best=best,
-        scores={h: r.total for h, r in records.items()},
-        estimate=estimate,
-        pool=prep.pool,
-        records=dict(records),
-        population=prep.exp.population,
-        config=config)
+    """Highest total score, with the tie rule of ``_pick``."""
+    return _pick({h: r.total for h, r in records.items()})
 
 
 def find_adjustment_set(table: CategoricalTable, exp: ExperimentSummary,
@@ -553,7 +504,13 @@ def find_adjustment_set(table: CategoricalTable, exp: ExperimentSummary,
     """
     config = config or FasConfig()
     prep = prepare_scoring(table, exp, config)
-    return _assemble(prep, score_hypotheses(prep, config), config)
+    records = score_hypotheses(prep, config)
+    best = pick_best(records)
+    estimates = [s.id_estimate for s in records[best].arm_scores]
+    estimate = (None if any(e is None for e in estimates)
+                else {arm.x_value: e for arm, e in zip(exp.arms, estimates)})
+    return FasResult(best=best, estimate=estimate, pool=prep.pool, records=records,
+                     population=exp.population, config=config)
 
 
 def kl_divergences(exp: ExperimentSummary,
@@ -577,8 +534,6 @@ def kl_divergences(exp: ExperimentSummary,
 
 def pick_min_kl(exp: ExperimentSummary,
                 records: Mapping[Hypothesis, HypothesisRecord]) -> Hypothesis:
-    kls = kl_divergences(exp, records)
-    m = min(kls.values())
-    ties = [h for h, v in kls.items() if v <= m + TIE_TOL]
-    return min(ties, key=Hypothesis.sort_key)
+    """Smallest KL divergence, with the tie rule of ``_pick``."""
+    return _pick({h: -kl for h, kl in kl_divergences(exp, records).items()})
 

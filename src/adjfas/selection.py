@@ -16,15 +16,13 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import ParamInstantiation, ZeroEvidenceError, infer_conditional, product_marginal
+from .bayesnet import (CELL_BUDGET, ParamInstantiation, ZeroEvidenceError, infer_conditional,
+                       product_marginal)
 from .data import CategoricalTable, ValidationError, contingency_counts
 
 MAX_SWEEPS = 10000
 DAMPING = 0.5
 TOL = 1e-6  # largest residual between a reported and a reproduced marginal
-# largest reported-variable joint the solver holds; past it each marginal is
-# its own elimination (the same budget as score.LATTICE_CELL_BUDGET)
-JOINT_CELL_BUDGET = 1 << 22
 
 
 class SelectionError(RuntimeError):
@@ -86,10 +84,10 @@ def _marginal_fn(params: ParamInstantiation, selected: tuple[str, ...]
     The weights touch only the reported variables R, so that marginal is a
     margin of P(R) · ∏_u θ_u(r_u): one elimination gives P(R), after which
     every query is dense arithmetic on ∏ card(R) cells. Past
-    ``JOINT_CELL_BUDGET`` cells each query is its own elimination over the
+    ``CELL_BUDGET`` cells each query is its own elimination over the
     whole network.
     """
-    if math.prod(params.cardinalities[v] for v in selected) > JOINT_CELL_BUDGET:
+    if math.prod(params.cardinalities[v] for v in selected) > CELL_BUDGET:
         return lambda v, theta: _weighted_marginal(params, v, theta)
 
     joint = product_marginal(params.factors(), selected)

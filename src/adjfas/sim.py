@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
@@ -25,8 +26,8 @@ from .bayesnet import (Factor, ParamInstantiation, _canonical, _evidence_sliced,
                        posterior_mean, product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
 from .graph import Dag, satisfies_adjustment_criterion
-from .score import (FasConfig, Hypothesis, _assemble, _root_joint, _walk_lattice, pick_min_kl,
-                    prepare_scoring, score_hypotheses)
+from .score import (FasConfig, Hypothesis, _root_joint, _walk_lattice, find_adjustment_set,
+                    pick_min_kl)
 
 MIN_ACCEPTANCE = 1e-6
 CARDINALITIES = (2, 3)  # each variable's number of categories is drawn from these
@@ -52,8 +53,13 @@ class SimConfig:
             raise ValueError(f"unknown selection setting {self.selection!r}")
         if min(self.n_obs, self.n_per_arm) < 1 or self.n_observed < 0 or self.n_latent < 0:
             raise ValueError("counts must be positive")
-        if self.selection == "latent" and self.n_observed < 2:
-            raise ValueError("latent selection needs at least two observed covariates")
+        if not (math.isfinite(self.mean_in_degree) and self.mean_in_degree > 0):
+            raise ValueError(
+                f"--mean-in-degree must be finite and greater than 0, got {self.mean_in_degree}")
+        # a selected covariate must be observed; latent selection also keeps one reportable
+        need = {"none": 0, "observed": 1, "latent": 2}[self.selection]
+        if self.n_observed < need:
+            raise ValueError(f"--selection {self.selection} needs --n-observed of at least {need}")
 
 
 @dataclass
@@ -131,7 +137,8 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
             selection = {}
         break
     else:
-        raise RuntimeError("could not draw a world satisfying the structural constraints")
+        raise ValueError("could not draw a world satisfying the structural constraints; "
+                         "try a larger --mean-in-degree")
 
     cards = {v: int(rng.choice(CARDINALITIES)) for v in order}
     order_idx = {v: i for i, v in enumerate(dag.nodes)}
@@ -360,22 +367,16 @@ def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
     method_seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 2)).generate_state(1)[0])
     fcfg = replace(fas_config, seed=method_seed)
 
-    none_valid: bool | None = None
-
     def valid_flag(h: Hypothesis) -> bool:
-        nonlocal none_valid
         if h.is_not_exists:
-            if none_valid is None:
-                none_valid = _no_valid_set_exists(gt)
-            return none_valid
+            return _no_valid_set_exists(gt)
         return satisfies_adjustment_criterion(gt.dag, gt.x, gt.y, h.z)
 
-    records = None
+    found = None
     if "FAS" in methods or "KL" in methods:
         t0 = time.perf_counter()
         try:
-            prep = prepare_scoring(table, exp, fcfg)
-            records = score_hypotheses(prep, fcfg)
+            found = find_adjustment_set(table, exp, fcfg)
         except Exception as e:  # noqa: BLE001 - replicate failures are recorded, not fatal
             msg = f"{type(e).__name__}: {e}"
             for m in ("FAS", "KL"):
@@ -384,16 +385,15 @@ def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
                                                    time.perf_counter() - t0, msg))
         shared_seconds = time.perf_counter() - t0
 
-    if records is not None and "FAS" in methods:
-        found = _assemble(prep, records, fcfg)
+    if found is not None and "FAS" in methods:
         best = found.best
         delta = None if found.estimate is None else delta_theta(found.estimate, gt)
         results.append(ReplicateResult(rep, "FAS", best.label(), delta,
                                        valid_flag(best), best.is_not_exists, shared_seconds))
 
-    if records is not None and "KL" in methods:
-        choice = pick_min_kl(exp, records)
-        rec = records[choice]
+    if found is not None and "KL" in methods:
+        choice = pick_min_kl(exp, found.records)
+        rec = found.records[choice]
         est = {a.x_value: s.id_estimate for a, s in zip(exp.arms, rec.arm_scores)}
         results.append(ReplicateResult(rep, "KL", choice.label(), delta_theta(est, gt),
                                        valid_flag(choice), False, shared_seconds))

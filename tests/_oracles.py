@@ -2,7 +2,9 @@
 
 Everything here is deliberately written the slow, obvious way (path
 enumeration, full-joint loops) and never calls the library's inference or
-graph-search code paths it is checking.
+graph-search code paths it is checking. The one exception,
+``score_one_arm``, drives the library's per-arm scorer on its own so that
+tests can hold it to closed forms.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from scipy.special import logsumexp
 
 from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
 from adjfas.graph import Dag
-from adjfas.score import enumerate_hypotheses
+from adjfas.score import _score_arm, enumerate_hypotheses
 from adjfas.sim import GroundTruth
 
 
@@ -271,6 +273,14 @@ def all_valid_subsets(gt: GroundTruth):
 
 
 # --- per-hypothesis scoring
+
+
+def score_one_arm(x, y, z, post, arm, niters, rng):
+    """The scorer's ``ArmScore`` of one arm under 'z adjusts', from ``niters``
+    posterior draws of ``rng``."""
+    batched = sample_parameter_batch(post, np.random.default_rng(rng), niters)
+    zvars = tuple(v for v in post.dag.nodes if v in set(z))
+    return _score_arm(batched, post.parents, x, y, [zvars], arm)[0]
 
 
 def _predictive_by_elimination(batched, parents, x, y, zvars, x_value, tilts=None):

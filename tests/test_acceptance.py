@@ -14,13 +14,13 @@ import pytest
 from scipy.special import gammaln
 
 from _oracles import (adjusted_by_enumeration, all_valid_subsets, conditional_from_joint,
-                      enumerate_joint, latent_confounder_world, mean_abs_diff)
+                      enumerate_joint, latent_confounder_world, mean_abs_diff, score_one_arm)
 from adjfas.bayesnet import ParamInstantiation, fit_posterior, infer_conditional
 from adjfas.cli import main as cli_main
 from adjfas.data import Arm, CategoricalTable
 from adjfas.graph import Dag
 from adjfas.score import (FasConfig, pick_best, pick_min_kl, prepare_scoring,
-                          score_exp_arm, score_hypotheses, score_not_exists)
+                          score_hypotheses, score_not_exists)
 from adjfas.selection import build_selection_bn
 from adjfas.sim import SimConfig, run_benchmark, sample_datasets
 
@@ -74,7 +74,7 @@ def test_criterion_1_closed_form_consistency():
         xv = int(rng.integers(0, 2))
         counts = rng.multinomial(int(rng.integers(20, 60)), np.ones(ky) / ky)
         arm = Arm.from_counts(xv, counts.tolist())
-        sc = score_exp_arm("X", "Y", (), post, arm, 100000, np.random.default_rng(100 + rep))
+        sc = score_one_arm("X", "Y", (), post, arm, 100000, np.random.default_rng(100 + rep))
         exact = dm_log(post.alpha["Y"][xv], arm.outcome_counts)
         worst = max(worst, abs(sc.log_marginal - exact) / abs(exact))
     elapsed = time.perf_counter() - t0

@@ -177,7 +177,7 @@ class TestSampling:
         post = self._post()
         big = {v: a * 0 + 1e9 for v, a in post.alpha.items()}
         post2 = type(post)(dag=post.dag, cardinalities=post.cardinalities,
-                           parents=post.parents, alpha=big, ess=post.ess)
+                           parents=post.parents, alpha=big)
         draws = sample_parameter_batch(post2, np.random.default_rng(0), 1)["A"]
         assert np.abs(draws - 0.5).max() < 1e-3
 

@@ -124,7 +124,44 @@ class TestFas:
                      "--niters", "20", "--out", str(tmp_path / "capped.json")]) == 0
 
 
+class TestTrialFile:
+    """A trial JSON value of the wrong type exits 2 naming the file and the key."""
+
+    @pytest.mark.parametrize("change, key", [
+        ({"arms": 5}, "'arms'"),
+        ({"arms": [5]}, "'arms'"),
+        ({"arms": [{"x": 0, "counts": 5}]}, "'counts'"),
+        ({"marginals": [1, 2]}, "'marginals'"),
+        ({"marginals": {"V1": 5}}, "'marginals'"),
+        ({"arms": [{"x": None, "counts": [10, 20]}]}, "'x'"),
+    ])
+    def test_fas_rejects(self, tmp_path, capsys, change, key):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("V1,X,Y\n0,0,0\n1,1,1\n")
+        exp = tmp_path / "e.json"
+        exp.write_text(json.dumps({"treatment": "X", "outcome": "Y",
+                                   "arms": [{"x": 0, "counts": [10, 20]}], **change}))
+        assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {exp}: ") and key in err, err
+        assert "Traceback" not in err
+
+
 class TestSimulate:
+    @pytest.mark.parametrize("argv, flag", [
+        (["--mean-in-degree", "-1"], "--mean-in-degree"),
+        (["--mean-in-degree", "0"], "--mean-in-degree"),
+        (["--mean-in-degree", "nan"], "--mean-in-degree"),
+        (["--mean-in-degree", "inf"], "--mean-in-degree"),
+        (["--n-observed", "0", "--selection", "observed"], "--selection observed"),
+        (["--n-observed", "1", "--selection", "latent"], "--selection latent"),
+    ])
+    def test_bad_world_flags_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "world"
+        assert main(["simulate", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} ")
+        assert not out.exists()
+
     def test_outputs_load_back_into_fas(self, tmp_path):
         out = tmp_path / "world"
         assert main(["simulate", "--seed", "3", "--n-obs", "4000", "--n-per-arm", "300",

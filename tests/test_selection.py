@@ -78,7 +78,7 @@ class TestBuildSelectionBn:
             build_selection_bn(copy, {"A": [1.0, 0.0], "B": [0.0, 1.0]})
 
     def test_fallback_raises_the_same_infeasibility(self, monkeypatch):
-        monkeypatch.setattr(selection_module, "JOINT_CELL_BUDGET", 1)
+        monkeypatch.setattr(selection_module, "CELL_BUDGET", 1)
         self.test_infeasible_unsupported_mass()
         self.test_infeasible_contradictory_marginals()
 
@@ -123,7 +123,7 @@ class TestBuildSelectionBn:
             init = int(rng.integers(1 << 30))
             joint = build_selection_bn(params, marg, rng=np.random.default_rng(init))
             with monkeypatch.context() as m:
-                m.setattr(selection_module, "JOINT_CELL_BUDGET", 1)
+                m.setattr(selection_module, "CELL_BUDGET", 1)
                 fallback = build_selection_bn(params, marg, rng=np.random.default_rng(init))
             assert fallback.sweeps == joint.sweeps
             for v in chosen:

@@ -58,6 +58,12 @@ class TestGenerateWorld:
             assert v not in gt.dag.descendants({"X"})
             assert (w >= 0.2).all() and (w <= 1.0).all()
 
+    def test_unsatisfiable_constraints_raise_value_error(self):
+        # with next to no edges, X never reaches Y
+        cfg = SimConfig(n_observed=0, n_latent=0, mean_in_degree=1e-300, seed=0)
+        with pytest.raises(ValueError, match="could not draw a world"):
+            generate_world(cfg, np.random.default_rng(0))
+
 
 class TestTrueInterventional:
     def test_unconfounded_equals_cpt_row(self):
@@ -296,7 +302,7 @@ class TestRefusalAndFailureRecording:
         import adjfas.sim as sim_mod
 
         calls = {"n": 0}
-        orig = sim_mod.prepare_scoring
+        orig = sim_mod.find_adjustment_set
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -304,7 +310,7 @@ class TestRefusalAndFailureRecording:
                 raise RuntimeError("synthetic failure")
             return orig(*args, **kwargs)
 
-        monkeypatch.setattr(sim_mod, "prepare_scoring", flaky)
+        monkeypatch.setattr(sim_mod, "find_adjustment_set", flaky)
         cfg = SimConfig(n_obs=1500, n_per_arm=150, seed=33)
         rep = run_benchmark(cfg, 3, methods=("FAS", "DEXP"), fas_config=FasConfig(niters=20))
         fas_rows = [r for r in rep.results if r.method == "FAS"]
