@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .bayesnet import infer_conditional
 from .data import (ParseError, SchemaError, ValidationError, load_experiment,
@@ -25,8 +23,8 @@ from .data import (ParseError, SchemaError, ValidationError, load_experiment,
 from .score import (EnumerationLimitError, FasConfig, Hypothesis, NOT_EXISTS, FasResult,
                     find_adjustment_set, prepare_scoring, score_hypotheses)
 from .selection import SelectionError
-from .sim import (METHODS, SimConfig, generate_world, run_benchmark, sample_datasets,
-                  write_benchmark_csv, write_benchmark_summary)
+from .sim import (METHODS, SimConfig, run_benchmark, simulate_replicate, write_benchmark_csv,
+                  write_benchmark_summary)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -63,10 +61,7 @@ def _add_world(p: argparse.ArgumentParser) -> None:
 
 
 def _sim_config(args) -> SimConfig:
-    return SimConfig(n_observed=args.n_observed, n_latent=args.n_latent,
-                     mean_in_degree=args.mean_in_degree, n_obs=args.n_obs,
-                     n_per_arm=args.n_per_arm, mode=args.mode, selection=args.selection,
-                     seed=args.seed)
+    return SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)})
 
 
 def _fas_config(args) -> FasConfig:
@@ -152,11 +147,7 @@ def cmd_fas(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _sim_config(args)
-    world_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 0)))
-    gt = generate_world(cfg, world_rng)
-    data_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0, 1)))
-    table, exp = sample_datasets(gt, cfg, data_rng)
+    gt, table, exp = simulate_replicate(_sim_config(args), 0)  # replicate 0 of `benchmark`
 
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
@@ -267,7 +258,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ParseError, SchemaError, ValidationError, ValueError, KeyError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -123,6 +123,13 @@ class Arm:
     def from_counts(cls, x_value: int, counts: Sequence[int]) -> "Arm":
         return cls(x_value, tuple(int(c) for c in counts), int(sum(counts)))
 
+    @property
+    def frequencies(self) -> tuple[float, ...]:
+        """Observed outcome frequencies; uniform for an arm with no units."""
+        if self.total == 0:
+            return (1.0 / len(self.outcome_counts),) * len(self.outcome_counts)
+        return tuple(c / self.total for c in self.outcome_counts)
+
 
 @dataclass(frozen=True)
 class ExperimentSummary:
@@ -258,6 +265,9 @@ def load_experiment(path) -> ExperimentSummary:
     for key in ("treatment", "outcome", "arms"):
         if key not in raw:
             raise ValidationError(f"{path}: missing required key {key!r}")
+    for key in ("treatment", "outcome"):
+        if not isinstance(raw[key], str):
+            raise ValidationError(f"{path}: {key!r} must be a string")
 
     if not isinstance(raw["arms"], list):
         raise ValidationError(f"{path}: 'arms' must be a list of objects")
@@ -271,7 +281,10 @@ def load_experiment(path) -> ExperimentSummary:
         counts = a["counts"]
         if not (isinstance(counts, list) and all(_is_int(c) for c in counts)):
             raise ValidationError(f"{path}: arm {i}: 'counts' must be a list of integers")
-        arm = Arm.from_counts(a["x"], counts)
+        try:
+            arm = Arm.from_counts(a["x"], counts)
+        except ValidationError as e:
+            raise ValidationError(f"{path}: arm {i}: {e}") from None
         if "n" in a and a["n"] != arm.total:
             raise ValidationError(
                 f"{path}: arm {i}: counts sum to {arm.total} but n={a['n']}")
@@ -294,8 +307,8 @@ def load_experiment(path) -> ExperimentSummary:
 
     try:
         return ExperimentSummary(
-            treatment=str(raw["treatment"]),
-            outcome=str(raw["outcome"]),
+            treatment=raw["treatment"],
+            outcome=raw["outcome"],
             arms=tuple(arms),
             reported_marginals=marginals,
             population=str(raw.get("population", "same")))

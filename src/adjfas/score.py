@@ -113,7 +113,6 @@ class ArmScore:
 
 @dataclass(frozen=True)
 class HypothesisRecord:
-    hypothesis: Hypothesis
     prior_log: float
     arm_scores: tuple[ArmScore, ...]
 
@@ -420,13 +419,6 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
     return PreparedScoring(exp=exp, pool=pool, post=post, selection=selection)
 
 
-def _empirical(arm: Arm) -> tuple[float, ...]:
-    if arm.total == 0:
-        k = len(arm.outcome_counts)
-        return tuple([1.0 / k] * k)
-    return tuple(c / arm.total for c in arm.outcome_counts)
-
-
 def score_hypotheses(prep: PreparedScoring, config: FasConfig,
                      hypotheses: Sequence[Hypothesis] | None = None
                      ) -> dict[Hypothesis, HypothesisRecord]:
@@ -471,11 +463,11 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         if h.is_not_exists:
             arm_scores = tuple(ArmScore(
                 log_marginal=score_not_exists(arm),
-                id_estimate=None if prep.selection is not None else _empirical(arm),
+                id_estimate=None if prep.selection is not None else arm.frequencies,
                 trial_estimate=None) for arm in exp.arms)
         else:
             arm_scores = subset_scores[h]
-        records[h] = HypothesisRecord(h, prior, arm_scores)
+        records[h] = HypothesisRecord(prior, arm_scores)
     return records
 
 
@@ -522,12 +514,9 @@ def kl_divergences(exp: ExperimentSummary,
             continue
         kl = 0.0
         for arm, score in zip(exp.arms, rec.arm_scores):
-            pred = np.asarray(score.trial_estimate, dtype=float)
-            for c, q in zip(arm.outcome_counts, pred):
-                if c == 0 or arm.total == 0:
-                    continue
-                p = c / arm.total
-                kl += p * (math.log(p) - (math.log(q) if q > 0 else -math.inf))
+            for c, p, q in zip(arm.outcome_counts, arm.frequencies, score.trial_estimate):
+                if c > 0:
+                    kl += p * (math.log(p) - (math.log(q) if q > 0 else -math.inf))
         out[h] = kl
     return out
 

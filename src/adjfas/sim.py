@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -25,9 +25,9 @@ from .bayesnet import (Factor, ParamInstantiation, _canonical, _evidence_sliced,
                        _normalize_rows, fit_posterior, infer_conditional, learn_structure,
                        posterior_mean, product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
-from .graph import Dag, satisfies_adjustment_criterion
-from .score import (FasConfig, Hypothesis, _root_joint, _walk_lattice, find_adjustment_set,
-                    pick_min_kl)
+from .graph import Dag, forbidden_set, satisfies_adjustment_criterion
+from .score import (NOT_EXISTS, FasConfig, FasResult, Hypothesis, _root_joint, _walk_lattice,
+                    find_adjustment_set, pick_min_kl)
 
 MIN_ACCEPTANCE = 1e-6
 CARDINALITIES = (2, 3)  # each variable's number of categories is drawn from these
@@ -262,12 +262,7 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
 
 def delta_theta(est: Mapping[int, Sequence[float]], truth: GroundTruth) -> float:
     """Mean absolute difference between estimated and true interventional parameters."""
-    if est is None:
-        raise ValueError("estimate is unavailable (N/A)")
-    diffs = []
-    for xv, vec in est.items():
-        true = np.asarray(truth.true_id[xv], dtype=float)
-        diffs.append(np.abs(np.asarray(vec, dtype=float) - true))
+    diffs = [np.abs(np.asarray(vec, dtype=float) - truth.true_id[xv]) for xv, vec in est.items()]
     return float(np.concatenate(diffs).mean())
 
 
@@ -294,14 +289,34 @@ def _adjusted_from_instantiation(params, x: str, y: str, z: Sequence[str]) -> di
     return out
 
 
-def _no_valid_set_exists(gt: GroundTruth) -> bool:
-    covs = sorted((set(gt.dag.observed) - {gt.x, gt.y}))
-    from itertools import combinations
-    for size in range(len(covs) + 1):
-        for z in combinations(covs, size):
-            if satisfies_adjustment_criterion(gt.dag, gt.x, gt.y, z):
-                return False
-    return True
+def _is_valid(gt: GroundTruth, h: Hypothesis) -> bool:
+    """Whether h holds in the world. NOT_EXISTS takes one criterion test: some
+    observed set is an adjustment set exactly when the canonical one,
+    (An({x, y}) ∩ observed) − {x, y} − forbidden, is (van der Zander,
+    Liśkiewicz & Textor, Artificial Intelligence 2019)."""
+    g, x, y = gt.dag, gt.x, gt.y
+    if h.is_not_exists:
+        canonical = (g.ancestors({x, y}) & g.observed) - {x, y} - forbidden_set(g, x, y)
+        return not satisfies_adjustment_criterion(g, x, y, canonical)
+    return satisfies_adjustment_criterion(g, x, y, h.z)
+
+
+def _median(values: Sequence[float]) -> float:
+    """np.median, bit for bit. np.median imports numpy.ma on first use, and
+    the statistics module imports decimal (1.6 MB of peak RSS per process)."""
+    s = sorted(values)
+    h = len(s) // 2
+    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
+
+
+def _quantile(values: Sequence[float], q: float) -> float:
+    """np.percentile(values, 100 q), bit for bit: its default linear rule."""
+    s = sorted(values)
+    pos = (len(s) - 1) * q
+    i = math.floor(pos)
+    t = pos - i
+    a, b = s[i], s[min(i + 1, len(s) - 1)]
+    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 @dataclass
@@ -311,7 +326,6 @@ class ReplicateResult:
     hypothesis: str
     delta: float | None
     criterion_valid: bool | None
-    not_exists: bool
     seconds: float
     error: str | None = None
 
@@ -324,20 +338,13 @@ class BenchmarkReport:
     results: list[ReplicateResult] = field(default_factory=list)
 
     def summary(self) -> dict:
+        fas_config = asdict(self.fas_config)
+        del fas_config["seed"]  # each replicate's search draws its own seed
         out: dict = {
             "replicates": len({r.replicate for r in self.results}),
             "methods": {},
-            "sim_config": {
-                "n_observed": self.config.n_observed, "n_latent": self.config.n_latent,
-                "mean_in_degree": self.config.mean_in_degree, "n_obs": self.config.n_obs,
-                "n_per_arm": self.config.n_per_arm, "mode": self.config.mode,
-                "selection": self.config.selection, "seed": self.config.seed,
-            },
-            "fas_config": {
-                "alpha": self.fas_config.alpha, "niters": self.fas_config.niters,
-                "ess": self.fas_config.ess,
-                "max_subset_size": self.fas_config.max_subset_size,
-            },
+            "sim_config": asdict(self.config),
+            "fas_config": fas_config,
         }
         for m in self.methods:
             rows = [r for r in self.results if r.method == m]
@@ -347,80 +354,76 @@ class BenchmarkReport:
                 "n": len(rows),
                 "errors": sum(1 for r in rows if r.error),
                 "missing": sum(1 for r in rows if r.delta is None and not r.error),
-                "delta_median": float(np.median(deltas)) if deltas else None,
-                "delta_q1": float(np.percentile(deltas, 25)) if deltas else None,
-                "delta_q3": float(np.percentile(deltas, 75)) if deltas else None,
-                "not_exists_rate": (sum(1 for r in rows if r.not_exists) / len(rows)) if rows else None,
+                "delta_median": _median(deltas) if deltas else None,
+                "delta_q1": _quantile(deltas, 0.25) if deltas else None,
+                "delta_q3": _quantile(deltas, 0.75) if deltas else None,
+                "not_exists_rate": (sum(1 for r in rows if r.hypothesis == NOT_EXISTS.label())
+                                    / len(rows)) if rows else None,
                 "criterion_valid_rate": (sum(flags) / len(flags)) if flags else None,
                 "mean_seconds": float(np.mean([r.seconds for r in rows])) if rows else None,
             }
         return out
 
 
+def simulate_replicate(cfg: SimConfig, rep: int
+                       ) -> tuple[GroundTruth, CategoricalTable, ExperimentSummary]:
+    """Replicate ``rep`` of the config's study: its world, drawn from spawn key
+    (rep, 0) of the seed, and that world's table and trial, from (rep, 1)."""
+    world, data = map(np.random.default_rng,
+                      np.random.SeedSequence(cfg.seed, spawn_key=(rep,)).spawn(2))
+    gt = generate_world(cfg, world)
+    return (gt, *sample_datasets(gt, cfg, data))
+
+
 def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
                    methods: Sequence[str]) -> list[ReplicateResult]:
-    results: list[ReplicateResult] = []
-    world_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 0)))
-    gt = generate_world(cfg, world_rng)
-    data_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 1)))
-    table, exp = sample_datasets(gt, cfg, data_rng)
+    """One row per requested method, in ``METHODS`` order; a method that
+    raises gets an error row and the others still run."""
+    gt, table, exp = simulate_replicate(cfg, rep)
     method_seed = int(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 2)).generate_state(1)[0])
     fcfg = replace(fas_config, seed=method_seed)
 
-    def valid_flag(h: Hypothesis) -> bool:
-        if h.is_not_exists:
-            return _no_valid_set_exists(gt)
-        return satisfies_adjustment_criterion(gt.dag, gt.x, gt.y, h.z)
-
-    found = None
+    # FAS and KL read one search, and their rows carry its seconds
+    found: FasResult | Exception | None = None
     if "FAS" in methods or "KL" in methods:
         t0 = time.perf_counter()
         try:
             found = find_adjustment_set(table, exp, fcfg)
-        except Exception as e:  # noqa: BLE001 - replicate failures are recorded, not fatal
-            msg = f"{type(e).__name__}: {e}"
-            for m in ("FAS", "KL"):
-                if m in methods:
-                    results.append(ReplicateResult(rep, m, "", None, None, False,
-                                                   time.perf_counter() - t0, msg))
-        shared_seconds = time.perf_counter() - t0
+        except Exception as e:  # noqa: BLE001 - recorded on the FAS and KL rows
+            found = e
+        search_seconds = time.perf_counter() - t0
 
-    if found is not None and "FAS" in methods:
-        best = found.best
-        delta = None if found.estimate is None else delta_theta(found.estimate, gt)
-        results.append(ReplicateResult(rep, "FAS", best.label(), delta,
-                                       valid_flag(best), best.is_not_exists, shared_seconds))
+    def answer(method: str) -> tuple[Hypothesis | None, dict | None]:
+        """The method's hypothesis (None for DEXP, which picks none) and estimate."""
+        if isinstance(found, Exception) and method in ("FAS", "KL"):
+            raise found
+        if method == "FAS":
+            return found.best, found.estimate
+        if method == "KL":
+            h = pick_min_kl(exp, found.records)
+            return h, {a.x_value: s.id_estimate
+                       for a, s in zip(exp.arms, found.records[h].arm_scores)}
+        if method == "DEXP":
+            return None, {a.x_value: a.frequencies for a in exp.arms}
+        z = vws_baseline(gt)
+        sub = table.restrict(set(z) | {gt.x, gt.y})
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 3)))
+        dag = learn_structure(sub, ess=fcfg.ess, rng=rng)
+        params = posterior_mean(fit_posterior(dag, sub, fcfg.ess))
+        return Hypothesis.adjustment(z), _adjusted_from_instantiation(params, gt.x, gt.y, z)
 
-    if found is not None and "KL" in methods:
-        choice = pick_min_kl(exp, found.records)
-        rec = found.records[choice]
-        est = {a.x_value: s.id_estimate for a, s in zip(exp.arms, rec.arm_scores)}
-        results.append(ReplicateResult(rep, "KL", choice.label(), delta_theta(est, gt),
-                                       valid_flag(choice), False, shared_seconds))
-
-    if "DEXP" in methods:
-        t0 = time.perf_counter()
-        est = {a.x_value: tuple((np.asarray(a.outcome_counts) / max(a.total, 1)).tolist())
-               for a in exp.arms}
-        results.append(ReplicateResult(rep, "DEXP", "", delta_theta(est, gt),
-                                       None, False, time.perf_counter() - t0))
-
-    if "VWS" in methods:
+    results = []
+    for m in (m for m in METHODS if m in methods):
         t0 = time.perf_counter()
         try:
-            z = vws_baseline(gt)
-            sub = table.restrict(set(z) | {gt.x, gt.y})
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 3)))
-            dag = learn_structure(sub, ess=fcfg.ess, rng=rng)
-            params = posterior_mean(fit_posterior(dag, sub, fcfg.ess))
-            est = _adjusted_from_instantiation(params, gt.x, gt.y, z)
-            results.append(ReplicateResult(
-                rep, "VWS", Hypothesis.adjustment(z).label(), delta_theta(est, gt),
-                satisfies_adjustment_criterion(gt.dag, gt.x, gt.y, z), False,
-                time.perf_counter() - t0))
-        except Exception as e:  # noqa: BLE001
-            results.append(ReplicateResult(rep, "VWS", "", None, None, False,
-                                           time.perf_counter() - t0, f"{type(e).__name__}: {e}"))
+            h, est = answer(m)
+            row = ReplicateResult(rep, m, "" if h is None else h.label(),
+                                  None if est is None else delta_theta(est, gt),
+                                  None if h is None else _is_valid(gt, h), 0.0)
+        except Exception as e:  # noqa: BLE001 - replicate failures are recorded, not fatal
+            row = ReplicateResult(rep, m, "", None, None, 0.0, f"{type(e).__name__}: {e}")
+        row.seconds = search_seconds if m in ("FAS", "KL") else time.perf_counter() - t0
+        results.append(row)
     return results
 
 
@@ -443,8 +446,6 @@ def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METH
     report = BenchmarkReport(config=cfg, fas_config=fas_config, methods=methods)
     for r in range(replicates):
         report.results.extend(_run_replicate(r, cfg, fas_config, methods))
-    order = {m: i for i, m in enumerate(METHODS)}
-    report.results.sort(key=lambda r: (r.replicate, order[r.method]))
     return report
 
 
@@ -465,7 +466,7 @@ def write_benchmark_csv(report: BenchmarkReport, path) -> None:
                 r.replicate, r.method, r.hypothesis,
                 "" if r.delta is None else repr(r.delta),
                 "" if r.criterion_valid is None else str(r.criterion_valid).lower(),
-                str(r.not_exists).lower(),
+                str(r.hypothesis == NOT_EXISTS.label()).lower(),
                 r.error or "",
             ])
 

@@ -13,7 +13,7 @@ from _oracles import confounded_world
 from adjfas import cli
 from adjfas.cli import main
 from adjfas.data import save_experiment, save_observational
-from adjfas.sim import SimConfig, sample_datasets
+from adjfas.sim import SimConfig, sample_datasets, simulate_replicate
 
 
 @pytest.fixture()
@@ -134,6 +134,10 @@ class TestTrialFile:
         ({"marginals": [1, 2]}, "'marginals'"),
         ({"marginals": {"V1": 5}}, "'marginals'"),
         ({"arms": [{"x": None, "counts": [10, 20]}]}, "'x'"),
+        ({"arms": [{"x": -1, "counts": [10, 20]}]}, "arm 0: "),
+        ({"arms": [{"x": 0, "counts": [-3, 4]}]}, "arm 0: "),
+        ({"treatment": None}, "'treatment'"),
+        ({"treatment": ["X"]}, "'treatment'"),
     ])
     def test_fas_rejects(self, tmp_path, capsys, change, key):
         obs = tmp_path / "obs.csv"
@@ -145,6 +149,15 @@ class TestTrialFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {exp}: ") and key in err, err
         assert "Traceback" not in err
+
+    def test_unknown_variable_named_without_quotes(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("V1,X,Y\n0,0,0\n1,1,1\n")
+        exp = tmp_path / "e.json"
+        exp.write_text(json.dumps({"treatment": "Z", "outcome": "Y",
+                                   "arms": [{"x": 0, "counts": [10, 20]}]}))
+        assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == "error: unknown variable 'Z'\n"
 
 
 class TestSimulate:
@@ -169,6 +182,18 @@ class TestSimulate:
         assert main(["fas", str(out / "observational.csv"), str(out / "experiment.json"),
                      "--seed", "1", "--niters", "40",
                      "--out", str(tmp_path / "rep.json")]) == 0
+
+    def test_writes_replicate_zero(self, tmp_path):
+        # `simulate --seed s` draws what replicate 0 of `benchmark --seed s` scores
+        out = tmp_path / "world"
+        assert main(["simulate", "--seed", "6", "--selection", "observed", "--n-obs", "500",
+                     "--n-per-arm", "50", "--out", str(out)]) == 0
+        cfg = SimConfig(n_obs=500, n_per_arm=50, selection="observed", seed=6)
+        _, table, exp = simulate_replicate(cfg, 0)
+        save_observational(table, tmp_path / "obs.csv")
+        save_experiment(exp, tmp_path / "exp.json")
+        assert (out / "observational.csv").read_bytes() == (tmp_path / "obs.csv").read_bytes()
+        assert (out / "experiment.json").read_bytes() == (tmp_path / "exp.json").read_bytes()
 
     def test_selection_flagged(self, tmp_path):
         out = tmp_path / "selworld"
@@ -433,6 +458,20 @@ class TestGlobalBehavior:
         with pytest.raises(SystemExit) as e:
             main(["simulate", "--niters", "3"])
         assert e.value.code == 2
+
+    def test_benchmark_summary_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median and np.percentile import numpy.ma on first use
+        src = str(Path(adjfas.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = ("import sys; from adjfas.cli import main; "
+                "assert main(['benchmark', '--methods', 'DEXP', '--replicates', '2', "
+                f"'--n-obs', '300', '--n-per-arm', '30', '--out', {str(tmp_path)!r}]) == 0; "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
 
     def test_import_leaves_scipy_unloaded(self):
         # the runtime needs numpy only; scipy serves the tests as a reference

@@ -239,7 +239,7 @@ class TestFindAdjustmentSet:
                   Hypothesis.adjustment(("A",)): -5.0,
                   Hypothesis.adjustment(("A", "B")): -5.0 + 1e-13,
                   NOT_EXISTS: -20.0}
-        records = {h: HypothesisRecord(h, t, ()) for h, t in totals.items()}
+        records = {h: HypothesisRecord(t, ()) for h, t in totals.items()}
         best = pick_best(records)
         assert best == Hypothesis.adjustment(("A",))
         res = FasResult(best=best, estimate=None, pool=("A", "B"),
@@ -295,7 +295,7 @@ class TestKlSelect:
         exp = type(datasets_for(confounded_world(), 100, 10, 0)[1])(
             treatment="X", outcome="Y", arms=(arm,))
         h = Hypothesis.adjustment(())
-        rec = HypothesisRecord(h, 0.0, (ArmScore(0.0, (0.25, 0.75), (0.25, 0.75)),))
+        rec = HypothesisRecord(0.0, (ArmScore(0.0, (0.25, 0.75), (0.25, 0.75)),))
         assert kl_divergences(exp, {h: rec})[h] == pytest.approx(0.0, abs=1e-12)
 
 

@@ -1,13 +1,15 @@
+import statistics
+
 import numpy as np
 import pytest
 
-from _oracles import (adjusted_by_enumeration, confounded_world, enumerate_joint,
-                      interventional_by_enumeration, make_ground_truth)
+from _oracles import (adjusted_by_enumeration, all_valid_subsets, confounded_world,
+                      enumerate_joint, interventional_by_enumeration, make_ground_truth)
 from adjfas.graph import Dag
-from adjfas.score import FasConfig
-from adjfas.sim import (METHODS, SimConfig, _interventional, delta_theta, generate_world,
-                        run_benchmark, sample_datasets, vws_baseline, write_benchmark_csv,
-                        write_benchmark_summary)
+from adjfas.score import NOT_EXISTS, FasConfig
+from adjfas.sim import (METHODS, SimConfig, _interventional, _is_valid, _median, _quantile,
+                        delta_theta, generate_world, run_benchmark, sample_datasets, vws_baseline,
+                        write_benchmark_csv, write_benchmark_summary)
 
 
 class TestGenerateWorld:
@@ -317,3 +319,56 @@ class TestRefusalAndFailureRecording:
         assert sum(1 for r in fas_rows if r.error) == 1
         assert sum(1 for r in fas_rows if not r.error) == 2
         assert all(not r.error for r in rep.results if r.method == "DEXP")
+
+        # a failure after the search is its method's own row's error
+        monkeypatch.setattr(sim_mod, "find_adjustment_set", orig)
+        picks = {"n": 0}
+        orig_kl = sim_mod.pick_min_kl
+
+        def flaky_kl(*args, **kwargs):
+            picks["n"] += 1
+            if picks["n"] == 1:
+                raise RuntimeError("synthetic KL failure")
+            return orig_kl(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "pick_min_kl", flaky_kl)
+        fcfg = FasConfig(niters=20)
+        rep = run_benchmark(cfg, 2, methods=("FAS", "KL"), fas_config=fcfg)
+        monkeypatch.setattr(sim_mod, "pick_min_kl", orig_kl)
+        clean = run_benchmark(cfg, 2, methods=("FAS", "KL"), fas_config=fcfg)
+        assert [(r.replicate, r.method) for r in rep.results] == \
+            [(0, "FAS"), (0, "KL"), (1, "FAS"), (1, "KL")]
+        assert rep.results[1].error == "RuntimeError: synthetic KL failure"
+        assert (rep.results[1].hypothesis, rep.results[1].delta) == ("", None)
+        for got, want in zip(rep.results, clean.results):
+            if got is not rep.results[1]:
+                assert (got.hypothesis, got.delta, got.criterion_valid, got.error) == \
+                    (want.hypothesis, want.delta, want.criterion_valid, want.error)
+
+
+class TestValidity:
+    def test_not_exists_matches_enumeration(self):
+        # one criterion test on the canonical set against a test of every subset
+        seen = {True: 0, False: 0}
+        rng = np.random.default_rng(25)
+        for mode in ("random", "pretreatment"):
+            for selection in ("none", "observed", "latent"):
+                for n_observed in (2, 5, 8):
+                    cfg = SimConfig(n_observed=n_observed, mode=mode, selection=selection)
+                    for _ in range(17):
+                        gt = generate_world(cfg, rng)
+                        none_valid = not all_valid_subsets(gt)
+                        assert _is_valid(gt, NOT_EXISTS) == none_valid
+                        seen[none_valid] += 1
+        assert min(seen.values()) >= 100, seen
+
+
+class TestSummaryStatistics:
+    def test_bit_equal_to_numpy(self):
+        rng = np.random.default_rng(24)
+        for _ in range(2000):
+            values = rng.random(int(rng.integers(1, 60))) * 10.0 ** rng.integers(-6, 3)
+            values = np.round(values, int(rng.integers(1, 18))).tolist()  # with some ties
+            assert _median(values) == np.median(values) == statistics.median(values)
+            for q in (25, 75):
+                assert _quantile(values, q / 100) == np.percentile(values, q)
