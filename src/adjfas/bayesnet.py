@@ -87,7 +87,6 @@ class ParamInstantiation:
 # (see ``learn_structure``).
 _TIE_RTOL = 1e-12
 MAX_PARENTS = 4
-RESTARTS = 5
 
 
 def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
@@ -115,15 +114,15 @@ def _canonical(parents: Iterable[str], order: Mapping[str, int]) -> tuple[str, .
 
 
 class _HillClimbState:
-    def __init__(self, nodes, table, ess, cache):
-        self.nodes = nodes
+    def __init__(self, table, ess):
+        self.nodes = nodes = table.variable_names
         self.order = {v: i for i, v in enumerate(nodes)}
         self.table = table
         self.ess = ess
-        self.cache = cache
+        self.cache = {}
         self.parents = {v: set() for v in nodes}
         self.children = {v: set() for v in nodes}
-        self.local = {v: _bdeu_local(table, v, (), ess, cache) for v in nodes}
+        self.local = {v: self.local_with(v, ()) for v in nodes}
 
     def _below(self, v) -> set:
         """Every node a directed path of one or more edges leads to from ``v``."""
@@ -186,53 +185,36 @@ class _HillClimbState:
         return float(sum(self.local.values()))
 
 
-def learn_structure(table: CategoricalTable, *, ess: float = 1.0,
-                    rng: np.random.Generator | int | None = None) -> Dag:
+def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
     """Greedy hill-climbing DAG search under the BDeu score.
 
-    Moves are single-edge additions, deletions and reversals that keep every
-    node at ``MAX_PARENTS`` parents or fewer; the search runs ``RESTARTS``
-    times from the empty graph (the first pass in canonical move order, the
-    rest in a shuffled order to break ties differently) and keeps the
-    best-scoring local maximum.
+    One pass from the empty graph: each step takes the best single-edge
+    addition, deletion or reversal that keeps every node at ``MAX_PARENTS``
+    parents or fewer, scanning moves in canonical order (the table's column
+    order), until no move raises the score. The DAG depends only on the table
+    and ``ess``; no random number is drawn.
 
     Tie rule: a move is taken only if its score gain beats the incumbent's
-    (at first, no move: 0) by more than ``_TIE_RTOL``·|total score|, and a
-    restart replaces the best so far only if its score beats it by more than
-    ``_TIE_RTOL``·|its score|. BDeu is score-equivalent, so adding u→v or v→u
-    to two parentless nodes is an exact tie; the rule settles it by move
-    order, never by the last bits of the log-gamma sums.
+    (at first, no move: 0) by more than ``_TIE_RTOL``·|total score|, and
+    otherwise the earlier move wins. BDeu is score-equivalent, so adding u→v
+    or v→u to two parentless nodes is an exact tie; the rule settles it by
+    move order, never by the last bits of the log-gamma sums.
     """
     if table.n < 1:
         raise ValueError("structure learning needs at least one sample")
-    rng = np.random.default_rng(rng)
-    nodes = table.variable_names
-    cache: dict = {}
-
-    best_score, best_parents = -np.inf, None
-    for restart in range(RESTARTS):
-        state = _HillClimbState(nodes, table, ess, cache)
-        while True:
-            moves = state.moves()
-            if restart > 0:
-                perm = rng.permutation(len(moves))
-                moves = [moves[i] for i in perm]
-            tol = _TIE_RTOL * abs(state.total())
-            best_move, best_delta = None, 0.0
-            for m in moves:
-                d = state.delta(m)
-                if d - best_delta > tol:
-                    best_move, best_delta = m, d
-            if best_move is None:
-                break
-            state.apply(best_move)
-        score = state.total()
-        if score - best_score > _TIE_RTOL * abs(score):
-            best_score = score
-            best_parents = {v: frozenset(ps) for v, ps in state.parents.items()}
-
-    edges = [(u, v) for v, ps in best_parents.items() for u in ps]
-    return Dag(nodes, directed=edges)
+    state = _HillClimbState(table, ess)
+    while True:
+        tol = _TIE_RTOL * abs(state.total())
+        best_move, best_delta = None, 0.0
+        for m in state.moves():
+            d = state.delta(m)
+            if d - best_delta > tol:
+                best_move, best_delta = m, d
+        if best_move is None:
+            break
+        state.apply(best_move)
+    edges = [(u, v) for v, ps in state.parents.items() for u in ps]
+    return Dag(state.nodes, directed=edges)
 
 
 # --- posterior and sampling

@@ -1,6 +1,7 @@
 """Command-line surface: fas, simulate, benchmark, selection-check, score.
 
-Every command honors --seed with full determinism; reports are
+Every command is fully deterministic given its inputs and flags; the ones
+that draw random numbers take --seed (selection-check draws none). Reports are
 machine-readable first (JSON/CSV) with a console summary, and every report
 file is written before the summary is printed. Exit codes: 0 ok, 2 validation
 failure, 3 infeasible selection model, 4 enumeration refusal, 141 when the
@@ -33,11 +34,13 @@ EXIT_ENUMERATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-def _add_common(p: argparse.ArgumentParser, *, model: bool = True, niters: bool = True) -> None:
-    """``--seed`` and ``--out``, plus the flags of the learned network
+def _add_common(p: argparse.ArgumentParser, *, model: bool = True, niters: bool = True,
+                seed: bool = True) -> None:
+    """``--out``, plus ``--seed`` and the flags of the learned network
     (``model``) and of the Monte-Carlo scorer (``niters``) for the commands
     that read them."""
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="master random seed")
     if niters:
         p.add_argument("--niters", type=int, default=100,
                        help="sampling iterations per hypothesis/arm")
@@ -98,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selection-check", help="solve and report the selection model only")
     p.add_argument("obs")
     p.add_argument("exp")
-    _add_common(p, niters=False)
+    _add_common(p, niters=False, seed=False)
 
     p = sub.add_parser("score", help="score one named hypothesis")
     p.add_argument("obs")
@@ -182,7 +185,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_selection_check(args) -> int:
-    config = FasConfig(alpha=args.alpha, ess=args.ess, seed=args.seed)
+    config = FasConfig(alpha=args.alpha, ess=args.ess)
     table = load_observational(args.obs)
     # the model `fas` scores with, read as a selected trial whatever its flag
     exp = dataclasses.replace(load_experiment(args.exp), population="selected")

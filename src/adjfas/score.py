@@ -92,6 +92,8 @@ class FasConfig:
             raise ValueError(f"--alpha must lie strictly between 0 and 1, got {self.alpha}")
         if self.niters < 1:
             raise ValueError(f"--niters must be at least 1, got {self.niters}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {self.seed}")
         if self.max_subset_size is not None and self.max_subset_size < 0:
             raise ValueError(f"--max-subset-size must be at least 0, got {self.max_subset_size}")
 
@@ -412,8 +414,7 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
     pool = candidate_pool(table, x, y, config.alpha)
     keep = set(pool) | {x, y} | set(reported)
     sub = table.restrict(keep)
-    learn_rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
-    dag = learn_structure(sub, ess=config.ess, rng=learn_rng)
+    dag = learn_structure(sub, ess=config.ess)
     post = fit_posterior(dag, sub, config.ess)
     selection = build_selection_bn(posterior_mean(post), reported) if reported else None
     return PreparedScoring(exp=exp, pool=pool, post=post, selection=selection)

@@ -51,6 +51,8 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.selection not in ("none", "observed", "latent"):
             raise ValueError(f"unknown selection setting {self.selection!r}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be at least 0, got {self.seed}")
         if min(self.n_obs, self.n_per_arm) < 1 or self.n_observed < 0 or self.n_latent < 0:
             raise ValueError("counts must be positive")
         if not (math.isfinite(self.mean_in_degree) and self.mean_in_degree > 0):
@@ -407,8 +409,7 @@ def _run_replicate(rep: int, cfg: SimConfig, fas_config: FasConfig,
             return None, {a.x_value: a.frequencies for a in exp.arms}
         z = vws_baseline(gt)
         sub = table.restrict(set(z) | {gt.x, gt.y})
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(rep, 3)))
-        dag = learn_structure(sub, ess=fcfg.ess, rng=rng)
+        dag = learn_structure(sub, ess=fcfg.ess)
         params = posterior_mean(fit_posterior(dag, sub, fcfg.ess))
         return Hypothesis.adjustment(z), _adjusted_from_instantiation(params, gt.x, gt.y, z)
 
@@ -436,11 +437,13 @@ def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METH
     are recorded on the affected rows instead of aborting the run.
     """
     methods = tuple(methods)
+    if not methods:
+        raise ValueError("--methods names no method")
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
     if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+        raise ValueError(f"--replicates must be at least 1, got {replicates}")
     fas_config = fas_config or FasConfig()
 
     report = BenchmarkReport(config=cfg, fas_config=fas_config, methods=methods)

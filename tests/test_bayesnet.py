@@ -24,7 +24,7 @@ class TestLearnStructure:
         rng = np.random.default_rng(0)
         t = table_from(rng, {"A": lambda r, n: r.integers(0, 2, n),
                              "B": lambda r, n: r.integers(0, 2, n)}, 10000)
-        dag = learn_structure(t, rng=0)
+        dag = learn_structure(t)
         assert not dag.directed_edges
         # BDeu oracle: the empty model dominates either single-edge model
         cache = {}
@@ -37,7 +37,7 @@ class TestLearnStructure:
         rng = np.random.default_rng(1)
         a = rng.integers(0, 2, 10000)
         t = CategoricalTable(("A", "B"), (2, 2), np.column_stack([a, a]))
-        dag = learn_structure(t, rng=0)
+        dag = learn_structure(t)
         assert sorted(dag.directed_edges) in ([("A", "B")], [("B", "A")])
         cache = {}
         edge = _bdeu_local(t, "A", (), 1.0, cache) + _bdeu_local(t, "B", ("A",), 1.0, cache)
@@ -46,7 +46,7 @@ class TestLearnStructure:
 
     def test_single_variable(self):
         t = CategoricalTable(("A",), (2,), np.zeros((10, 1), dtype=int))
-        assert not learn_structure(t, rng=0).directed_edges
+        assert not learn_structure(t).directed_edges
 
     def test_local_maximum_invariant(self):
         rng = np.random.default_rng(2)
@@ -54,7 +54,7 @@ class TestLearnStructure:
         a = (c ^ (rng.random(5000) < 0.3)).astype(int)
         b = ((a + c) % 2 ^ (rng.random(5000) < 0.3)).astype(int)
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
-        dag = learn_structure(t, rng=0)
+        dag = learn_structure(t)
         cache = {}
         order = {v: i for i, v in enumerate(t.variable_names)}
 
@@ -115,7 +115,7 @@ class TestLearnStructure:
                  for u in "ABC" for v in "ABC" if u != v}
         top = max(gains.values())
         assert sum(g == pytest.approx(top, rel=1e-12) for g in gains.values()) == 2
-        plain = sorted(learn_structure(t, rng=0).directed_edges)
+        plain = sorted(learn_structure(t).directed_edges)
         assert plain == [("A", "B"), ("B", "C")]
 
         exact = bayesnet._bdeu_local
@@ -126,7 +126,7 @@ class TestLearnStructure:
             return exact(table, node, parents, ess, cache) * (1 + sign * s * 1e-13)
 
         monkeypatch.setattr(bayesnet, "_bdeu_local", perturbed)
-        assert sorted(learn_structure(t, rng=0).directed_edges) == plain
+        assert sorted(learn_structure(t).directed_edges) == plain
 
     def test_local_score_matches_gammaln_formula(self):
         # the textbook BDeu local score over every cell, with scipy's gammaln

@@ -239,6 +239,17 @@ class TestBenchmark:
         summary = json.loads((out / "benchmark_summary.json").read_text())
         assert summary["methods"]["DEXP"]["delta_median"] == pytest.approx(np.median(deltas))
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--methods", ","], "--methods names no method"),
+        (["--replicates", "0"], "--replicates must be at least 1, got 0"),
+    ])
+    def test_empty_run_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "bench"
+        assert main(["benchmark", *argv, "--n-obs", "300", "--n-per-arm", "30",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestSelectionCheck:
     def test_matching_marginals(self, g1_files, tmp_path, capsys):
@@ -308,8 +319,7 @@ class TestSelectionCheck:
         # over only the reported variables differs from the one fas learns
         assert set(json.loads(fas_out.read_text())["pool"]) - set(reported)
         sel_out = tmp_path / "sel.json"
-        assert main(["selection-check", str(obs), str(expf), "--seed", "1",
-                     "--out", str(sel_out)]) == 0
+        assert main(["selection-check", str(obs), str(expf), "--out", str(sel_out)]) == 0
         assert len(built) == 2
         theta = json.loads(sel_out.read_text())["theta_s"]
         assert sorted(theta) == list(built[0].selected_vars)
@@ -381,7 +391,7 @@ class TestModelFlags:
     @pytest.mark.parametrize("flag, value", [
         ("--ess", "0"), ("--ess", "nan"), ("--ess", "-1"), ("--ess", "inf"),
         ("--alpha", "1.5"), ("--alpha", "-0.1"), ("--alpha", "0"), ("--alpha", "1"),
-        ("--niters", "0"), ("--max-subset-size", "-1"),
+        ("--niters", "0"), ("--max-subset-size", "-1"), ("--seed", "-1"),
     ])
     def test_fas_rejects(self, g1_files, tmp_path, capsys, flag, value):
         obs, expf = g1_files
@@ -397,7 +407,10 @@ class TestModelFlags:
         for flag, argv in (("--ess", ["score", obs, expf, "--set", "C", "--ess", "0"]),
                            ("--alpha", ["selection-check", obs, expf, "--alpha", "1.5"]),
                            ("--niters", ["benchmark", "--replicates", "1", *world,
-                                         "--niters", "0"])):
+                                         "--niters", "0"]),
+                           ("--seed", ["simulate", *world, "--seed", "-1"]),
+                           ("--seed", ["benchmark", "--replicates", "1", *world,
+                                       "--seed", "-1"])):
             assert main([*argv, "--out", str(tmp_path / argv[0])]) == 2, argv
             assert capsys.readouterr().err.startswith(f"error: {flag} must")
             assert not (tmp_path / argv[0]).exists()
@@ -450,7 +463,7 @@ class TestGlobalBehavior:
 
     def test_unread_flags_are_gone(self, capsys):
         for name, gone in (("simulate", ("--niters", "--alpha", "--ess")),
-                           ("selection-check", ("--niters", "--tol"))):
+                           ("selection-check", ("--niters", "--tol", "--seed"))):
             with pytest.raises(SystemExit):
                 main([name, "--help"])
             text = capsys.readouterr().out

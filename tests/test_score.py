@@ -14,7 +14,7 @@ from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig,
                           Hypothesis, HypothesisRecord, candidate_pool, enumerate_hypotheses,
                           find_adjustment_set, pick_best, pick_min_kl, prepare_scoring,
                           prior_log_prob, score_hypotheses, score_not_exists)
-from adjfas.sim import SimConfig, generate_world, sample_datasets
+from adjfas.sim import SimConfig, generate_world, sample_datasets, simulate_replicate
 
 
 def datasets_for(gt, n_obs, n_per_arm, seed):
@@ -428,6 +428,14 @@ class TestPrepareScoring:
         for v, marginal in reported.items():
             np.testing.assert_allclose(infer_conditional(sbn.base, v, tilts=sbn.theta_s),
                                        marginal, rtol=0, atol=1e-6)
+
+    def test_learned_dag_ignores_seed(self):
+        # the seed draws only the parameter batches; the network depends on
+        # the table and ess alone
+        _, table, exp = simulate_replicate(SimConfig(selection="observed", seed=7), 1)
+        edges = {frozenset(prepare_scoring(table, exp, FasConfig(seed=s)).post.dag.directed_edges)
+                 for s in range(4)}
+        assert len(edges) == 1
 
 
 class TestDegenerateAndValidationPaths:
