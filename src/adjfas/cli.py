@@ -1,11 +1,11 @@
-"""Command-line surface: fas, simulate, benchmark, selection-check, score.
+"""Command-line surface: fas, simulate, benchmark, score.
 
-Every command is fully deterministic given its inputs and flags; the ones
-that draw random numbers take --seed (selection-check draws none). Reports are
-machine-readable first (JSON/CSV) with a console summary, and every report
-file is written before the summary is printed. Exit codes: 0 ok, 2 validation
-failure, 3 infeasible selection model, 4 enumeration refusal, 141 when the
-reader of standard output closed it early (the report files stand).
+Every command is fully deterministic given its inputs and flags, --seed
+included. Reports are machine-readable first (JSON/CSV) with a console
+summary, and every report file is written before the summary is printed.
+Exit codes: 0 ok, 2 validation failure, 3 infeasible selection model, 4
+enumeration refusal, 141 when the reader of standard output closed it early
+(the report files stand).
 """
 
 from __future__ import annotations
@@ -18,11 +18,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bayesnet import infer_conditional
 from .data import (ParseError, SchemaError, ValidationError, load_experiment,
                    load_observational, save_experiment, save_observational)
 from .score import (EnumerationLimitError, FasConfig, Hypothesis, NOT_EXISTS, FasResult,
-                    find_adjustment_set, prepare_scoring, score_hypotheses)
+                    find_adjustment_set, hypothesis_entry, prepare_scoring, score_hypotheses)
 from .selection import SelectionError
 from .sim import (METHODS, SimConfig, run_benchmark, simulate_replicate, write_benchmark_csv,
                   write_benchmark_summary)
@@ -34,17 +33,13 @@ EXIT_ENUMERATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-def _add_common(p: argparse.ArgumentParser, *, model: bool = True, niters: bool = True,
-                seed: bool = True) -> None:
-    """``--out``, plus ``--seed`` and the flags of the learned network
-    (``model``) and of the Monte-Carlo scorer (``niters``) for the commands
-    that read them."""
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="master random seed")
-    if niters:
+def _add_common(p: argparse.ArgumentParser, *, model: bool = True) -> None:
+    """``--seed`` and ``--out``, plus the flags of the learned network and of
+    its Monte-Carlo scorer (``model``) for the commands that read them."""
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
+    if model:
         p.add_argument("--niters", type=int, default=100,
                        help="sampling iterations per hypothesis/arm")
-    if model:
         p.add_argument("--alpha", type=float, default=0.05,
                        help="significance for pool membership")
         p.add_argument("--ess", type=float, default=1.0,
@@ -89,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a ground-truth world and datasets")
     _add_world(p)
-    _add_common(p, model=False, niters=False)
+    _add_common(p, model=False)
 
     p = sub.add_parser("benchmark", help="replicated evaluation against baselines")
     p.add_argument("--replicates", type=int, default=20)
@@ -97,11 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma list from {{{','.join(METHODS)}}}")
     _add_world(p)
     _add_common(p)
-
-    p = sub.add_parser("selection-check", help="solve and report the selection model only")
-    p.add_argument("obs")
-    p.add_argument("exp")
-    _add_common(p, niters=False, seed=False)
 
     p = sub.add_parser("score", help="score one named hypothesis")
     p.add_argument("obs")
@@ -123,6 +113,10 @@ def _write_json(doc: dict, path: Path) -> None:
 
 def _print_fas(result: FasResult, out) -> None:
     print(f"population: {result.population}", file=out)
+    if result.selection is not None:
+        sel = result.selection
+        print(f"selection model on {{{','.join(sel.selected_vars)}}}: residual "
+              f"{sel.solved_residual:.3g} in {sel.sweeps} sweeps", file=out)
     print(f"candidate pool: {{{','.join(result.pool)}}}" if result.pool else "candidate pool: {}",
           file=out)
     print(f"{'rank':>4}  {'hypothesis':<24} {'log score':>14}", file=out)
@@ -166,7 +160,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    methods = tuple(m.strip().upper() for m in args.methods.split(",") if m.strip())
+    methods = tuple(dict.fromkeys(m.strip().upper() for m in args.methods.split(",") if m.strip()))
     report = run_benchmark(_sim_config(args), args.replicates, methods=methods,
                            fas_config=_fas_config(args))
     outdir = Path(args.out) if args.out else Path(".")
@@ -184,29 +178,6 @@ def cmd_benchmark(args) -> int:
     return EXIT_OK
 
 
-def cmd_selection_check(args) -> int:
-    config = FasConfig(alpha=args.alpha, ess=args.ess)
-    table = load_observational(args.obs)
-    # the model `fas` scores with, read as a selected trial whatever its flag
-    exp = dataclasses.replace(load_experiment(args.exp), population="selected")
-    sbn = prepare_scoring(table, exp, config).selection
-
-    inferred = {v: infer_conditional(sbn.base, v, tilts=sbn.theta_s).tolist()
-                for v in sbn.selected_vars}
-    doc = sbn.to_dict()
-    doc["inferred_selected_marginals"] = inferred
-    doc["reported_marginals"] = {v: list(p) for v, p in exp.reported_marginals.items()}
-    out = Path(args.out) if args.out else Path("selection_report.json")
-    _write_json(doc, out)
-    print(f"solved selection model: residual {sbn.solved_residual:.3g} "
-          f"in {sbn.sweeps} sweeps")
-    for v in sbn.selected_vars:
-        vec = ", ".join(f"{w:.4f}" for w in sbn.theta_s[v])
-        print(f"  theta[{v}] = [{vec}]")
-    print(f"report written to {out}")
-    return EXIT_OK
-
-
 def cmd_score(args) -> int:
     config = _fas_config(args)
     table = load_observational(args.obs)
@@ -219,12 +190,7 @@ def cmd_score(args) -> int:
 
     rec = score_hypotheses(prepare_scoring(table, exp, config), config, hypotheses=[hyp])[hyp]
     if args.out:
-        _write_json({
-            "hypothesis": hyp.label(),
-            "prior_log": rec.prior_log,
-            "arm_log_marginals": [s.log_marginal for s in rec.arm_scores],
-            "total_log_score": rec.total,
-        }, Path(args.out))
+        _write_json(hypothesis_entry(hyp, rec), Path(args.out))
     print(f"hypothesis: {hyp.label()}")
     print(f"prior log prob: {rec.prior_log:.6f}")
     for arm, s in zip(exp.arms, rec.arm_scores):
@@ -238,7 +204,6 @@ _COMMANDS = {
     "fas": cmd_fas,
     "simulate": cmd_simulate,
     "benchmark": cmd_benchmark,
-    "selection-check": cmd_selection_check,
     "score": cmd_score,
 }
 

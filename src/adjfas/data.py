@@ -178,11 +178,10 @@ class ExperimentSummary:
 # --- file formats
 
 
-def load_observational(path, schema: Sequence[int] | None = None) -> CategoricalTable:
+def load_observational(path) -> CategoricalTable:
     """Read a header+integer-codes CSV into a validated table.
 
-    Cardinalities are inferred as max code + 1 per column unless ``schema``
-    supplies them explicitly.
+    Cardinalities are inferred as max code + 1 per column.
     """
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -213,20 +212,9 @@ def load_observational(path, schema: Sequence[int] | None = None) -> Categorical
             data.append(parsed)
 
     rows = np.asarray(data, dtype=np.int64).reshape(len(data), len(names))
-    if schema is not None:
-        cards = tuple(int(c) for c in schema)
-        if len(cards) != len(names):
-            raise SchemaError(f"{path}: schema declares {len(cards)} variables, file has {len(names)}")
-        for j, name in enumerate(names):
-            if rows.size and rows[:, j].max() >= cards[j]:
-                bad = int(np.argmax(rows[:, j] >= cards[j]))
-                raise SchemaError(
-                    f"{path}: line {bad + 2}, column {name!r}: code {int(rows[bad, j])} "
-                    f"outside declared cardinality {cards[j]}")
-    else:
-        if not len(rows):
-            raise SchemaError(f"{path}: no data rows; cardinalities cannot be inferred without a schema")
-        cards = tuple(int(rows[:, j].max()) + 1 for j in range(len(names)))
+    if not len(rows):
+        raise SchemaError(f"{path}: no data rows to infer cardinalities from")
+    cards = tuple(int(rows[:, j].max()) + 1 for j in range(len(names)))
     return CategoricalTable(tuple(names), cards, rows)
 
 

@@ -125,7 +125,11 @@ class HypothesisRecord:
 
 @dataclass
 class FasResult:
-    """Outcome of a full search: best hypothesis, every scored record, diagnostics."""
+    """Outcome of a full search: best hypothesis, every scored record, diagnostics.
+
+    ``selection`` is the solved selection model the arms were scored with,
+    or None when the trial population is the observational one.
+    """
 
     best: Hypothesis
     estimate: dict[int, tuple[float, ...]] | None
@@ -133,6 +137,7 @@ class FasResult:
     records: dict[Hypothesis, HypothesisRecord]
     population: str
     config: FasConfig
+    selection: SelectionBn | None
 
     def ranked(self) -> list[tuple[Hypothesis, float]]:
         """(hypothesis, total): ``best`` first (it wins ties within TIE_TOL),
@@ -148,24 +153,27 @@ class FasResult:
             "best": _hypothesis_dict(self.best),
             "estimate": (None if self.estimate is None
                          else {str(x): list(p) for x, p in self.estimate.items()}),
-            "hypotheses": [
-                {
-                    **_hypothesis_dict(h),
-                    "total_log_score": total,
-                    "prior_log": self.records[h].prior_log,
-                    "arm_log_marginals": [a.log_marginal for a in self.records[h].arm_scores],
-                    "arm_id_estimates": [None if a.id_estimate is None else list(a.id_estimate)
-                                         for a in self.records[h].arm_scores],
-                }
-                for h, total in self.ranked()
-            ],
+            "hypotheses": [hypothesis_entry(h, self.records[h]) for h, _ in self.ranked()],
             "config": asdict(self.config),
+            "selection": None if self.selection is None else self.selection.to_dict(),
         }
 
 
 def _hypothesis_dict(h: Hypothesis) -> dict:
     return {"not_exists": h.is_not_exists,
             "z": None if h.is_not_exists else sorted(h.z)}
+
+
+def hypothesis_entry(h: Hypothesis, record: HypothesisRecord) -> dict:
+    """One scored hypothesis as the `fas` report lists it and `score` writes it."""
+    return {
+        **_hypothesis_dict(h),
+        "total_log_score": record.total,
+        "prior_log": record.prior_log,
+        "arm_log_marginals": [a.log_marginal for a in record.arm_scores],
+        "arm_id_estimates": [None if a.id_estimate is None else list(a.id_estimate)
+                             for a in record.arm_scores],
+    }
 
 
 # --- candidate pool and prior
@@ -503,7 +511,7 @@ def find_adjustment_set(table: CategoricalTable, exp: ExperimentSummary,
     estimate = (None if any(e is None for e in estimates)
                 else {arm.x_value: e for arm, e in zip(exp.arms, estimates)})
     return FasResult(best=best, estimate=estimate, pool=prep.pool, records=records,
-                     population=exp.population, config=config)
+                     population=exp.population, config=config, selection=prep.selection)
 
 
 def kl_divergences(exp: ExperimentSummary,

@@ -43,11 +43,15 @@ class SelectionBn:
 
     ``theta_s[v][c]`` is P(S_v=1 | V=c), scaled so each vector's maximum is 1;
     inclusion overall is the conjunction of the per-variable indicators.
+    ``reported[v]`` is the trial's marginal of v and ``reproduced[v]`` the
+    one the tilted network gives, from the solver's last residual pass.
     """
 
     base: ParamInstantiation
     selected_vars: tuple[str, ...]
     theta_s: dict[str, np.ndarray]
+    reported: dict[str, np.ndarray]
+    reproduced: dict[str, np.ndarray]
     solved_residual: float
     sweeps: int
 
@@ -57,12 +61,9 @@ class SelectionBn:
             "theta_s": {v: self.theta_s[v].tolist() for v in self.selected_vars},
             "solved_residual": self.solved_residual,
             "sweeps": self.sweeps,
-            "base": {
-                v: {"parents": list(self.base.parents[v]),
-                    "shape": list(self.base.cpts[v].shape),
-                    "cpt": self.base.cpts[v].ravel().tolist()}
-                for v in self.base.cpts
-            },
+            "marginals": {v: {"reported": self.reported[v].tolist(),
+                              "reproduced": self.reproduced[v].tolist()}
+                          for v in self.selected_vars},
         }
 
 
@@ -183,9 +184,8 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
             ratio[pos] = targets[v][pos] / current[pos]
             theta[v] = theta[v] * ratio ** DAMPING
             theta[v] = theta[v] / theta[v].max()
-        residual = max(
-            float(np.abs(marginal(v, theta) - targets[v]).max())
-            for v in selected)
+        reproduced = {v: marginal(v, theta) for v in selected}
+        residual = max(float(np.abs(reproduced[v] - targets[v]).max()) for v in selected)
         if residual < aim:
             break
     if residual >= TOL:
@@ -193,7 +193,6 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
             f"selection solver did not reach residual {TOL:g} in {MAX_SWEEPS} sweeps "
             f"(best {residual:.3g})")
 
-    return SelectionBn(base=params, selected_vars=selected,
-                       theta_s={v: theta[v] for v in selected},
-                       solved_residual=residual, sweeps=sweeps)
+    return SelectionBn(base=params, selected_vars=selected, theta_s=theta, reported=targets,
+                       reproduced=reproduced, solved_residual=residual, sweeps=sweeps)
 

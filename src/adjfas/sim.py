@@ -53,8 +53,10 @@ class SimConfig:
             raise ValueError(f"unknown selection setting {self.selection!r}")
         if self.seed < 0:
             raise ValueError(f"--seed must be at least 0, got {self.seed}")
-        if min(self.n_obs, self.n_per_arm) < 1 or self.n_observed < 0 or self.n_latent < 0:
-            raise ValueError("counts must be positive")
+        for name, least in (("n_observed", 0), ("n_latent", 0), ("n_obs", 1), ("n_per_arm", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
         if not (math.isfinite(self.mean_in_degree) and self.mean_in_degree > 0):
             raise ValueError(
                 f"--mean-in-degree must be finite and greater than 0, got {self.mean_in_degree}")

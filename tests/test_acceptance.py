@@ -154,14 +154,14 @@ def test_criterion_4_closed_form_values():
 def test_criterion_5_benchmark_no_selection(bench_no_selection):
     """No-selection benchmark: error vs the raw trial estimate, pick validity.
 
-    The validity clause is known-unattainable for this world distribution and
-    the test is expected red: in half these random worlds some
-    criterion-REJECTED subset approximates the true interventional
-    distribution to ~1e-3 (verified by exact enumeration), and telling such a
-    set apart from a truly valid one would need on the order of 1e6 samples
-    per arm, not 500 — the likelihood ratio between them is O(N·bias^2) ≈
-    5e-4 nats. The search's picks are near-optimal numerically (the error
-    clause passes with ~2x margin); only the graphical accounting fails.
+    The validity clause is expected red at this trial size. An ideal scorer
+    that rates every pool subset with the true network's exact adjusted
+    distribution, on this fixture (seed 42, 20 replicates), was measured at
+    validity 0.35 with 500 samples per arm, the program's own figure, and at
+    0.55 and 0.75 with 5,000 and 50,000, so the shortfall lies in what a
+    trial of this size can tell apart, not in the search. The search's picks
+    are near-optimal numerically (the error clause passes with ~2x margin);
+    only the graphical accounting fails.
     """
     s = bench_no_selection.summary()["methods"]
     med_fas, med_dexp = s["FAS"]["delta_median"], s["DEXP"]["delta_median"]

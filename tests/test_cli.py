@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,6 +70,7 @@ class TestFas:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["best"] == {"not_exists": False, "z": ["C"]}
+        assert doc["selection"] is None  # a `same` trial is scored untilted
         printed = capsys.readouterr().out
         assert "{C}" in printed
 
@@ -239,6 +241,14 @@ class TestBenchmark:
         summary = json.loads((out / "benchmark_summary.json").read_text())
         assert summary["methods"]["DEXP"]["delta_median"] == pytest.approx(np.median(deltas))
 
+    def test_repeated_method_runs_and_prints_once(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--methods", "DEXP,dexp", "--replicates", "2",
+                     "--n-obs", "300", "--n-per-arm", "30", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in printed[:-1]] == ["DEXP"]
+        assert len((out / "benchmark.csv").read_text().strip().splitlines()) == 3
+
     @pytest.mark.parametrize("argv, message", [
         (["--methods", ","], "--methods names no method"),
         (["--replicates", "0"], "--replicates must be at least 1, got 0"),
@@ -252,6 +262,8 @@ class TestBenchmark:
 
 
 class TestSelectionCheck:
+    """The solved selection model a `fas` report carries in its `selection` block."""
+
     def test_matching_marginals(self, g1_files, tmp_path, capsys):
         obs, _ = g1_files
         exp = tmp_path / "e.json"
@@ -262,14 +274,17 @@ class TestSelectionCheck:
         exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
                                    "arms": [{"x": 0, "counts": [10, 10]}],
                                    "marginals": {"C": marg}}))
-        out = tmp_path / "sel.json"
-        assert main(["selection-check", str(obs), str(exp), "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        out = tmp_path / "fas.json"
+        assert main(["fas", str(obs), str(exp), "--niters", "10", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())["selection"]
+        assert doc["selected_vars"] == ["C"]
         assert doc["solved_residual"] < 1e-6
         assert doc["sweeps"] >= 1
         assert f"in {doc['sweeps']} sweeps" in capsys.readouterr().out
         theta = np.array(doc["theta_s"]["C"])
         assert np.abs(theta - theta.max()).max() < 0.05  # near ratio-1
+        assert doc["marginals"]["C"]["reported"] == marg
+        np.testing.assert_allclose(doc["marginals"]["C"]["reproduced"], marg, rtol=0, atol=1e-6)
 
     def test_analytic_single_binary(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -284,9 +299,9 @@ class TestSelectionCheck:
         exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
                                    "arms": [{"x": 0, "counts": [10, 10]}],
                                    "marginals": {"V": [0.2, 0.8]}}))
-        out = tmp_path / "sel.json"
-        assert main(["selection-check", str(obs), str(exp), "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        out = tmp_path / "fas.json"
+        assert main(["fas", str(obs), str(exp), "--niters", "10", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())["selection"]
         assert np.allclose(doc["theta_s"]["V"], [0.25, 1.0], atol=0.01)
 
     def test_infeasible_exit_3(self, tmp_path):
@@ -302,7 +317,9 @@ class TestSelectionCheck:
         exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
                                    "arms": [{"x": 0, "counts": [10, 10]}],
                                    "marginals": {"V": [0.3, 0.2, 0.5]}}))
-        assert main(["selection-check", str(obs), str(exp)]) == 3
+        out = tmp_path / "fas.json"
+        assert main(["fas", str(obs), str(exp), "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_reports_the_model_fas_scores_with(self, selected_files, tmp_path, monkeypatch):
         from adjfas import score as score_module
@@ -311,35 +328,39 @@ class TestSelectionCheck:
         solve = score_module.build_selection_bn
         monkeypatch.setattr(score_module, "build_selection_bn",
                             lambda *a, **k: built.append(solve(*a, **k)) or built[-1])
-        fas_out = tmp_path / "fas.json"
+        out = tmp_path / "fas.json"
         assert main(["fas", str(obs), str(expf), "--seed", "1", "--niters", "20",
-                     "--out", str(fas_out)]) == 0
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
         reported = json.loads(expf.read_text())["marginals"]
         # the pool holds a covariate without a reported marginal, so a network
         # over only the reported variables differs from the one fas learns
-        assert set(json.loads(fas_out.read_text())["pool"]) - set(reported)
-        sel_out = tmp_path / "sel.json"
-        assert main(["selection-check", str(obs), str(expf), "--out", str(sel_out)]) == 0
-        assert len(built) == 2
-        theta = json.loads(sel_out.read_text())["theta_s"]
-        assert sorted(theta) == list(built[0].selected_vars)
+        assert set(doc["pool"]) - set(reported)
+        assert len(built) == 1
+        theta = doc["selection"]["theta_s"]
+        assert sorted(theta) == list(built[0].selected_vars) == sorted(reported)
         for v in theta:
-            np.testing.assert_allclose(theta[v], built[0].theta_s[v], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(theta[v], built[0].theta_s[v], rtol=0, atol=0)
+        assert doc["selection"]["solved_residual"] < 1e-6
 
     def test_enumeration_exit_code(self, tmp_path):
-        # selection-check scores no hypothesis, so a pool too large to
-        # enumerate (fas exits 4 on it) still gets a solved model
+        # fas refuses the 17-variable pool, but with --max-subset-size 0 it
+        # scores only the empty set and NOT_EXISTS and still solves the model
         obs = wide_table_file(tmp_path)
         exp = tmp_path / "e.json"
         exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
                                    "arms": [{"x": 0, "counts": [50, 50]}],
                                    "marginals": {"V00": [0.5, 0.5]}}))
-        out = tmp_path / "sel.json"
-        assert main(["selection-check", str(obs), str(exp), "--out", str(out)]) == 0
+        out = tmp_path / "fas.json"
+        assert main(["fas", str(obs), str(exp), "--out", str(out)]) == 4
+        assert main(["fas", str(obs), str(exp), "--max-subset-size", "0", "--niters", "10",
+                     "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["solved_residual"] < 1e-6
-        assert np.abs(np.array(doc["inferred_selected_marginals"]["V00"]) - 0.5).max() < 1e-6
-        assert len(doc["theta_s"]["V00"]) == 2 and max(doc["theta_s"]["V00"]) == 1.0
+        assert len(doc["pool"]) == 17 and len(doc["hypotheses"]) == 2
+        sel = doc["selection"]
+        assert sel["solved_residual"] < 1e-6
+        assert np.abs(np.array(sel["marginals"]["V00"]["reproduced"]) - 0.5).max() < 1e-6
+        assert len(sel["theta_s"]["V00"]) == 2 and max(sel["theta_s"]["V00"]) == 1.0
 
 
 class TestScoreCommand:
@@ -380,6 +401,8 @@ class TestScoreCommand:
         assert main(["score", str(obs), str(expf), "--set", ",".join(pool), *common,
                      "--out", str(score_out)]) == 0
         got = json.loads(score_out.read_text())
+        assert set(got) == set(want)  # score writes the entry fas lists
+        assert got["z"] == want["z"] and got["prior_log"] == want["prior_log"]
         assert got["total_log_score"] == pytest.approx(want["total_log_score"], rel=0, abs=1e-9)
         np.testing.assert_allclose(got["arm_log_marginals"], want["arm_log_marginals"],
                                    rtol=0, atol=1e-9)
@@ -404,15 +427,20 @@ class TestModelFlags:
     def test_every_model_command_rejects(self, g1_files, tmp_path, capsys):
         obs, expf = map(str, g1_files)
         world = ["--n-observed", "2", "--n-latent", "1", "--n-obs", "300", "--n-per-arm", "30"]
-        for flag, argv in (("--ess", ["score", obs, expf, "--set", "C", "--ess", "0"]),
-                           ("--alpha", ["selection-check", obs, expf, "--alpha", "1.5"]),
-                           ("--niters", ["benchmark", "--replicates", "1", *world,
-                                         "--niters", "0"]),
-                           ("--seed", ["simulate", *world, "--seed", "-1"]),
-                           ("--seed", ["benchmark", "--replicates", "1", *world,
-                                       "--seed", "-1"])):
+        bench = ["benchmark", "--replicates", "1", *world]
+        for message, argv in (
+                ("--ess must", ["score", obs, expf, "--set", "C", "--ess", "0"]),
+                ("--alpha must", ["score", obs, expf, "--set", "C", "--alpha", "1.5"]),
+                ("--niters must", [*bench, "--niters", "0"]),
+                ("--seed must", ["simulate", *world, "--seed", "-1"]),
+                ("--seed must", [*bench, "--seed", "-1"]),
+                ("--n-obs must be at least 1, got 0", ["simulate", *world, "--n-obs", "0"]),
+                ("--n-per-arm must be at least 1, got 0", [*bench, "--n-per-arm", "0"]),
+                ("--n-observed must be at least 0, got -1",
+                 ["simulate", *world, "--n-observed", "-1"]),
+                ("--n-latent must be at least 0, got -1", [*bench, "--n-latent", "-1"])):
             assert main([*argv, "--out", str(tmp_path / argv[0])]) == 2, argv
-            assert capsys.readouterr().err.startswith(f"error: {flag} must")
+            assert capsys.readouterr().err.startswith(f"error: {message}"), argv
             assert not (tmp_path / argv[0]).exists()
 
 
@@ -422,8 +450,7 @@ class TestGlobalBehavior:
             main(["--help"])
         assert e.value.code == 0
         top = capsys.readouterr().out
-        for cmd in ("fas", "simulate", "benchmark", "selection-check", "score"):
-            assert cmd in top
+        assert "{fas,simulate,benchmark,score}" in top
         with pytest.raises(SystemExit) as e:
             main(["benchmark", "--help"])
         assert e.value.code == 0
@@ -436,15 +463,10 @@ class TestGlobalBehavior:
     def test_every_listed_flag_is_read(self, g1_files, tmp_path):
         # each command's --help lists only flags its command function reads
         obs, expf = map(str, g1_files)
-        sel = tmp_path / "sel.json"
-        sel.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
-                                   "arms": [{"x": 0, "counts": [10, 10]}],
-                                   "marginals": {"C": [0.5, 0.5]}}))
         world = ["--n-observed", "2", "--n-latent", "1", "--n-obs", "300", "--n-per-arm", "30"]
         runs = {
             "fas": ["fas", obs, expf, "--niters", "5"],
             "score": ["score", obs, expf, "--set", "C", "--niters", "5"],
-            "selection-check": ["selection-check", obs, str(sel)],
             "simulate": ["simulate", *world],
             "benchmark": ["benchmark", "--replicates", "1", "--methods", "DEXP", *world],
         }
@@ -461,16 +483,36 @@ class TestGlobalBehavior:
                      if a.option_strings and a.dest != "help"}
             assert flags <= args.reads, f"{name} never reads {sorted(flags - args.reads)}"
 
+    def test_readme_lists_every_command_and_flag(self):
+        # README's "Each command takes only the flags it reads" list, one
+        # bullet per command: the command in backticks, then its flags
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("Each command takes only the flags it reads:", 1)[1]
+        section = section.split("\n\n", 2)[1]
+        listed = {}
+        for bullet in section.split("\n- "):
+            command, *rest = re.findall(r"`([^`]+)`", bullet)
+            listed[command] = {f for f in rest if f.startswith("--")}
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        actual = {name: {o for a in p._actions for o in a.option_strings
+                         if o.startswith("--") and o != "--help"}
+                  for name, p in commands.items()}
+        assert listed == actual
+
     def test_unread_flags_are_gone(self, capsys):
-        for name, gone in (("simulate", ("--niters", "--alpha", "--ess")),
-                           ("selection-check", ("--niters", "--tol", "--seed"))):
-            with pytest.raises(SystemExit):
-                main([name, "--help"])
-            text = capsys.readouterr().out
-            assert not [flag for flag in gone if flag in text]
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        text = capsys.readouterr().out
+        assert not [flag for flag in ("--niters", "--alpha", "--ess") if flag in text]
         with pytest.raises(SystemExit) as e:
             main(["simulate", "--niters", "3"])
         assert e.value.code == 2
+        # the selection model is a block of the fas report, not a command
+        with pytest.raises(SystemExit) as e:
+            main(["selection-check", "obs.csv", "exp.json"])
+        assert e.value.code == 2
+        assert "invalid choice: 'selection-check'" in capsys.readouterr().err
 
     def test_benchmark_summary_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.median and np.percentile import numpy.ma on first use

@@ -27,20 +27,15 @@ class TestLoadObservational:
         with pytest.raises(ParseError):
             load_observational(p)
 
-    def test_code_over_schema_cardinality(self, tmp_path):
-        p = write(tmp_path / "t.csv", "A\n0\n2\n")
-        with pytest.raises(SchemaError):
-            load_observational(p, schema=[2])
+    def test_header_only_is_schema_error(self, tmp_path):
+        p = write(tmp_path / "t.csv", "A,B\n")
+        with pytest.raises(SchemaError, match="no data rows"):
+            load_observational(p)
 
     def test_non_integer_cell_names_row_and_column(self, tmp_path):
         p = write(tmp_path / "t.csv", "A,B\n0,1\n0,x\n")
         with pytest.raises(ParseError, match=r"line 3.*'B'"):
             load_observational(p)
-
-    def test_schema_allows_unseen_categories(self, tmp_path):
-        p = write(tmp_path / "t.csv", "A\n0\n0\n")
-        t = load_observational(p, schema=[3])
-        assert t.cardinalities == (3,)
 
     def test_round_trip_bit_exact(self, tmp_path):
         p = write(tmp_path / "t.csv", "A,B\n0,2\n1,0\n1,1\n")
