@@ -183,7 +183,7 @@ def load_observational(path) -> CategoricalTable:
 
     Cardinalities are inferred as max code + 1 per column.
     """
-    with open(path, encoding="utf-8", newline="") as f:
+    with open(path, encoding="utf-8-sig", newline="") as f:  # spreadsheets may write a BOM
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -242,7 +242,7 @@ def load_experiment(path) -> ExperimentSummary:
     per-arm ``"n"`` must match the count sum. Marginals must sum to 1 within
     1e-6 and are renormalized exactly.
     """
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as e:

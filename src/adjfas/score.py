@@ -135,9 +135,13 @@ class FasResult:
     estimate: dict[int, tuple[float, ...]] | None
     pool: tuple[str, ...]
     records: dict[Hypothesis, HypothesisRecord]
-    population: str
     config: FasConfig
     selection: SelectionBn | None
+
+    @property
+    def population(self) -> str:
+        """The trial's population: a selected trial is scored with a selection model."""
+        return "same" if self.selection is None else "selected"
 
     def ranked(self) -> list[tuple[Hypothesis, float]]:
         """(hypothesis, total): ``best`` first (it wins ties within TIE_TOL),
@@ -511,7 +515,7 @@ def find_adjustment_set(table: CategoricalTable, exp: ExperimentSummary,
     estimate = (None if any(e is None for e in estimates)
                 else {arm.x_value: e for arm, e in zip(exp.arms, estimates)})
     return FasResult(best=best, estimate=estimate, pool=prep.pool, records=records,
-                     population=exp.population, config=config, selection=prep.selection)
+                     config=config, selection=prep.selection)
 
 
 def kl_divergences(exp: ExperimentSummary,

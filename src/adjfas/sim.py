@@ -2,12 +2,12 @@
 
 Worlds are random DAGs over a treatment, an outcome, observed covariates and
 latent covariates, with random categorical mechanisms and an enforced directed
-path from treatment to outcome. Datasets are forward samples (observational)
-and mutilated-graph samples (per-arm experimental), optionally thinned by a
-per-variable inclusion mechanism to mimic a selected trial population. The
-benchmark runs the search and the baselines over many replicated worlds and
-reports the error |Δθ| of each method's interventional estimate against the
-unselected truth.
+path from treatment to outcome. The observational table is a forward sample.
+Each trial arm's outcome counts are one multinomial draw from the exact
+P(Y | do(x)), or P(Y | do(x), S=1) when a per-variable inclusion mechanism
+selects the trial population. The benchmark runs the search and the baselines
+over many replicated worlds and reports the error |Δθ| of each method's
+interventional estimate against the unselected truth.
 """
 
 from __future__ import annotations
@@ -88,9 +88,15 @@ def _mutilated(params: ParamInstantiation, x: str, x_value: int) -> list[Factor]
     return _evidence_sliced(factors, {x: x_value})
 
 
-def _interventional(params: ParamInstantiation, x: str, y: str, x_value: int) -> np.ndarray:
-    """Exact P(y | do(x = x_value)) by truncated factorization."""
-    return product_marginal(_mutilated(params, x, x_value), (y,))
+def _interventional(params: ParamInstantiation, x: str, y: str, x_value: int,
+                    tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
+    """Exact P(y | do(x = x_value)) by truncated factorization, unnormalized.
+
+    With ``tilts`` (variable -> inclusion probability per category) it is
+    P(y, S=1 | do(x = x_value)), whose total is the acceptance probability.
+    """
+    tilt = [((v,), w) for v, w in (tilts or {}).items()]
+    return product_marginal(_mutilated(params, x, x_value) + tilt, (y,))
 
 
 def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
@@ -166,14 +172,10 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
 # --- sampling
 
 
-def _forward_sample(gt: GroundTruth, n: int, rng: np.random.Generator,
-                    do: Mapping[str, int] | None = None) -> dict[str, np.ndarray]:
+def _forward_sample(gt: GroundTruth, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     cards = gt.params.cardinalities
     cols: dict[str, np.ndarray] = {}
     for v in gt.dag.topological_order():
-        if do and v in do:
-            cols[v] = np.full(n, do[v], dtype=np.int64)
-            continue
         pa = gt.params.parents[v]
         r = cards[v]
         flat = gt.params.cpts[v].reshape(-1, r)
@@ -189,21 +191,18 @@ def _forward_sample(gt: GroundTruth, n: int, rng: np.random.Generator,
     return cols
 
 
-def _acceptance_prob(gt: GroundTruth, x_value: int) -> float:
-    tilt = [((v,), w) for v, w in (gt.selection or {}).items()]
-    return float(product_marginal(_mutilated(gt.params, gt.x, x_value) + tilt, ()))
-
-
 def sample_datasets(gt: GroundTruth, cfg: SimConfig,
                     rng: np.random.Generator) -> tuple[CategoricalTable, ExperimentSummary]:
     """Draw an observational table and a trial summary from the world.
 
     The table is unselected forward samples with latent columns dropped. Each
-    arm samples the mutilated graph; under selection, units are accepted with
-    probability ∏_i θ_{S_i=1|v_i} until the arm is full. Reported marginals
-    are exact (selected-population) values for a random subset of observed
-    covariates: the subset covers all selected variables in ``observed`` mode
-    and omits every selected variable in ``latent`` mode.
+    arm's outcome counts are one draw from Multinomial(n_per_arm,
+    P(Y | do(x), S=1)): the truncated factorization times every inclusion
+    probability θ_{S_i=1|v_i}, over its total, the arm's acceptance
+    probability. Without selection that law is P(Y | do(x)). Reported
+    marginals are exact (selected-population) values for a random subset of
+    observed covariates: the subset covers all selected variables in
+    ``observed`` mode and omits every selected variable in ``latent`` mode.
     """
     if (gt.selection is not None) != (cfg.selection != "none"):
         raise ValueError("config selection setting disagrees with the world's mechanism")
@@ -216,26 +215,12 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
 
     arms = []
     for xv in range(cards[gt.x]):
-        if gt.selection:
-            acc = _acceptance_prob(gt, xv)
-            if acc < MIN_ACCEPTANCE:
-                raise ValueError(
-                    f"acceptance probability {acc:.2e} for arm x={xv} below {MIN_ACCEPTANCE:g}")
-            got = []
-            need = cfg.n_per_arm
-            while need > 0:
-                batch = int(min(2_000_000, max(1000, need / max(acc, 1e-9) * 1.3)))
-                draw = _forward_sample(gt, batch, rng, do={gt.x: xv})
-                w = np.ones(batch)
-                for v, th in gt.selection.items():
-                    w *= th[draw[v]]
-                keep = rng.random(batch) < w
-                got.append(draw[gt.y][keep][:need])
-                need -= got[-1].size
-            ycol = np.concatenate(got)
-        else:
-            ycol = _forward_sample(gt, cfg.n_per_arm, rng, do={gt.x: xv})[gt.y]
-        counts = np.bincount(ycol, minlength=cards[gt.y])
+        p = _interventional(gt.params, gt.x, gt.y, xv, tilts=gt.selection)
+        acc = float(p.sum())
+        if acc < MIN_ACCEPTANCE:
+            raise ValueError(
+                f"acceptance probability {acc:.2e} for arm x={xv} below {MIN_ACCEPTANCE:g}")
+        counts = rng.multinomial(cfg.n_per_arm, p / acc)
         arms.append(Arm.from_counts(xv, counts.tolist()))
 
     covs = [v for v in obs_vars if v not in (gt.x, gt.y)]

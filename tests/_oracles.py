@@ -2,9 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (path
 enumeration, full-joint loops) and never calls the library's inference or
-graph-search code paths it is checking. The one exception,
-``score_one_arm``, drives the library's per-arm scorer on its own so that
-tests can hold it to closed forms.
+graph-search code paths it is checking. Two exceptions: ``score_one_arm``
+drives the library's per-arm scorer on its own so that tests can hold it to
+closed forms, and ``ideal_pick`` takes the library's candidate pool, no-set
+score and tie rule so that only its adjusted θ differs from the program's.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
+from adjfas.data import CategoricalTable, ExperimentSummary
 from adjfas.graph import Dag
-from adjfas.score import _score_arm, enumerate_hypotheses
+from adjfas.score import (Hypothesis, _pick, _score_arm, candidate_pool, enumerate_hypotheses,
+                          score_not_exists)
 from adjfas.sim import GroundTruth
 
 
@@ -174,6 +177,47 @@ def adjusted_by_enumeration(gt: GroundTruth, z, x_value: int) -> np.ndarray:
         py = sx.sum(axis=tuple(i for i, v in enumerate(kept2) if v != gt.y))
         out += (py / pxz) * pz
     return out
+
+
+def observed_joint(gt: GroundTruth) -> tuple[np.ndarray, list[str]]:
+    """P over the observed nodes (axes in node order): one broadcast product of
+    every CPT over the full joint, latent axes summed out."""
+    nodes = list(gt.dag.nodes)
+    idx = {v: i for i, v in enumerate(nodes)}
+    operands = []
+    for v in nodes:
+        operands += [gt.params.cpts[v], [idx[p] for p in gt.params.parents[v]] + [idx[v]]]
+    kept = [v for v in nodes if v in gt.dag.observed]
+    return np.einsum(*operands, [idx[v] for v in kept]), kept
+
+
+def ideal_pick(gt: GroundTruth, table: CategoricalTable, exp: ExperimentSummary,
+               alpha: float) -> Hypothesis:
+    """The pick of a scorer that knows the world's CPTs.
+
+    Every subset of the program's candidate pool scores the multinomial
+    sequence log-likelihood of the arm counts under its exact adjusted θ,
+    Σ_z P(y|x,z)P(z) of the true joint; NOT_EXISTS scores ``score_not_exists``
+    and the tie rule is ``_pick``'s. The prior is uniform, so it drops out.
+    """
+    x, y = exp.treatment, exp.outcome
+    joint, kept = observed_joint(gt)
+    values = {}
+    for h in enumerate_hypotheses(candidate_pool(table, x, y, alpha)):
+        if h.is_not_exists:
+            values[h] = sum(score_not_exists(arm) for arm in exp.arms)
+            continue
+        order = [x, y, *sorted(h.z)]
+        sub = np.einsum(joint, list(range(len(kept))), [kept.index(v) for v in order])
+        pz = sub.sum(axis=(0, 1))
+        total = 0.0
+        for arm in exp.arms:
+            pyz = sub[arm.x_value]                      # P(x, Y, z)
+            cond = pyz / pyz.sum(axis=0)                # P(Y | x, z)
+            theta = (cond * pz).reshape(len(cond), -1).sum(axis=1)
+            total += sum(c * np.log(t) for c, t in zip(arm.outcome_counts, theta) if c > 0)
+        values[h] = float(total)
+    return _pick(values)
 
 
 # --- constructed worlds

@@ -37,6 +37,11 @@ class TestLoadObservational:
         with pytest.raises(ParseError, match=r"line 3.*'B'"):
             load_observational(p)
 
+    def test_utf8_bom_is_not_part_of_the_first_name(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        p = write(tmp_path / "t.csv", "\ufeffA,B\n0,1\n1,0\n")
+        assert load_observational(p).variable_names == ("A", "B")
+
     def test_round_trip_bit_exact(self, tmp_path):
         p = write(tmp_path / "t.csv", "A,B\n0,2\n1,0\n1,1\n")
         t1 = load_observational(p)
@@ -59,6 +64,12 @@ class TestLoadExperiment:
         e = load_experiment(p)
         assert [a.total for a in e.arms] == [100, 100]
         assert e.arms[0].outcome_counts == (30, 70)
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        import json
+        p = write(tmp_path / "e.json", "\ufeff" + json.dumps(self.good()))
+        assert load_experiment(p) == load_experiment(write(tmp_path / "f.json",
+                                                           json.dumps(self.good())))
 
     def test_marginal_not_summing_to_one(self, tmp_path):
         import json

@@ -243,7 +243,7 @@ class TestFindAdjustmentSet:
         best = pick_best(records)
         assert best == Hypothesis.adjustment(("A",))
         res = FasResult(best=best, estimate=None, pool=("A", "B"),
-                        records=records, population="same", config=FasConfig(), selection=None)
+                        records=records, config=FasConfig(), selection=None)
         assert [h for h, _ in res.ranked()] == [
             best, Hypothesis.adjustment(("A", "B")), Hypothesis.adjustment(()), NOT_EXISTS]
         assert res.to_dict()["hypotheses"][0]["z"] == ["A"]

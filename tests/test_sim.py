@@ -112,6 +112,15 @@ def tilt_weights(gt):
     return weight
 
 
+def tilted_mutilated_joint(gt, x_value):
+    """The enumerated joint under do(X = x_value), times every inclusion weight."""
+    nodes = list(gt.dag.nodes)
+    cards = gt.params.cardinalities
+    point = np.eye(cards[gt.x])[x_value]
+    cpts = {**gt.params.cpts, gt.x: np.broadcast_to(point, gt.params.cpts[gt.x].shape)}
+    return enumerate_joint(nodes, cards, gt.params.parents, cpts) * tilt_weights(gt)
+
+
 class TestSampleDatasets:
     def test_forward_sampling_fidelity(self):
         # empirical joint of 1e6 samples vs the enumerated joint, in total variation
@@ -156,19 +165,30 @@ class TestSampleDatasets:
         assert moved > 1e-4
 
     def test_acceptance_prob_matches_enumeration(self):
-        # P(S=1 | do(X=x)): the mutilated joint weighted by every inclusion mechanism
-        from adjfas.sim import _acceptance_prob
+        # P(S=1 | do(X=x)), the total of the arm's tilted law: the mutilated
+        # joint weighted by every inclusion mechanism
         cfg = SimConfig(n_observed=3, n_latent=1, selection="observed", seed=21)
         gt = generate_world(cfg, np.random.default_rng(21))
-        nodes = list(gt.dag.nodes)
-        cards, parents = gt.params.cardinalities, gt.params.parents
-        weight = tilt_weights(gt)
-        for xv in range(cards[gt.x]):
-            point = np.eye(cards[gt.x])[xv]
-            cpts = {**gt.params.cpts, gt.x: np.broadcast_to(point, gt.params.cpts[gt.x].shape)}
-            joint = enumerate_joint(nodes, cards, parents, cpts)
-            want = float((joint * weight).sum())
-            assert _acceptance_prob(gt, xv) == pytest.approx(want, rel=1e-12)
+        for xv in range(gt.params.cardinalities[gt.x]):
+            want = float(tilted_mutilated_joint(gt, xv).sum())
+            got = _interventional(gt.params, gt.x, gt.y, xv, tilts=gt.selection).sum()
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_selected_arms_converge_to_tilted_law(self):
+        cfg = SimConfig(n_observed=3, n_latent=1, n_obs=100, n_per_arm=1_000_000,
+                        selection="observed", seed=24)
+        gt = generate_world(cfg, np.random.default_rng(24))
+        _, exp = sample_datasets(gt, cfg, np.random.default_rng(25))
+        iy = list(gt.dag.nodes).index(gt.y)
+        moved = 0.0
+        for arm in exp.arms:
+            joint = tilted_mutilated_joint(gt, arm.x_value)
+            law = joint.sum(axis=tuple(a for a in range(joint.ndim) if a != iy))
+            law /= law.sum()  # P(Y | do(x), S=1)
+            emp = np.array(arm.outcome_counts) / arm.total
+            assert np.abs(emp - law).max() < 0.01
+            moved = max(moved, np.abs(law - np.array(gt.true_id[arm.x_value])).max())
+        assert moved > 0.01  # selection moves the law, so the test tells the two apart
 
     def test_reported_marginals_match_tilted_enumeration(self):
         cfg = SimConfig(n_observed=3, n_latent=1, n_obs=200, n_per_arm=20,
