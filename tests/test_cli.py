@@ -1,9 +1,12 @@
 import argparse
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +18,13 @@ from adjfas import cli
 from adjfas.cli import main
 from adjfas.data import save_experiment, save_observational
 from adjfas.sim import SimConfig, sample_datasets, simulate_replicate
+
+
+def src_env() -> dict:
+    """The environment of a child interpreter that imports this checkout's adjfas."""
+    src = str(Path(adjfas.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 @pytest.fixture()
@@ -85,13 +95,10 @@ class TestFas:
         # `adjfas fas ... | head`: the reader is gone before the first line
         obs, expf = g1_files
         out = tmp_path / "report.json"
-        src = str(Path(adjfas.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         proc = subprocess.Popen(
             [sys.executable, "-m", "adjfas.cli", "fas", str(obs), str(expf), "--seed", "1",
              "--out", str(out)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
         proc.stdout.close()
         err = proc.stderr.read().decode()
         code = proc.wait(timeout=300)
@@ -259,6 +266,85 @@ class TestBenchmark:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+
+def proc_state(pid) -> tuple[str, int] | None:
+    """(state letter, parent pid) of a process from /proc, None once it is gone."""
+    try:
+        state, ppid = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def is_alive(pid) -> bool:
+    st = proc_state(pid)
+    return st is not None and st[0] not in "ZX"  # a zombie is dead, just not yet reaped
+
+
+def live_children(pid: int) -> list[int]:
+    found = []
+    for entry in Path("/proc").iterdir():
+        st = proc_state(entry.name) if entry.name.isdigit() else None
+        if st is not None and st[1] == pid and st[0] not in "ZX":
+            found.append(int(entry.name))
+    return found
+
+
+class TestBenchmarkWorkers:
+    def test_raising_replicate_ends_the_run(self, tmp_path, capsys, monkeypatch):
+        import adjfas.sim as sim_mod
+
+        started = tmp_path / "started"  # one line per world drawn, from any process
+        orig = sim_mod.generate_world
+
+        def logged(cfg, rng):
+            with open(started, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return orig(cfg, rng)
+
+        monkeypatch.setattr(sim_mod, "generate_world", logged)
+        out = tmp_path / "bench"
+        assert main(["benchmark", "--n-observed", "0", "--n-latent", "0",
+                     "--mean-in-degree", "1e-300", "--replicates", "40", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: could not draw a world satisfying the structural constraints; "
+            "try a larger --mean-in-degree\n")
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+        # what had started when the first failure came back: a first round on
+        # every worker, a second round taken from the pool's queue and the
+        # queue refilled (workers + 1); the rest are cancelled, not run out
+        workers = min(len(os.sched_getaffinity(0)), 40)
+        assert 1 <= len(started.read_text().split()) <= 3 * workers + 1
+
+    def test_workers_die_with_a_killed_benchmark(self, tmp_path):
+        code = "import sys; from adjfas.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "benchmark", "--methods", "DEXP", "--replicates", "2000",
+             "--n-obs", "300", "--n-per-arm", "30", "--out", str(tmp_path)],
+            env=src_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        workers: list[int] = []
+        try:
+            want = min(len(os.sched_getaffinity(0)), 2000)
+            deadline = time.monotonic() + 60
+            while len(workers) < want and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = live_children(proc.pid)
+            assert len(workers) == want, "the benchmark never started its workers"
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while any(map(is_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [w for w in workers if is_alive(w)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for w in workers:
+                if is_alive(w):
+                    os.kill(w, signal.SIGKILL)
 
 
 class TestSelectionCheck:
@@ -516,26 +602,29 @@ class TestGlobalBehavior:
 
     def test_benchmark_summary_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.median and np.percentile import numpy.ma on first use
-        src = str(Path(adjfas.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         code = ("import sys; from adjfas.cli import main; "
                 "assert main(['benchmark', '--methods', 'DEXP', '--replicates', '2', "
                 f"'--n-obs', '300', '--n-per-arm', '30', '--out', {str(tmp_path)!r}]) == 0; "
                 "print('numpy.ma' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
+                              env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "False"
 
     def test_import_leaves_scipy_unloaded(self):
         # the runtime needs numpy only; scipy serves the tests as a reference
-        src = str(Path(adjfas.__file__).parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         code = ("import sys, adjfas, adjfas.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, timeout=120)
+                              env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # only `benchmark` runs a pool; importing it would slow every command's start-up
+        code = ("import sys, adjfas, adjfas.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

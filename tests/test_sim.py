@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import statistics
 
 import numpy as np
@@ -7,9 +9,10 @@ from _oracles import (adjusted_by_enumeration, all_valid_subsets, confounded_wor
                       enumerate_joint, interventional_by_enumeration, make_ground_truth)
 from adjfas.graph import Dag
 from adjfas.score import NOT_EXISTS, FasConfig
-from adjfas.sim import (METHODS, SimConfig, _interventional, _is_valid, _median, _quantile,
-                        delta_theta, generate_world, run_benchmark, sample_datasets, vws_baseline,
-                        write_benchmark_csv, write_benchmark_summary)
+from adjfas.sim import (METHODS, BenchmarkReport, SimConfig, _interventional, _is_valid, _median,
+                        _quantile, _run_replicate, delta_theta, generate_world, run_benchmark,
+                        sample_datasets, simulate_replicate, vws_baseline, write_benchmark_csv,
+                        write_benchmark_summary)
 
 
 class TestGenerateWorld:
@@ -307,6 +310,24 @@ class TestRunBenchmark:
         doc = json.loads((tmp_path / "s.json").read_text())
         assert doc["replicates"] == 4
 
+    def test_rows_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch):
+        cfg = SimConfig(n_obs=2000, n_per_arm=200, selection="observed", seed=21)
+        fcfg = FasConfig(niters=30)
+        n = 4
+        runs = {}
+        for cpus in ({0, 1}, {0}):  # the pool takes one worker per CPU in the affinity set
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            runs[len(cpus)] = run_benchmark(cfg, n, methods=METHODS, fas_config=fcfg)
+            assert multiprocessing.active_children() == []  # the pool is shut down
+        serial = BenchmarkReport(cfg, fcfg, METHODS, [
+            row for r in range(n) for row in _run_replicate(r, cfg, fcfg, METHODS)])
+        csvs = []  # every field of a row but its seconds
+        for name, report in (("one", runs[1]), ("two", runs[2]), ("serial", serial)):
+            write_benchmark_csv(report, tmp_path / f"{name}.csv")
+            csvs.append((tmp_path / f"{name}.csv").read_bytes())
+        assert csvs[0] == csvs[1] == csvs[2]
+        assert len(csvs[0].splitlines()) == 1 + n * len(METHODS)
+
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             run_benchmark(SimConfig(seed=0), 1, methods=("NOPE",))
@@ -323,17 +344,18 @@ class TestRefusalAndFailureRecording:
     def test_replicate_failures_recorded_not_fatal(self, monkeypatch):
         import adjfas.sim as sim_mod
 
-        calls = {"n": 0}
+        # replicates run in worker processes, so a fault fires by replicate
+        # (replicate 0's search seed, its trial), not by a per-process call count
+        cfg = SimConfig(n_obs=1500, n_per_arm=150, seed=33)
+        seed0 = int(np.random.SeedSequence(cfg.seed, spawn_key=(0, 2)).generate_state(1)[0])
         orig = sim_mod.find_adjustment_set
 
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
+        def flaky(table, exp, config):
+            if config.seed == seed0:
                 raise RuntimeError("synthetic failure")
-            return orig(*args, **kwargs)
+            return orig(table, exp, config)
 
         monkeypatch.setattr(sim_mod, "find_adjustment_set", flaky)
-        cfg = SimConfig(n_obs=1500, n_per_arm=150, seed=33)
         rep = run_benchmark(cfg, 3, methods=("FAS", "DEXP"), fas_config=FasConfig(niters=20))
         fas_rows = [r for r in rep.results if r.method == "FAS"]
         assert sum(1 for r in fas_rows if r.error) == 1
@@ -342,14 +364,13 @@ class TestRefusalAndFailureRecording:
 
         # a failure after the search is its method's own row's error
         monkeypatch.setattr(sim_mod, "find_adjustment_set", orig)
-        picks = {"n": 0}
+        exp0 = simulate_replicate(cfg, 0)[2]
         orig_kl = sim_mod.pick_min_kl
 
-        def flaky_kl(*args, **kwargs):
-            picks["n"] += 1
-            if picks["n"] == 1:
+        def flaky_kl(exp, records):
+            if exp == exp0:
                 raise RuntimeError("synthetic KL failure")
-            return orig_kl(*args, **kwargs)
+            return orig_kl(exp, records)
 
         monkeypatch.setattr(sim_mod, "pick_min_kl", flaky_kl)
         fcfg = FasConfig(niters=20)
