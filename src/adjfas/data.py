@@ -13,6 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ class ValidationError(ValueError):
 
 
 MARGINAL_SUM_TOL = 1e-6
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,45 @@ class CategoricalTable:
 
     def cardinality(self, var: str) -> int:
         return self.cardinalities[self.index(var)]
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table's distinct rows and how many times each occurs, built on
+        first use: the sufficient statistics every count is taken from.
+
+        Each row gets a mixed-radix code, one digit per column, and one
+        ``np.unique`` counts the codes. When the next digit would overflow
+        int64 (wide tables), the codes so far are first renumbered densely;
+        a column whose own cardinality still does not fit is renumbered too.
+        The distinct rows are read back off the unique codes.
+        """
+        code = np.zeros(self.n, dtype=np.int64)
+        radix, undo = 1, []  # undo: how to read the columns back off a code
+        for col, card in zip(self.rows.T, self.cardinalities):
+            if radix * card > _INT64_MAX:
+                seen, code = np.unique(code, return_inverse=True)
+                radix = len(seen)
+                undo.append(seen)
+            values = None
+            if radix * card > _INT64_MAX:
+                values, col = np.unique(col, return_inverse=True)
+                card = len(values)
+            code = code * card + col
+            radix *= card
+            undo.append((card, values))
+        code, counts = np.unique(code, return_counts=True)
+        cols = []
+        for step in reversed(undo):
+            if isinstance(step, tuple):
+                card, values = step
+                code, col = np.divmod(code, card)
+                cols.append(col if values is None else values[col])
+            else:
+                code = step[code]
+        rows = np.column_stack(cols[::-1]) if cols else np.zeros((len(counts), 0), np.int64)
+        rows.setflags(write=False)
+        counts.setflags(write=False)
+        return rows, counts
 
     def restrict(self, vars: Iterable[str]) -> "CategoricalTable":
         """Project onto a subset of variables, keeping this table's column order."""
@@ -181,8 +222,63 @@ class ExperimentSummary:
 def load_observational(path) -> CategoricalTable:
     """Read a header+integer-codes CSV into a validated table.
 
-    Cardinalities are inferred as max code + 1 per column.
+    Cardinalities are inferred as max code + 1 per column. A body of plain
+    codes is parsed in one numpy pass; any other file is read cell by cell,
+    which is also what reports a malformed one.
     """
+    with open(path, "rb") as f:
+        raw = f.read()
+    parsed = _parse_plain(raw)
+    if parsed is None:
+        names, rows = _parse_csv(path)
+    else:
+        names, rows = parsed
+    if not len(rows):
+        raise SchemaError(f"{path}: no data rows to infer cardinalities from")
+    cards = tuple(int(c) + 1 for c in rows.max(axis=0))
+    return CategoricalTable(tuple(names), cards, rows)
+
+
+_PLAIN_BODY = b"0123456789,\n"
+
+
+def _parse_plain(raw: bytes) -> tuple[list[str], np.ndarray] | None:
+    """Header names and rows of a file whose header has a name, no quote, CR
+    or NUL, and whose body holds only digits, commas and newlines, with no empty
+    cell, no blank line and one cell per name on every line; None for any
+    other file, so that ``_parse_csv`` reads it and reports what is wrong.
+    """
+    head, newline, body = raw.partition(b"\n")
+    if not newline or not body or any(c in head for c in (b'"', b"\r", b"\x00")):
+        return None
+    try:
+        names = [h.strip() for h in head.decode("utf-8-sig").split(",")]
+    except UnicodeDecodeError:
+        return None
+    if not any(names):
+        return None
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if (body.translate(None, _PLAIN_BODY) or body.startswith((b",", b"\n"))
+            or any(s in body for s in (b",,", b",\n", b"\n,", b"\n\n"))):
+        return None
+    # a -1 after every line's cells: the lines each hold len(names) cells
+    # exactly when the parse is a grid whose last column is all -1
+    lines, width = body.count(b"\n"), len(names) + 1
+    codes = np.fromstring(body.replace(b"\n", b",-1,"), dtype=np.int64, sep=",")
+    if codes.size != lines * width:
+        return None
+    grid = codes.reshape(lines, width)
+    # cells of 19 digits or more go to the cell reader, which raises on one
+    # past int64 where this parse would give 2**63 - 1
+    if (grid[:, -1] != -1).any() or grid.max() >= 10**18:
+        return None
+    return names, grid[:, :-1]
+
+
+def _parse_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header names and rows read cell by cell, naming the line and column
+    of the first malformed cell."""
     with open(path, encoding="utf-8-sig", newline="") as f:  # spreadsheets may write a BOM
         reader = csv.reader(f)
         try:
@@ -210,12 +306,7 @@ def load_observational(path) -> CategoricalTable:
                     raise ParseError(f"{path}: line {lineno}, column {names[j]!r}: negative code {code}")
                 parsed.append(code)
             data.append(parsed)
-
-    rows = np.asarray(data, dtype=np.int64).reshape(len(data), len(names))
-    if not len(rows):
-        raise SchemaError(f"{path}: no data rows to infer cardinalities from")
-    cards = tuple(int(rows[:, j].max()) + 1 for j in range(len(names)))
-    return CategoricalTable(tuple(names), cards, rows)
+    return names, np.asarray(data, dtype=np.int64).reshape(len(data), len(names))
 
 
 def save_observational(table: CategoricalTable, path) -> None:
@@ -324,7 +415,8 @@ def save_experiment(summary: ExperimentSummary, path) -> None:
 def contingency_counts(table: CategoricalTable, vars: Sequence[str]) -> np.ndarray:
     """Count tensor over the joint categories of ``vars``, in the given order.
 
-    The empty variable list yields the 0-d tensor holding N.
+    The empty variable list yields the 0-d tensor holding N. Counts are
+    weighted sums over the table's distinct rows, exact in int64.
     """
     vars = list(vars)
     idx = [table.index(v) for v in vars]
@@ -333,14 +425,14 @@ def contingency_counts(table: CategoricalTable, vars: Sequence[str]) -> np.ndarr
     cards = [table.cardinalities[i] for i in idx]
     if not idx:
         return np.array(table.n, dtype=np.int64)
-    if table.n == 0:
-        return np.zeros(cards, dtype=np.int64)
-    # row-major index of each row's joint category (codes are < cardinality)
-    flat = table.rows[:, idx[0]]
+    rows, weights = table.distinct
+    # row-major index of each distinct row's joint category (codes are < cardinality)
+    flat = rows[:, idx[0]]
     for i, c in zip(idx[1:], cards[1:]):
-        flat = flat * c + table.rows[:, i]
-    counts = np.bincount(flat, minlength=int(np.prod(cards)))
-    return counts.reshape(cards)
+        flat = flat * c + rows[:, i]
+    # float64 sums of integer weights are exact below 2**53 rows
+    counts = np.bincount(flat, weights=weights, minlength=int(np.prod(cards)))
+    return counts.astype(np.int64).reshape(cards)
 
 
 def g2_independence_test(table: CategoricalTable, a: str, b: str,

@@ -175,21 +175,22 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
 
 
 def _forward_sample(gt: GroundTruth, n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """n joint draws of every node, in topological order, one uniform u per
+    row and node: a row takes the first category whose cumulative CPT entry
+    exceeds u, or the last. A cumsum of probabilities never decreases, so
+    that category is the number of entries ≤ u before the last."""
     cards = gt.params.cardinalities
     cols: dict[str, np.ndarray] = {}
     for v in gt.dag.topological_order():
         pa = gt.params.parents[v]
         r = cards[v]
-        flat = gt.params.cpts[v].reshape(-1, r)
-        if pa:
-            idx = np.ravel_multi_index([cols[p] for p in pa], [cards[p] for p in pa])
-            probs = flat[idx]
-        else:
-            probs = np.broadcast_to(flat[0], (n, r))
-        cum = probs.cumsum(axis=1)
-        cum[:, -1] = 1.0
+        cum = gt.params.cpts[v].reshape(-1, r).cumsum(axis=1)
+        idx = np.ravel_multi_index([cols[p] for p in pa], [cards[p] for p in pa]) if pa else 0
         u = rng.random(n)
-        cols[v] = (u[:, None] < cum).argmax(axis=1).astype(np.int64)
+        out = np.zeros(n, dtype=np.int64)
+        for j in range(r - 1):
+            out += u >= cum[idx, j]
+        cols[v] = out
     return cols
 
 

@@ -10,13 +10,14 @@ score and tie rule so that only its adjusted θ differs from the program's.
 
 from __future__ import annotations
 
+import csv
 from itertools import combinations, product
 
 import numpy as np
 from scipy.special import logsumexp
 
 from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
-from adjfas.data import CategoricalTable, ExperimentSummary
+from adjfas.data import CategoricalTable, ExperimentSummary, ParseError, SchemaError
 from adjfas.graph import Dag
 from adjfas.score import (Hypothesis, _pick, _score_arm, candidate_pool, enumerate_hypotheses,
                           score_not_exists)
@@ -102,6 +103,74 @@ def forbidden_by_enumeration(g: Dag, x: str, y: str) -> set[str]:
             forb.add(v)
             stack.extend(c for (p, c) in g.directed_edges if p == v)
     return forb
+
+
+# --- counting, sampling and loading, one row or one cell at a time
+
+
+def contingency_by_row_pass(table: CategoricalTable, vars) -> np.ndarray:
+    """Count tensor of ``vars`` by one bincount over every row of the table."""
+    idx = [table.index(v) for v in vars]
+    cards = [table.cardinalities[i] for i in idx]
+    flat = np.zeros(table.n, dtype=np.int64)
+    for i, c in zip(idx, cards):
+        flat = flat * c + table.rows[:, i]
+    return np.bincount(flat, minlength=int(np.prod(cards))).reshape(cards)
+
+
+def forward_sample_by_argmax(gt: GroundTruth, n: int, rng) -> dict[str, np.ndarray]:
+    """Forward sampling with each row's own CPT cumsum: the first category
+    whose cumulative probability exceeds the row's uniform."""
+    cards = gt.params.cardinalities
+    cols = {}
+    for v in gt.dag.topological_order():
+        pa = gt.params.parents[v]
+        r = cards[v]
+        flat = gt.params.cpts[v].reshape(-1, r)
+        if pa:
+            probs = flat[np.ravel_multi_index([cols[p] for p in pa], [cards[p] for p in pa])]
+        else:
+            probs = np.broadcast_to(flat[0], (n, r))
+        cum = probs.cumsum(axis=1)
+        cum[:, -1] = 1.0
+        u = rng.random(n)
+        cols[v] = (u[:, None] < cum).argmax(axis=1).astype(np.int64)
+    return cols
+
+
+def load_observational_by_cells(path) -> CategoricalTable:
+    """The CSV loader that reads every file through csv.reader and int()."""
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file") from None
+        if not header or all(not h.strip() for h in header):
+            raise ParseError(f"{path}: missing header row")
+        names = [h.strip() for h in header]
+        data = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise ParseError(f"{path}: line {lineno}: expected {len(names)} cells, got {len(row)}")
+            parsed = []
+            for j, cell in enumerate(row):
+                try:
+                    code = int(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: line {lineno}, column {names[j]!r}: not an integer: {cell!r}") from None
+                if code < 0:
+                    raise ParseError(f"{path}: line {lineno}, column {names[j]!r}: negative code {code}")
+                parsed.append(code)
+            data.append(parsed)
+    rows = np.asarray(data, dtype=np.int64).reshape(len(data), len(names))
+    if not len(rows):
+        raise SchemaError(f"{path}: no data rows to infer cardinalities from")
+    cards = tuple(int(rows[:, j].max()) + 1 for j in range(len(names)))
+    return CategoricalTable(tuple(names), cards, rows)
 
 
 # --- exact joint enumeration

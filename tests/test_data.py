@@ -3,10 +3,11 @@ import pytest
 from scipy.special import chdtrc
 from scipy.stats import kstest
 
+from _oracles import contingency_by_row_pass, load_observational_by_cells
 from adjfas.data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaError,
-                         ValidationError, _chi2_sf, contingency_counts, g2_independence_test,
-                         load_experiment, load_observational, save_experiment,
-                         save_observational)
+                         ValidationError, _chi2_sf, _parse_plain, contingency_counts,
+                         g2_independence_test, load_experiment, load_observational,
+                         save_experiment, save_observational)
 
 
 def write(path, text):
@@ -50,6 +51,78 @@ class TestLoadObservational:
         assert t1.variable_names == t2.variable_names
         assert t1.cardinalities == t2.cardinalities
         assert np.array_equal(t1.rows, t2.rows)
+
+
+def outcome(load, path):
+    """What a loader makes of a file: its table's parts, or its error's type and text."""
+    try:
+        t = load(path)
+    except Exception as e:  # noqa: BLE001 - the error is the outcome compared
+        return type(e), str(e)
+    return t.variable_names, t.cardinalities, t.rows.tolist()
+
+
+class TestLoadPaths:
+    """The one-pass parse takes plain files only, and every file loads as the
+    cell-by-cell reader loads it, to the table or the error text."""
+
+    CLEAN = b"A,B,C\n0,1,2\n1,0,0\n0,1,2\n3,0,1\n"
+
+    @pytest.mark.parametrize("raw", [
+        CLEAN,
+        b"A,B,C\n0,1,2\n1,0,0",                   # no newline after the last row
+        b"\xef\xbb\xbfA,B\n0,1\n1,0\n",           # byte-order mark before the header
+        b" A , B \n0,1\n1,0\n",                   # names are stripped
+        b"A\n5\n0\n",                             # one column
+        b"A,B\n0,0000000000000000000007\n",        # 22 digits with leading zeros
+        b"A,A\n0,1\n",                             # repeated name: the table refuses it
+    ])
+    def test_plain_files_take_the_one_pass_parse(self, tmp_path, raw):
+        p = tmp_path / "t.csv"
+        p.write_bytes(raw)
+        assert _parse_plain(raw) is not None
+        assert outcome(load_observational, p) == outcome(load_observational_by_cells, p)
+
+    @pytest.mark.parametrize("raw", [
+        b"A,B\n0,-1\n",                            # negative code
+        b"A,B\n0, 1\n1,0\n",                       # space
+        b"A,B\r\n0,1\r\n1,0\r\n",                  # CRLF
+        b'A,B\n"0",1\n1,0\n',                      # quoted cell
+        b'"A",B\n0,1\n',                            # quoted name
+        b"A,B\n0,1\n\n1,0\n",                      # blank line
+        b"A,B\n0,1\n1,0\n\n",                      # blank last line
+        b"A,B\n\n0,1\n",                           # blank first line
+        b"A,B\n0,\n1,0\n",                         # empty last cell
+        b"A,B\n,1\n",                              # empty first cell
+        b"A,B,C\n0,,1\n",                          # empty middle cell
+        b"A,B\n0,12345678901234567890\n",          # 20 digits, past int64
+        b"A,B\n0,1234567890123456789\n",           # 19 digits, inside int64
+        b"A,B\n0,1\n0,1,1\n",                      # one ragged row
+        b"A,B\n0,1,1\n0\n",                        # two ragged rows, commas balanced
+        b"A,B\n0,1\n1",                            # short last row
+        b"A,B\n",                                  # header only
+        b"A,B",                                    # header only, no newline
+        b"",                                       # empty file
+        b"\n0,1\n",                                # empty header
+        b",\n0,1\n",                               # header of empty names
+        b"A,\xff\n0,1\n",                          # header not UTF-8
+        b"A,B\n0,1\n1,x\n",                        # letter
+    ])
+    def test_other_files_load_as_the_cell_reader_loads_them(self, tmp_path, raw):
+        p = tmp_path / "t.csv"
+        p.write_bytes(raw)
+        assert _parse_plain(raw) is None
+        assert outcome(load_observational, p) == outcome(load_observational_by_cells, p)
+
+    def test_saved_tables_take_the_one_pass_parse(self, tmp_path):
+        rng = np.random.default_rng(4)
+        t = CategoricalTable(("A", "B", "C"), (2, 13, 1000), np.column_stack(
+            [rng.integers(0, 2, 500), rng.integers(0, 13, 500), rng.integers(0, 1000, 500)]))
+        save_observational(t, tmp_path / "t.csv")
+        assert _parse_plain((tmp_path / "t.csv").read_bytes()) is not None
+        back = load_observational(tmp_path / "t.csv")
+        assert back.cardinalities == (2, 13, int(t.rows[:, 2].max()) + 1)
+        assert np.array_equal(back.rows, t.rows)
 
 
 class TestLoadExperiment:
@@ -142,6 +215,71 @@ class TestContingency:
         ab = contingency_counts(t, ["A", "B"])
         ba = contingency_counts(t, ["B", "A"])
         assert np.array_equal(ab, ba.T)
+
+
+class TestCountsFromDistinctRows:
+    """Counts come from the distinct rows; one bincount over every row is the reference."""
+
+    @staticmethod
+    def assert_counts(t, vars):
+        got, want = contingency_counts(t, vars), contingency_by_row_pass(t, vars)
+        assert got.dtype == np.int64 and want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_tables_with_repeated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        cards = tuple(int(c) for c in rng.integers(1, 5, 6))
+        patterns = np.column_stack([rng.integers(0, c, 40) for c in cards])
+        t = CategoricalTable(tuple("ABCDEF"), cards, patterns[rng.integers(0, 40, 3000)])
+        assert len(t.distinct[0]) < t.n
+        assert t.distinct[1].sum() == t.n
+        for k in range(4):
+            for vars in (rng.permutation(list("ABCDEF"))[:k].tolist() for _ in range(4)):
+                self.assert_counts(t, vars)
+
+    def test_zero_rows(self):
+        t = CategoricalTable(("A", "B"), (2, 3), np.zeros((0, 2), dtype=np.int64))
+        for vars in ([], ["A"], ["B", "A"]):
+            self.assert_counts(t, vars)
+
+    def test_empty_query(self):
+        t = CategoricalTable(("A",), (2,), np.array([[0], [1], [1]]))
+        assert contingency_counts(t, []).shape == ()
+        self.assert_counts(t, [])
+
+    def test_restricted_table(self):
+        rng = np.random.default_rng(7)
+        t = CategoricalTable(("A", "B", "C", "D"), (2, 3, 2, 3),
+                             np.column_stack([rng.integers(0, c, 800) for c in (2, 3, 2, 3)]))
+        t.distinct  # the parent's view is built first, and the restriction builds its own
+        sub = t.restrict({"D", "A", "C"})
+        assert sub.variable_names == ("A", "C", "D")
+        for vars in (["A"], ["D", "A"], ["C", "A", "D"]):
+            self.assert_counts(sub, vars)
+            assert np.array_equal(contingency_counts(sub, vars), contingency_counts(t, vars))
+
+    def test_seventy_binary_columns(self):
+        # the joint has 2**70 cells, so the row code is renumbered before it overflows
+        rng = np.random.default_rng(70)
+        names = tuple(f"V{i}" for i in range(70))
+        patterns = rng.integers(0, 2, (25, 70))
+        t = CategoricalTable(names, (2,) * 70, patterns[rng.integers(0, 25, 600)])
+        rows, counts = t.distinct
+        want_rows, want_counts = np.unique(t.rows, axis=0, return_counts=True)
+        assert np.array_equal(rows, want_rows) and np.array_equal(counts, want_counts)
+        for vars in (["V0"], ["V69", "V3"], list(names[-16:]), list(names[::5])):
+            self.assert_counts(t, vars)
+
+    def test_columns_too_wide_for_one_code(self):
+        # two cardinalities near 2**62 cannot share an int64 code even after renumbering
+        big = 2 ** 62
+        rows = np.array([[big - 1, 5, 0], [3, big - 2, 1], [big - 1, 5, 2], [3, big - 2, 1]])
+        t = CategoricalTable(("A", "B", "C"), (big, big, 3), rows)
+        got_rows, counts = t.distinct
+        want_rows, want_counts = np.unique(rows, axis=0, return_counts=True)
+        assert np.array_equal(got_rows, want_rows) and np.array_equal(counts, want_counts)
+        self.assert_counts(t, ["C"])
 
 
 class TestG2:

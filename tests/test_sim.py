@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from _oracles import (adjusted_by_enumeration, all_valid_subsets, confounded_world,
-                      enumerate_joint, interventional_by_enumeration, make_ground_truth)
+                      enumerate_joint, forward_sample_by_argmax, interventional_by_enumeration,
+                      make_ground_truth)
 from adjfas.graph import Dag
 from adjfas.score import NOT_EXISTS, FasConfig
 from adjfas.sim import (METHODS, BenchmarkReport, SimConfig, _interventional, _is_valid, _median,
@@ -144,6 +145,21 @@ class TestSampleDatasets:
         np.add.at(emp, idx, 1.0)
         emp /= emp.sum()
         assert 0.5 * np.abs(emp - joint).sum() < 0.01
+
+    @pytest.mark.parametrize("mode", ["random", "pretreatment"])
+    @pytest.mark.parametrize("selection", ["none", "observed", "latent"])
+    def test_forward_sample_draws_what_the_argmax_sampler_drew(self, mode, selection):
+        from adjfas.sim import _forward_sample
+        for seed in range(4):
+            cfg = SimConfig(mode=mode, selection=selection, seed=seed)
+            gt = generate_world(cfg, np.random.default_rng([seed, 1]))
+            got_rng, want_rng = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+            got = _forward_sample(gt, 3000, got_rng)
+            want = forward_sample_by_argmax(gt, 3000, want_rng)
+            assert list(got) == list(want)
+            for v in want:
+                assert got[v].dtype == np.int64 and np.array_equal(got[v], want[v]), v
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_empirical_arms_converge_to_truth(self):
         gt = confounded_world()
