@@ -5,7 +5,10 @@ distribution P(V | S=1) ∝ P(V) · ∏_i θ_{S_i=1|v_i}. Given published covari
 marginals for the trial, the solver recovers inclusion weights θ that
 reproduce them on top of the observational network; the weights are then held
 fixed while the adjustment-hypothesis search scores trial arms in the tilted
-population and still reports estimates for the unselected one.
+population and still reports estimates for the unselected one. Marginals of
+the tilted population come from one routine, ``_marginal_fn``: one
+elimination of the network, then dense arithmetic per query. The solver and
+the simulator, which reports a selected trial's exact marginals, share it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .bayesnet import (CELL_BUDGET, ParamInstantiation, ZeroEvidenceError, infer
 from .data import CategoricalTable, ValidationError, contingency_counts
 
 MAX_SWEEPS = 10000
-DAMPING = 0.5
 TOL = 1e-6  # largest residual between a reported and a reproduced marginal
 
 
@@ -82,8 +84,8 @@ def _marginal_fn(params: ParamInstantiation, selected: tuple[str, ...]
                  ) -> Callable[[str, Mapping[str, np.ndarray]], np.ndarray]:
     """``marginal(v, theta)``: P(v) normalized in the population tilted by ``theta``.
 
-    The weights touch only the reported variables R, so that marginal is a
-    margin of P(R) · ∏_u θ_u(r_u): one elimination gives P(R), after which
+    The weights touch only variables in R = ``selected``, so that marginal is
+    a margin of P(R) · ∏_u θ_u(r_u): one elimination gives P(R), after which
     every query is dense arithmetic on ∏ card(R) cells. Past
     ``CELL_BUDGET`` cells each query is its own elimination over the
     whole network.
@@ -134,12 +136,16 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
                        rng: np.random.Generator | None = None) -> SelectionBn:
     """Solve inclusion weights so the tilted network reproduces each reported marginal.
 
-    Damped iterative proportional fitting on the joint of the reported
-    variables: θ_v ← θ_v · (target / current)^DAMPING, rescaled so max θ_v = 1
+    Iterative proportional fitting (Deming & Stephan 1940) on the joint of the
+    reported variables: θ_v ← θ_v · target / current, rescaled so max θ_v = 1
     (solutions are scale-equivalent per variable), one variable at a time in
-    sorted order. A category with zero reported mass is an exclusion criterion
-    and gets weight exactly 0. Infeasible when a reported marginal puts mass
-    on a category the observational model gives probability 0.
+    sorted order. Each such full step is the I-projection onto one marginal
+    constraint, so when the constraints are feasible the sweeps converge to
+    the unique I-projection of the network onto all of them (Csiszár, Ann.
+    Probab. 1975). A category with zero reported mass is an exclusion
+    criterion and is pinned at weight exactly 0. A reported marginal that puts
+    mass on a category the observational model gives probability 0 is
+    infeasible and is rejected before the first sweep.
     """
     selected = tuple(sorted(marginals))
     if not selected:
@@ -179,11 +185,9 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
     for sweeps in range(1, MAX_SWEEPS + 1):
         for v in selected:
             current = marginal(v, theta)
-            pos = targets[v] > 0.0
-            ratio = np.ones_like(current)
-            ratio[pos] = targets[v][pos] / current[pos]
-            theta[v] = theta[v] * ratio ** DAMPING
-            theta[v] = theta[v] / theta[v].max()
+            pos = targets[v] > 0.0  # a zero-target weight is pinned at 0 and stays there
+            step = theta[v] * np.divide(targets[v], current, out=np.zeros_like(current), where=pos)
+            theta[v] = step / step.max()
         reproduced = {v: marginal(v, theta) for v in selected}
         residual = max(float(np.abs(reproduced[v] - targets[v]).max()) for v in selected)
         if residual < aim:

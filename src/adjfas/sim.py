@@ -23,13 +23,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (Factor, ParamInstantiation, _canonical, _evidence_sliced,
-                       _normalize_rows, fit_posterior, infer_conditional, learn_structure,
-                       posterior_mean, product_marginal)
+from .bayesnet import (Factor, ParamInstantiation, _canonical, _evidence_sliced, _normalize_rows,
+                       fit_posterior, learn_structure, posterior_mean, product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
 from .graph import Dag, forbidden_set, satisfies_adjustment_criterion
 from .score import (NOT_EXISTS, FasConfig, FasResult, Hypothesis, _root_joint, _walk_lattice,
                     find_adjustment_set, pick_min_kl)
+from .selection import _marginal_fn
 
 MIN_ACCEPTANCE = 1e-6
 CARDINALITIES = (2, 3)  # each variable's number of categories is drawn from these
@@ -206,6 +206,8 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
     marginals are exact (selected-population) values for a random subset of
     observed covariates: the subset covers all selected variables in
     ``observed`` mode and omits every selected variable in ``latent`` mode.
+    They are read off one elimination over the reported and the selected
+    variables, the selection solver's ``_marginal_fn``.
     """
     if (gt.selection is not None) != (cfg.selection != "none"):
         raise ValueError("config selection setting disagrees with the world's mechanism")
@@ -227,22 +229,16 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
         arms.append(Arm.from_counts(xv, counts.tolist()))
 
     covs = [v for v in obs_vars if v not in (gt.x, gt.y)]
-    selected = sorted(gt.selection) if gt.selection else []
-    reported: list[str] = []
+    tilts = gt.selection or {}
+    pool = [v for v in covs if v not in tilts]
+    reported = [v for v in pool if rng.random() < 0.5]
     if cfg.selection == "observed":
-        reported = list(selected)
-        extra = [v for v in covs if v not in selected]
-        reported += [v for v in extra if rng.random() < 0.5]
-    elif cfg.selection == "latent":
-        pool = [v for v in covs if v not in selected]
-        reported = [v for v in pool if rng.random() < 0.5]
-        if not reported:
-            reported = [pool[int(rng.integers(len(pool)))]]
-    else:
-        reported = [v for v in covs if rng.random() < 0.5]
+        reported += list(tilts)
+    elif cfg.selection == "latent" and not reported:
+        reported = [pool[int(rng.integers(len(pool)))]]
 
-    marginals = {v: tuple(infer_conditional(gt.params, v, tilts=gt.selection).tolist())
-                 for v in sorted(reported)}
+    marginal = _marginal_fn(gt.params, tuple(sorted(set(reported) | set(tilts))))
+    marginals = {v: tuple(marginal(v, tilts).tolist()) for v in sorted(reported)}
     population = "same" if cfg.selection == "none" else "selected"
     return table, ExperimentSummary(
         treatment=gt.x, outcome=gt.y, arms=tuple(arms),

@@ -56,6 +56,17 @@ class TestBuildSelectionBn:
         assert np.allclose(sbn.theta_s["V"], [0.25, 1.0], atol=1e-5)
         assert sbn.solved_residual <= 1e-6
 
+    @pytest.mark.parametrize("params, target", [
+        (binary_root(0.5), {"V": [0.2, 0.8]}),
+        (binary_root(0.9), {"V": [0.7, 0.3]}),
+        (chain_net(), {"V2": [0.25, 0.75]}),
+    ])
+    def test_one_reported_variable_fits_in_one_sweep(self, params, target):
+        # the full step rescales the only marginal onto its target exactly
+        sbn = build_selection_bn(params, target)
+        assert sbn.sweeps == 1
+        assert sbn.solved_residual <= 1e-15
+
     def test_matching_marginals_give_constant_weights(self):
         sbn = build_selection_bn(binary_root(0.5), {"V": [0.5, 0.5]})
         assert np.allclose(sbn.theta_s["V"], [1.0, 1.0], atol=1e-6)

@@ -8,6 +8,9 @@ import pytest
 from _oracles import (adjusted_by_enumeration, all_valid_subsets, confounded_world,
                       enumerate_joint, forward_sample_by_argmax, interventional_by_enumeration,
                       make_ground_truth)
+from adjfas import bayesnet, sim
+from adjfas import selection as selection_module
+from adjfas.bayesnet import product_marginal
 from adjfas.graph import Dag
 from adjfas.score import NOT_EXISTS, FasConfig
 from adjfas.sim import (METHODS, BenchmarkReport, SimConfig, _interventional, _is_valid, _median,
@@ -209,20 +212,44 @@ class TestSampleDatasets:
             moved = max(moved, np.abs(law - np.array(gt.true_id[arm.x_value])).max())
         assert moved > 0.01  # selection moves the law, so the test tells the two apart
 
-    def test_reported_marginals_match_tilted_enumeration(self):
-        cfg = SimConfig(n_observed=3, n_latent=1, n_obs=200, n_per_arm=20,
-                        selection="observed", seed=22)
-        gt = generate_world(cfg, np.random.default_rng(22))
-        _, exp = sample_datasets(gt, cfg, np.random.default_rng(23))
-        assert set(gt.selection) <= set(exp.reported_marginals)
-        nodes = list(gt.dag.nodes)
-        joint = enumerate_joint(nodes, gt.params.cardinalities, gt.params.parents,
-                                gt.params.cpts) * tilt_weights(gt)
-        joint /= joint.sum()
-        for v, reported in exp.reported_marginals.items():
-            i = nodes.index(v)
-            want = joint.sum(axis=tuple(a for a in range(len(nodes)) if a != i))
-            np.testing.assert_allclose(reported, want, rtol=0, atol=1e-12)
+    def test_reported_marginals_match_tilted_enumeration(self, monkeypatch):
+        # latent selection tilts only variables outside the reported set, and
+        # a cell budget of 1 takes the per-query fallback
+        for mode, budget in [("observed", None), ("latent", None), ("observed", 1), ("latent", 1)]:
+            with monkeypatch.context() as m:
+                if budget is not None:
+                    m.setattr(selection_module, "CELL_BUDGET", budget)
+                cfg = SimConfig(n_observed=3, n_latent=1, n_obs=200, n_per_arm=20,
+                                selection=mode, seed=22)
+                gt = generate_world(cfg, np.random.default_rng(22))
+                _, exp = sample_datasets(gt, cfg, np.random.default_rng(23))
+            shown = set(gt.selection) & set(exp.reported_marginals)
+            assert shown == (set(gt.selection) if mode == "observed" else set())
+            nodes = list(gt.dag.nodes)
+            joint = enumerate_joint(nodes, gt.params.cardinalities, gt.params.parents,
+                                    gt.params.cpts) * tilt_weights(gt)
+            joint /= joint.sum()
+            for v, reported in exp.reported_marginals.items():
+                i = nodes.index(v)
+                want = joint.sum(axis=tuple(a for a in range(len(nodes)) if a != i))
+                np.testing.assert_allclose(reported, want, rtol=0, atol=1e-12)
+
+    def test_one_elimination_per_trial(self, monkeypatch):
+        # one per arm for P(Y | do(x), S=1), one for every reported marginal
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(tuple(args[1]))
+            return product_marginal(*args, **kwargs)
+
+        cfg = SimConfig(selection="observed", seed=11)
+        gt = generate_world(cfg, np.random.default_rng(11))
+        for module in (bayesnet, selection_module, sim):
+            monkeypatch.setattr(module, "product_marginal", counted)
+        _, exp = sample_datasets(gt, cfg, np.random.default_rng(12))
+        assert len(exp.reported_marginals) > 1
+        assert len(calls) == gt.params.cardinalities[gt.x] + 1
+        assert calls[-1] == tuple(sorted(exp.reported_marginals))
 
     def test_latent_mode_hides_all_selected(self):
         cfg = SimConfig(selection="latent", seed=13)
