@@ -10,8 +10,8 @@ from .data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaE
                    load_experiment, load_observational, save_experiment, save_observational)
 from .graph import (Dag, GraphError, d_separated, forbidden_set, proper_backdoor_graph,
                     satisfies_adjustment_criterion)
-from .bayesnet import (BayesNetPosterior, ParamInstantiation, ZeroEvidenceError,
-                       fit_posterior, infer_conditional, learn_structure, posterior_mean)
+from .bayesnet import (BayesNetPosterior, ParamInstantiation, fit_posterior, learn_structure,
+                       posterior_mean)
 from .score import (ArmScore, EnumerationLimitError, FasConfig, FasResult, Hypothesis,
                     NOT_EXISTS, ScoringError, candidate_pool, find_adjustment_set,
                     prior_log_prob, score_not_exists)
@@ -27,9 +27,9 @@ __all__ = [
     "GroundTruth", "Hypothesis", "InfeasibleSelectionError", "NOT_EXISTS",
     "ParamInstantiation", "ParseError", "SchemaError", "ScoringError", "SelectionBn",
     "SelectionError", "SimConfig", "SolverConvergenceError", "ValidationError",
-    "ZeroEvidenceError", "build_selection_bn", "candidate_pool", "contingency_counts",
+    "build_selection_bn", "candidate_pool", "contingency_counts",
     "d_separated", "delta_theta", "find_adjustment_set", "fit_posterior", "forbidden_set",
-    "g2_independence_test", "generate_world", "infer_conditional", "learn_structure",
+    "g2_independence_test", "generate_world", "learn_structure",
     "load_experiment", "load_observational", "posterior_mean", "prior_log_prob",
     "proper_backdoor_graph", "run_benchmark", "sample_datasets",
     "satisfies_adjustment_criterion", "save_experiment", "save_observational",

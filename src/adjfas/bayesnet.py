@@ -24,10 +24,6 @@ from .data import CategoricalTable, contingency_counts
 from .graph import Dag
 
 
-class ZeroEvidenceError(ValueError):
-    """Conditional query against evidence of probability zero."""
-
-
 Factor = tuple[tuple[str, ...], np.ndarray]
 
 # Largest dense table, in cells, that the scorer's lattice root (Monte-Carlo
@@ -72,10 +68,6 @@ class ParamInstantiation:
             sums = cpt.sum(axis=-1)
             if not np.allclose(sums, 1.0, atol=1e-12):
                 raise ValueError(f"CPT rows for {v!r} do not sum to 1")
-
-    @property
-    def nodes(self) -> tuple[str, ...]:
-        return tuple(self.cpts)
 
     def factors(self) -> list[Factor]:
         return [((*self.parents[v], v), self.cpts[v]) for v in self.cpts]
@@ -346,43 +338,3 @@ def _evidence_sliced(factors: Sequence[Factor], evidence: Mapping[str, int]) -> 
                 vars = vars[:ax] + vars[ax + 1:]
         out.append((vars, values))
     return out
-
-
-def _check_query(params: ParamInstantiation, vars: Iterable[str],
-                 evidence: Mapping[str, int] | None = None) -> None:
-    known = set(params.cpts)
-    for v in vars:
-        if v not in known:
-            raise KeyError(f"unknown variable {v!r}")
-    for v, code in (evidence or {}).items():
-        if v not in known:
-            raise KeyError(f"unknown evidence variable {v!r}")
-        if not 0 <= int(code) < params.cardinalities[v]:
-            raise ValueError(f"evidence {v}={code} outside cardinality {params.cardinalities[v]}")
-
-
-def infer_conditional(params: ParamInstantiation, target: str,
-                      evidence: Mapping[str, int] | None = None,
-                      tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-    """Exact P(target | evidence) by variable elimination.
-
-    With ``tilts`` (variable -> weight per category) the query runs in the
-    reweighted population ∝ P(V) · ∏_v tilts[v][V_v], the one a selected
-    trial sees. Raises ZeroEvidenceError when the evidence has probability zero,
-    so a degenerate network fails loudly instead of returning NaNs.
-    """
-    evidence = dict(evidence or {})
-    tilts = tilts or {}
-    if target in evidence:
-        raise ValueError("target must not appear in the evidence")
-    _check_query(params, [target, *tilts], evidence)
-    for v, w in tilts.items():
-        if np.shape(w) != (params.cardinalities[v],):
-            raise ValueError(f"tilt for {v!r} has {np.size(w)} entries, "
-                             f"cardinality is {params.cardinalities[v]}")
-    factors = params.factors() + [((v,), np.asarray(w, dtype=float)) for v, w in tilts.items()]
-    t = product_marginal(_evidence_sliced(factors, evidence), (target,))
-    total = t.sum()
-    if total <= 0.0:
-        raise ZeroEvidenceError(f"evidence {evidence} has probability 0")
-    return t / total

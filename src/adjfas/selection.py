@@ -19,8 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (CELL_BUDGET, ParamInstantiation, ZeroEvidenceError, infer_conditional,
-                       product_marginal)
+from .bayesnet import CELL_BUDGET, ParamInstantiation, product_marginal
 from .data import CategoricalTable, ValidationError, contingency_counts
 
 MAX_SWEEPS = 10000
@@ -72,14 +71,6 @@ class SelectionBn:
 _ZERO_MASS = "selection weights drive P(S=1) to zero"
 
 
-def _weighted_marginal(params: ParamInstantiation, var: str,
-                       tilts: Mapping[str, np.ndarray]) -> np.ndarray:
-    try:
-        return infer_conditional(params, var, tilts=tilts)
-    except ZeroEvidenceError:
-        raise InfeasibleSelectionError(_ZERO_MASS) from None
-
-
 def _marginal_fn(params: ParamInstantiation, selected: tuple[str, ...]
                  ) -> Callable[[str, Mapping[str, np.ndarray]], np.ndarray]:
     """``marginal(v, theta)``: P(v) normalized in the population tilted by ``theta``.
@@ -88,21 +79,23 @@ def _marginal_fn(params: ParamInstantiation, selected: tuple[str, ...]
     a margin of P(R) · ∏_u θ_u(r_u): one elimination gives P(R), after which
     every query is dense arithmetic on ∏ card(R) cells. Past
     ``CELL_BUDGET`` cells each query is its own elimination over the
-    whole network.
+    whole network with the weights as extra factors.
     """
-    if math.prod(params.cardinalities[v] for v in selected) > CELL_BUDGET:
-        return lambda v, theta: _weighted_marginal(params, v, theta)
-
-    joint = product_marginal(params.factors(), selected)
-    axes = range(len(selected))
-    along = {v: [-1 if j == i else 1 for j in axes] for i, v in enumerate(selected)}
-    others = {v: tuple(j for j in axes if j != i) for i, v in enumerate(selected)}
+    joint = None
+    if math.prod(params.cardinalities[v] for v in selected) <= CELL_BUDGET:
+        joint = product_marginal(params.factors(), selected)
+        axes = range(len(selected))
+        along = {v: [-1 if j == i else 1 for j in axes] for i, v in enumerate(selected)}
+        others = {v: tuple(j for j in axes if j != i) for i, v in enumerate(selected)}
 
     def marginal(v: str, theta: Mapping[str, np.ndarray]) -> np.ndarray:
-        tilted = joint
-        for u, w in theta.items():
-            tilted = tilted * w.reshape(along[u])
-        t = tilted.sum(axis=others[v])
+        if joint is None:
+            t = product_marginal(params.factors() + [((u,), w) for u, w in theta.items()], (v,))
+        else:
+            tilted = joint
+            for u, w in theta.items():
+                tilted = tilted * w.reshape(along[u])
+            t = tilted.sum(axis=others[v])
         total = t.sum()
         if total <= 0.0:
             raise InfeasibleSelectionError(_ZERO_MASS)
@@ -132,8 +125,8 @@ def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Seq
                 "on a category never observed in the data")
 
 
-def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Sequence[float]],
-                       rng: np.random.Generator | None = None) -> SelectionBn:
+def build_selection_bn(params: ParamInstantiation,
+                       marginals: Mapping[str, Sequence[float]]) -> SelectionBn:
     """Solve inclusion weights so the tilted network reproduces each reported marginal.
 
     Iterative proportional fitting (Deming & Stephan 1940) on the joint of the
@@ -142,10 +135,10 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
     sorted order. Each such full step is the I-projection onto one marginal
     constraint, so when the constraints are feasible the sweeps converge to
     the unique I-projection of the network onto all of them (Csiszár, Ann.
-    Probab. 1975). A category with zero reported mass is an exclusion
-    criterion and is pinned at weight exactly 0. A reported marginal that puts
-    mass on a category the observational model gives probability 0 is
-    infeasible and is rejected before the first sweep.
+    Probab. 1975). Every weight starts at 1, except that a category with zero
+    reported mass is an exclusion criterion and is pinned at weight exactly 0.
+    A reported marginal that puts mass on a category the observational model
+    gives probability 0 is infeasible and is rejected before the first sweep.
     """
     selected = tuple(sorted(marginals))
     if not selected:
@@ -171,15 +164,10 @@ def build_selection_bn(params: ParamInstantiation, marginals: Mapping[str, Seque
                 f"variable {v!r}, category {c}: trial reports mass {t[c]:.6g} "
                 "on a category with no observational support")
 
-    theta: dict[str, np.ndarray] = {}
-    for v in selected:
-        init = rng.uniform(0.1, 1.0, params.cardinalities[v]) if rng is not None \
-            else np.ones(params.cardinalities[v])
-        init = np.where(targets[v] > 0.0, init, 0.0)
-        theta[v] = init / init.max()
+    theta = {v: np.where(targets[v] > 0.0, 1.0, 0.0) for v in selected}
 
-    # Aim well below the contract tolerance so independently initialized runs
-    # land on the same distribution within it; error only past the contract.
+    # Stop well inside the contract tolerance, so marginals recomputed by any
+    # other elimination order still meet it; error only past the contract.
     aim = TOL * 0.05
     residual = np.inf
     for sweeps in range(1, MAX_SWEEPS + 1):

@@ -1,11 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately written the slow, obvious way (path
-enumeration, full-joint loops) and never calls the library's inference or
-graph-search code paths it is checking. Two exceptions: ``score_one_arm``
-drives the library's per-arm scorer on its own so that tests can hold it to
-closed forms, and ``ideal_pick`` takes the library's candidate pool, no-set
-score and tie rule so that only its adjusted θ differs from the program's.
+enumeration, full-joint loops, a generic convex optimizer) and never calls
+the library's inference or graph-search code paths it is checking. Three
+exceptions: ``eliminated_conditional`` is a network's exact query spelled
+with the library's elimination, so tests can hold it to enumeration and read
+a selected population with it; ``score_one_arm`` drives the library's
+per-arm scorer on its own so that tests can hold it to closed forms; and
+``ideal_pick`` takes the library's candidate pool, no-set score and tie rule
+so that only its adjusted θ differs from the program's.
 """
 
 from __future__ import annotations
@@ -14,9 +17,11 @@ import csv
 from itertools import combinations, product
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
+from adjfas.bayesnet import (ParamInstantiation, _evidence_sliced, product_marginal,
+                             sample_parameter_batch)
 from adjfas.data import CategoricalTable, ExperimentSummary, ParseError, SchemaError
 from adjfas.graph import Dag
 from adjfas.score import (Hypothesis, _pick, _score_arm, candidate_pool, enumerate_hypotheses,
@@ -200,6 +205,47 @@ def conditional_from_joint(joint, nodes, target, evidence) -> np.ndarray:
     axes = tuple(i for i, v in enumerate(kept) if v != target)
     t = sl.sum(axis=axes)
     return t / t.sum()
+
+
+def eliminated_conditional(params: ParamInstantiation, target, evidence=None, tilts=None):
+    """P(target | evidence) in the population ∝ P(V) · ∏_v tilts[v][V_v], by elimination."""
+    factors = params.factors() + [((v,), np.asarray(w, dtype=float))
+                                  for v, w in (tilts or {}).items()]
+    t = product_marginal(_evidence_sliced(factors, evidence or {}), (target,))
+    return t / t.sum()
+
+
+def i_projection_by_dual(joint, targets) -> np.ndarray:
+    """The I-projection of ``joint`` onto one marginal per axis (Csiszár 1975).
+
+    Minimizes the convex dual log Σ_r P(r)·exp(Σ_i λ_i[r_i]) − Σ_i λ_i·t_i with
+    scipy's BFGS; the minimizer's tilted joint P(r)·exp(Σ_i λ_i[r_i]) / Z
+    is the projection.
+    """
+    targets = [np.asarray(t, dtype=float) for t in targets]
+    splits = np.cumsum([len(t) for t in targets])[:-1]
+
+    def tilted(lam):
+        logq = np.log(joint)
+        for i, l in enumerate(np.split(lam, splits)):
+            shape = [1] * joint.ndim
+            shape[i] = -1
+            logq = logq + l.reshape(shape)
+        return logq
+
+    def dual(lam):
+        logq = tilted(lam)
+        log_z = logsumexp(logq)
+        q = np.exp(logq - log_z)
+        margins = [q.sum(axis=tuple(j for j in range(joint.ndim) if j != i))
+                   for i in range(joint.ndim)]
+        return (log_z - float(lam @ np.concatenate(targets)),
+                np.concatenate(margins) - np.concatenate(targets))
+
+    lam = minimize(dual, np.zeros(int(sum(len(t) for t in targets))), jac=True,
+                   method="BFGS", options={"gtol": 1e-12}).x
+    logq = tilted(lam)
+    return np.exp(logq - logsumexp(logq))
 
 
 def interventional_by_enumeration(gt: GroundTruth, x_value: int) -> np.ndarray:

@@ -147,6 +147,7 @@ class TestTrialFile:
         ({"arms": [{"x": 0, "counts": [-3, 4]}]}, "arm 0: "),
         ({"treatment": None}, "'treatment'"),
         ({"treatment": ["X"]}, "'treatment'"),
+        ({"marginals": {"V1": [1.5, -0.5]}}, "marginal for 'V1' must be a non-negative vector"),
     ])
     def test_fas_rejects(self, tmp_path, capsys, change, key):
         obs = tmp_path / "obs.csv"

@@ -313,8 +313,8 @@ class TestG2:
         assert g2_independence_test(t, "A", "B") == pytest.approx(np.exp(-g2 / 2), rel=1e-12)
 
     def test_no_data_gives_p_one(self):
-        t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.empty((0, 3), dtype=int))
-        assert g2_independence_test(t, "A", "B", ["C"]) == 1.0
+        t = CategoricalTable(("A", "B"), (2, 2), np.empty((0, 2), dtype=int))
+        assert g2_independence_test(t, "A", "B") == 1.0
 
     def test_relabel_invariance(self):
         rng = np.random.default_rng(3)
@@ -325,15 +325,6 @@ class TestG2:
         t2 = CategoricalTable(("A", "B"), (3, 3), np.column_stack([perm[a], b]))
         assert g2_independence_test(t1, "A", "B") == pytest.approx(
             g2_independence_test(t2, "A", "B"), abs=1e-12)
-
-    def test_conditional_blocks_chain(self):
-        rng = np.random.default_rng(4)
-        c = rng.integers(0, 2, 20000)
-        a = (c ^ (rng.random(20000) < 0.2)).astype(int)
-        b = (c ^ (rng.random(20000) < 0.2)).astype(int)
-        t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
-        assert g2_independence_test(t, "A", "B") < 0.001
-        assert g2_independence_test(t, "A", "B", ["C"]) > 0.01
 
 
 class TestChiSquareTail:
@@ -366,20 +357,3 @@ class TestChiSquareTail:
         assert _chi2_sf(1e6, 1) == 0.0 == float(chdtrc(1, 1e6))
         for df in (1, 2, 3):
             assert _chi2_sf(1e-300, df) == pytest.approx(1.0, abs=1e-15)
-
-
-class TestG2ZeroStrata:
-    def test_zero_marginal_stratum_contributes_nothing(self):
-        # stratum C=1 is empty; only the C=0 stratum drives the statistic
-        rows0 = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]] * 25)
-        t_with = CategoricalTable(("A", "B", "C"), (2, 2, 2), rows0)
-        t_only = CategoricalTable(("A", "B", "C"), (2, 2, 1), rows0 * np.array([1, 1, 0]))
-        p_with = g2_independence_test(t_with, "A", "B", ["C"])
-        # same counts, df doubled by the declared (empty) stratum
-        from scipy.stats import chi2
-        assert 0.0 <= p_with <= 1.0
-        # direct check: statistic equals the single-stratum statistic
-        sub = CategoricalTable(("A", "B"), (2, 2), rows0[:, :2])
-        p_flat = g2_independence_test(sub, "A", "B")
-        g_flat = chi2.isf(p_flat, 1)
-        assert chi2.sf(g_flat, 2) == pytest.approx(p_with, abs=1e-9)

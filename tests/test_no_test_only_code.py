@@ -9,6 +9,13 @@ exempt. ``__init__.py`` re-exports names without using them, so its
 references do not count: an exported name needs a reader elsewhere in the
 package too. The match is by name alone, so a reference anywhere else in the
 package clears a definition.
+
+Since a name match cannot see an option nobody sets, every defaulted parameter
+of a package function must also be passed by some call in the package: by
+keyword, by position, or through ``*``/``**``. Calls match the function by
+name (a class name for ``__init__``), and a method's ``self`` or ``cls`` is
+not counted among the positions. The one exemption is ``cli.main``'s
+``argv``, the seam through which tests drive the command line.
 """
 
 import ast
@@ -58,6 +65,52 @@ def _unused(sources: dict[str, str]) -> list[str]:
                    and not (name.startswith("__") and name.endswith("__"))})
 
 
+def _functions(tree, prefix="", cls=None):
+    """(qualified name, callee name, def, bound leading parameters) of every function."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, prefix + node.name + ".", node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            callee = cls if node.name == "__init__" else node.name
+            yield prefix + node.name, callee, node, int(cls is not None and not static)
+            yield from _functions(node, prefix + node.name + ".")
+
+
+def _passes(call, name, position):
+    """Whether ``call`` passes parameter ``name``, whose positional index is ``position``."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return position is not None and any(
+        i == position or (isinstance(a, ast.Starred) and i <= position)
+        for i, a in enumerate(call.args))
+
+
+def _unpassed(sources: dict[str, str]) -> list[str]:
+    """module:function.parameter of every defaulted parameter no package call passes."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    out = []
+    for module, tree in trees.items():
+        for qualname, callee, fn, bound in _functions(tree):
+            a = fn.args
+            positional = [*a.posonlyargs, *a.args]
+            first = len(positional) - len(a.defaults)
+            defaulted = [(p.arg, i - bound) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            out += [f"{module}:{qualname}.{name}" for name, position in defaulted
+                    if not any(_passes(c, name, position) for c in calls.get(callee, []))]
+    return sorted(set(out) - {"cli.py:main.argv"})
+
+
 def test_every_definition_is_referenced_in_the_package():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert len(sources) > 5
@@ -70,3 +123,26 @@ def test_unread_constant_is_caught():
                "b.py": "from a import f\nf()\n",
                "__init__.py": "from a import UNREAD\n__all__ = ['UNREAD']\n"}
     assert _unused(sources) == ["a.py:UNREAD"]
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    unpassed = _unpassed(sources)
+    assert not unpassed, f"defaulted parameters no call in src/adjfas passes: {unpassed}"
+
+
+def test_unpassed_default_is_caught():
+    sources = {"a.py": ("def f(x, by_position=1, by_keyword=2, *, unset=3, kw_only=4):\n"
+                        "    return x\n\n"
+                        "class C:\n"
+                        "    def __init__(self, first=0, second=0):\n"
+                        "        pass\n\n"
+                        "    def m(self, unset=0, spread=0):\n"
+                        "        pass\n"),
+               "b.py": ("from a import C, f\n"
+                        "f(0, 1, by_keyword=2, kw_only=4)\n"
+                        "C(1).m(*[])\n"
+                        "C(second=2)\n"
+                        "def g(**kw):\n"
+                        "    return C(0).m(unset=0, **kw)\n")}
+    assert _unpassed(sources) == ["a.py:f.unset"]
