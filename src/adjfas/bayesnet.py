@@ -105,76 +105,15 @@ def _canonical(parents: Iterable[str], order: Mapping[str, int]) -> tuple[str, .
     return tuple(sorted(parents, key=order.__getitem__))
 
 
-class _HillClimbState:
-    def __init__(self, table, ess):
-        self.nodes = nodes = table.variable_names
-        self.order = {v: i for i, v in enumerate(nodes)}
-        self.table = table
-        self.ess = ess
-        self.cache = {}
-        self.parents = {v: set() for v in nodes}
-        self.children = {v: set() for v in nodes}
-        self.local = {v: self.local_with(v, ()) for v in nodes}
-
-    def _below(self, v) -> set:
-        """Every node a directed path of one or more edges leads to from ``v``."""
-        stack, seen = list(self.children[v]), set()
-        while stack:
-            w = stack.pop()
-            if w not in seen:
-                seen.add(w)
-                stack.extend(self.children[w])
-        return seen
-
-    def local_with(self, v, parents) -> float:
-        return _bdeu_local(self.table, v, _canonical(parents, self.order), self.ess, self.cache)
-
-    def moves(self):
-        below = {v: self._below(v) for v in self.nodes}
-        out = []
-        for u in self.nodes:
-            for v in self.nodes:
-                if u == v:
-                    continue
-                if v in self.children[u]:
-                    out.append(("del", u, v))
-                    # reversing u -> v cycles iff another child of u reaches v
-                    if (len(self.parents[u]) < MAX_PARENTS
-                            and not any(v in below[w] for w in self.children[u] if w != v)):
-                        out.append(("rev", u, v))
-                elif u not in self.children[v]:
-                    # adding u -> v cycles iff v already reaches u
-                    if len(self.parents[v]) < MAX_PARENTS and u not in below[v]:
-                        out.append(("add", u, v))
-        return out
-
-    def delta(self, move) -> float:
-        kind, u, v = move
-        if kind == "add":
-            return self.local_with(v, self.parents[v] | {u}) - self.local[v]
-        if kind == "del":
-            return self.local_with(v, self.parents[v] - {u}) - self.local[v]
-        d = self.local_with(v, self.parents[v] - {u}) - self.local[v]
-        d += self.local_with(u, self.parents[u] | {v}) - self.local[u]
-        return d
-
-    def apply(self, move):
-        kind, u, v = move
-        if kind in ("del", "rev"):
-            self.parents[v].discard(u)
-            self.children[u].discard(v)
-            self.local[v] = self.local_with(v, self.parents[v])
-        if kind in ("add",):
-            self.parents[v].add(u)
-            self.children[u].add(v)
-            self.local[v] = self.local_with(v, self.parents[v])
-        if kind == "rev":
-            self.parents[u].add(v)
-            self.children[v].add(u)
-            self.local[u] = self.local_with(u, self.parents[u])
-
-    def total(self) -> float:
-        return float(sum(self.local.values()))
+def _below(children: Mapping[str, set], v: str) -> set:
+    """Every node a directed path of one or more edges leads to from ``v``."""
+    stack, seen = list(children[v]), set()
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack.extend(children[w])
+    return seen
 
 
 def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
@@ -194,19 +133,53 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
     """
     if table.n < 1:
         raise ValueError("structure learning needs at least one sample")
-    state = _HillClimbState(table, ess)
+    nodes = table.variable_names
+    order = {v: i for i, v in enumerate(nodes)}
+    cache = {}
+
+    def local(v, parents) -> float:
+        return _bdeu_local(table, v, _canonical(parents, order), ess, cache)
+
+    parents = {v: frozenset() for v in nodes}
+    children = {v: set() for v in nodes}
+    score = {v: local(v, ()) for v in nodes}
     while True:
-        tol = _TIE_RTOL * abs(state.total())
-        best_move, best_delta = None, 0.0
-        for m in state.moves():
-            d = state.delta(m)
-            if d - best_delta > tol:
-                best_move, best_delta = m, d
+        # a move is the (node, new parent set) pairs it sets: one for an
+        # addition or deletion, two for a reversal
+        below = {v: _below(children, v) for v in nodes}
+        moves = []
+        for u in nodes:
+            for v in nodes:
+                if u == v:
+                    continue
+                if v in children[u]:
+                    moves.append(((v, parents[v] - {u}),))
+                    # reversing u -> v cycles iff another child of u reaches v
+                    if (len(parents[u]) < MAX_PARENTS
+                            and not any(v in below[w] for w in children[u] if w != v)):
+                        moves.append(((v, parents[v] - {u}), (u, parents[u] | {v})))
+                elif u not in children[v]:
+                    # adding u -> v cycles iff v already reaches u
+                    if len(parents[v]) < MAX_PARENTS and u not in below[v]:
+                        moves.append(((v, parents[v] | {u}),))
+        tol = _TIE_RTOL * abs(sum(score.values()))
+        best_move, best_gain = None, 0.0
+        for move in moves:
+            gain = 0.0
+            for w, ps in move:
+                gain += local(w, ps) - score[w]
+            if gain - best_gain > tol:
+                best_move, best_gain = move, gain
         if best_move is None:
             break
-        state.apply(best_move)
-    edges = [(u, v) for v, ps in state.parents.items() for u in ps]
-    return Dag(state.nodes, directed=edges)
+        for w, ps in best_move:
+            for p in parents[w] - ps:
+                children[p].discard(w)
+            for p in ps - parents[w]:
+                children[p].add(w)
+            parents[w] = ps
+            score[w] = local(w, ps)
+    return Dag(nodes, directed=[(u, v) for v, ps in parents.items() for u in ps])
 
 
 # --- posterior and sampling

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +33,9 @@ class ValidationError(ValueError):
 
 
 MARGINAL_SUM_TOL = 1e-6
+# Largest count tensor, in cells, that ``contingency_counts`` builds: the G²
+# test holds about four float64 arrays of that size.
+MAX_COUNT_CELLS = 1 << 26
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -222,58 +226,27 @@ class ExperimentSummary:
 def load_observational(path) -> CategoricalTable:
     """Read a header+integer-codes CSV into a validated table.
 
-    Cardinalities are inferred as max code + 1 per column. A body of plain
-    codes is parsed in one numpy pass; any other file is read cell by cell,
-    which is also what reports a malformed one.
+    Cardinalities are inferred as max code + 1 per column. The body is read
+    by numpy's CSV reader; a file it refuses, or one with a negative code, a
+    ragged row or no row, is read cell by cell, which is also what reports a
+    malformed one.
     """
-    with open(path, "rb") as f:
-        raw = f.read()
-    parsed = _parse_plain(raw)
-    if parsed is None:
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        names = [h.strip() for h in next(csv.reader(f), [])]
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(f, dtype=np.int64, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=2)
+        except ValueError:
+            rows = None
+    if (rows is None or not any(names) or rows.shape[1] != len(names) or not len(rows)
+            or rows.min() < 0):
         names, rows = _parse_csv(path)
-    else:
-        names, rows = parsed
     if not len(rows):
         raise SchemaError(f"{path}: no data rows to infer cardinalities from")
     cards = tuple(int(c) + 1 for c in rows.max(axis=0))
     return CategoricalTable(tuple(names), cards, rows)
-
-
-_PLAIN_BODY = b"0123456789,\n"
-
-
-def _parse_plain(raw: bytes) -> tuple[list[str], np.ndarray] | None:
-    """Header names and rows of a file whose header has a name, no quote, CR
-    or NUL, and whose body holds only digits, commas and newlines, with no empty
-    cell, no blank line and one cell per name on every line; None for any
-    other file, so that ``_parse_csv`` reads it and reports what is wrong.
-    """
-    head, newline, body = raw.partition(b"\n")
-    if not newline or not body or any(c in head for c in (b'"', b"\r", b"\x00")):
-        return None
-    try:
-        names = [h.strip() for h in head.decode("utf-8-sig").split(",")]
-    except UnicodeDecodeError:
-        return None
-    if not any(names):
-        return None
-    if not body.endswith(b"\n"):
-        body += b"\n"
-    if (body.translate(None, _PLAIN_BODY) or body.startswith((b",", b"\n"))
-            or any(s in body for s in (b",,", b",\n", b"\n,", b"\n\n"))):
-        return None
-    # a -1 after every line's cells: the lines each hold len(names) cells
-    # exactly when the parse is a grid whose last column is all -1
-    lines, width = body.count(b"\n"), len(names) + 1
-    codes = np.fromstring(body.replace(b"\n", b",-1,"), dtype=np.int64, sep=",")
-    if codes.size != lines * width:
-        return None
-    grid = codes.reshape(lines, width)
-    # cells of 19 digits or more go to the cell reader, which raises on one
-    # past int64 where this parse would give 2**63 - 1
-    if (grid[:, -1] != -1).any() or grid.max() >= 10**18:
-        return None
-    return names, grid[:, :-1]
 
 
 def _parse_csv(path) -> tuple[list[str], np.ndarray]:
@@ -421,6 +394,12 @@ def contingency_counts(table: CategoricalTable, vars: Sequence[str]) -> np.ndarr
     if len(set(idx)) != len(idx):
         raise ValueError("repeated variable in contingency query")
     cards = [table.cardinalities[i] for i in idx]
+    cells = math.prod(cards)
+    if cells > MAX_COUNT_CELLS:
+        raise ValidationError(
+            f"count table over {', '.join(f'{v} ({c})' for v, c in zip(vars, cards))} "
+            f"would hold {cells} cells, more than {MAX_COUNT_CELLS}; "
+            f"category codes must be dense 0..k-1")
     if not idx:
         return np.array(table.n, dtype=np.int64)
     rows, weights = table.distinct
@@ -429,7 +408,7 @@ def contingency_counts(table: CategoricalTable, vars: Sequence[str]) -> np.ndarr
     for i, c in zip(idx[1:], cards[1:]):
         flat = flat * c + rows[:, i]
     # float64 sums of integer weights are exact below 2**53 rows
-    counts = np.bincount(flat, weights=weights, minlength=int(np.prod(cards)))
+    counts = np.bincount(flat, weights=weights, minlength=cells)
     return counts.astype(np.int64).reshape(cards)
 
 

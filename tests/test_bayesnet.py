@@ -10,12 +10,48 @@ from adjfas.bayesnet import (_bdeu_local, fit_posterior, learn_structure, poster
                              product_marginal, sample_parameter_batch)
 from adjfas.data import CategoricalTable
 from adjfas.graph import Dag
+from adjfas.sim import SimConfig, simulate_replicate
 
 
 def table_from(rng, cols, n):
     rows = np.column_stack([c(rng, n) for c in cols.values()])
     cards = tuple(int(rows[:, j].max()) + 1 for j in range(rows.shape[1]))
     return CategoricalTable(tuple(cols), cards, rows)
+
+
+def assert_local_maximum(t, dag):
+    """No single addition, deletion or reversal that keeps the graph acyclic
+    and every node within MAX_PARENTS raises the BDeu score."""
+    cache = {}
+    order = {v: i for i, v in enumerate(t.variable_names)}
+
+    def canon(ps):
+        return tuple(sorted(ps, key=order.__getitem__))
+
+    parents = {v: set(dag.parents(v)) for v in dag.nodes}
+    base = sum(_bdeu_local(t, v, canon(parents[v]), 1.0, cache) for v in dag.nodes)
+    for u in dag.nodes:
+        for v in dag.nodes:
+            if u == v:
+                continue
+            trial = {w: set(ps) for w, ps in parents.items()}
+            if u in parents[v]:
+                trial[v].discard(u)
+                reversed_ = {w: set(ps) for w, ps in trial.items()}
+                reversed_[u].add(v)
+                variants = [trial, reversed_]
+            else:
+                trial[v].add(u)
+                variants = [trial]
+            for tr in variants:
+                if max(map(len, tr.values())) > bayesnet.MAX_PARENTS:
+                    continue
+                try:
+                    Dag(dag.nodes, [(p, w) for w, ps in tr.items() for p in ps])
+                except Exception:
+                    continue
+                score = sum(_bdeu_local(t, w, canon(tr[w]), 1.0, cache) for w in dag.nodes)
+                assert score <= base + 1e-9
 
 
 class TestLearnStructure:
@@ -53,36 +89,30 @@ class TestLearnStructure:
         a = (c ^ (rng.random(5000) < 0.3)).astype(int)
         b = ((a + c) % 2 ^ (rng.random(5000) < 0.3)).astype(int)
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
+        assert_local_maximum(t, learn_structure(t))
+
+    def test_parent_cap(self):
+        # C depends on six independent parents; no node may take more than MAX_PARENTS
+        rng = np.random.default_rng(6)
+        ps = rng.integers(0, 2, (4000, 6))
+        c = np.where(rng.random(4000) < 0.05, rng.integers(0, 4, 4000), ps.sum(axis=1) // 2)
+        t = CategoricalTable((*(f"P{i}" for i in range(6)), "C"), (2,) * 6 + (4,),
+                             np.column_stack([ps, c]))
         dag = learn_structure(t)
-        cache = {}
-        order = {v: i for i, v in enumerate(t.variable_names)}
+        assert max(len(dag.parents(v)) for v in dag.nodes) == bayesnet.MAX_PARENTS
+        assert_local_maximum(t, dag)
 
-        def canon(ps):
-            return tuple(sorted(ps, key=order.__getitem__))
-
-        parents = {v: set(dag.parents(v)) for v in dag.nodes}
-        base = sum(_bdeu_local(t, v, canon(parents[v]), 1.0, cache) for v in dag.nodes)
-        # no single add/delete/reverse improves the score
-        for u in dag.nodes:
-            for v in dag.nodes:
-                if u == v:
-                    continue
-                trial = {w: set(ps) for w, ps in parents.items()}
-                if u in parents[v]:
-                    trial[v].discard(u)
-                    reversed_ = {w: set(ps) for w, ps in trial.items()}
-                    reversed_[u].add(v)
-                    variants = [trial, reversed_]
-                else:
-                    trial[v].add(u)
-                    variants = [trial]
-                for tr in variants:
-                    try:
-                        Dag(dag.nodes, [(p, w) for w, ps in tr.items() for p in ps])
-                    except Exception:
-                        continue
-                    score = sum(_bdeu_local(t, w, canon(tr[w]), 1.0, cache) for w in dag.nodes)
-                    assert score <= base + 1e-9
+    # the edges learned on study tables whose climbs take deletions and
+    # reversals (reps 3, 9 and 10 of the seed-7 observed study)
+    @pytest.mark.parametrize("rep, edges", [
+        (3, "V1>V3 V2>Y V3>V2 V3>Y V6>Y X>V2 X>V3 X>V4"),
+        (9, "V1>V5 V2>V1 V2>V6 V3>V2 V3>V6 V4>V1 X>V1 X>V2 X>V4"),
+        (10, "V1>V2 V1>V3 V1>V4 V1>V6 V1>Y V2>V3 V2>Y V3>V4 V4>V6 V4>Y X>V6 X>Y Y>V5 Y>V6"),
+    ])
+    def test_study_tables_learn_pinned_dags(self, rep, edges):
+        _, table, _ = simulate_replicate(SimConfig(selection="observed", seed=7), rep)
+        assert sorted(learn_structure(table).directed_edges) == [
+            tuple(e.split(">")) for e in edges.split()]
 
     def test_covered_edge_reversal_bdeu_equality(self):
         rng = np.random.default_rng(3)

@@ -115,6 +115,17 @@ class TestFas:
                                    "arms": [{"x": 0, "counts": [1, 1]}]}))
         assert main(["fas", str(bad), str(exp)]) == 2
 
+    def test_sparse_code_exit_2(self, tmp_path, capsys):
+        # a code of 10**12 would make V's count tables hold about 10**12 cells
+        obs = tmp_path / "obs.csv"
+        obs.write_text("X,Y,V\n1,1,1000000000000\n")
+        exp = tmp_path / "e.json"
+        exp.write_text(json.dumps({"treatment": "X", "outcome": "Y",
+                                   "arms": [{"x": 0, "counts": [1, 1]}]}))
+        assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "V (1000000000001)" in err
+
     def test_selected_without_marginals_exit_2(self, g1_files, tmp_path):
         obs, _ = g1_files
         exp = tmp_path / "sel.json"

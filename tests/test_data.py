@@ -4,8 +4,9 @@ from scipy.special import chdtrc
 from scipy.stats import kstest
 
 from _oracles import contingency_by_row_pass, load_observational_by_cells
+from adjfas import data
 from adjfas.data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaError,
-                         ValidationError, _chi2_sf, _parse_plain, contingency_counts,
+                         ValidationError, _chi2_sf, contingency_counts,
                          g2_independence_test, load_experiment, load_observational,
                          save_experiment, save_observational)
 
@@ -63,8 +64,8 @@ def outcome(load, path):
 
 
 class TestLoadPaths:
-    """The one-pass parse takes plain files only, and every file loads as the
-    cell-by-cell reader loads it, to the table or the error text."""
+    """Every file loads as the cell-by-cell reader loads it, to the table or
+    the error text, whether numpy's reader takes it or refuses it."""
 
     CLEAN = b"A,B,C\n0,1,2\n1,0,0\n0,1,2\n3,0,1\n"
 
@@ -80,7 +81,6 @@ class TestLoadPaths:
     def test_plain_files_take_the_one_pass_parse(self, tmp_path, raw):
         p = tmp_path / "t.csv"
         p.write_bytes(raw)
-        assert _parse_plain(raw) is not None
         assert outcome(load_observational, p) == outcome(load_observational_by_cells, p)
 
     @pytest.mark.parametrize("raw", [
@@ -111,7 +111,6 @@ class TestLoadPaths:
     def test_other_files_load_as_the_cell_reader_loads_them(self, tmp_path, raw):
         p = tmp_path / "t.csv"
         p.write_bytes(raw)
-        assert _parse_plain(raw) is None
         assert outcome(load_observational, p) == outcome(load_observational_by_cells, p)
 
     def test_saved_tables_take_the_one_pass_parse(self, tmp_path):
@@ -119,10 +118,50 @@ class TestLoadPaths:
         t = CategoricalTable(("A", "B", "C"), (2, 13, 1000), np.column_stack(
             [rng.integers(0, 2, 500), rng.integers(0, 13, 500), rng.integers(0, 1000, 500)]))
         save_observational(t, tmp_path / "t.csv")
-        assert _parse_plain((tmp_path / "t.csv").read_bytes()) is not None
         back = load_observational(tmp_path / "t.csv")
         assert back.cardinalities == (2, 13, int(t.rows[:, 2].max()) + 1)
         assert np.array_equal(back.rows, t.rows)
+
+    @pytest.mark.parametrize("raw", [
+        CLEAN,
+        b"A,B\r\n0,1\r\n1,0\r\n",                  # CRLF
+        b'A,B\n"0",1\n1,"0"\n',                     # quoted cells
+        b"A,B\n0, 1\n 1 ,0\n",                     # spaces around codes
+        b"A,B\n0,1\n\n1,0\n\n",                     # blank lines
+        b"\xef\xbb\xbfA,B\n0,1\n1,0\n",             # byte-order mark
+        b"A,B\n0,1234567890123456789\n",           # 19 digits, inside int64
+    ])
+    def test_numpy_alone_reads_well_formed_files(self, tmp_path, monkeypatch, raw):
+        p = tmp_path / "t.csv"
+        p.write_bytes(raw)
+        want = outcome(load_observational_by_cells, p)
+        assert isinstance(want[0], tuple)
+
+        def refuse(path):
+            raise AssertionError("read cell by cell")
+
+        monkeypatch.setattr(data, "_parse_csv", refuse)
+        assert outcome(load_observational, p) == want
+
+    def test_random_bodies_load_as_the_cell_reader_loads_them(self, tmp_path):
+        rng = np.random.default_rng(18)
+        odd = ["", " 3", "4 ", "+1", "-1", "1.0", "1_0", '"2"', '"', "#", "1#",
+               "12345678901234567890", "1234567890123456789", '"1"2', '1"2"', "\t5"]
+        for i in range(100):
+            width = int(rng.integers(1, 4))
+            lines = [",".join("ABC"[:width])]
+            for _ in range(rng.integers(0, 5)):
+                cells = width if rng.random() < 0.9 else int(rng.integers(1, 5))
+                lines.append("" if rng.random() < 0.1 else ",".join(
+                    odd[rng.integers(len(odd))] if rng.random() < 0.2 else str(rng.integers(10))
+                    for _ in range(cells)))
+            ends = ["\n", "\r\n", "\r"]
+            end = ends[rng.integers(3)]
+            body = "".join(line + (end if rng.random() < 0.9 else ends[rng.integers(3)])
+                           for line in lines)
+            p = tmp_path / f"t{i}.csv"
+            p.write_bytes(body[:-1 if rng.random() < 0.2 else None].encode())
+            assert outcome(load_observational, p) == outcome(load_observational_by_cells, p), body
 
 
 class TestLoadExperiment:
@@ -207,6 +246,12 @@ class TestContingency:
     def test_single_var_all_ones(self):
         t = CategoricalTable(("A",), (2,), np.ones((7, 1), dtype=int))
         assert contingency_counts(t, ["A"]).tolist() == [0, 7]
+
+    def test_too_many_cells_is_refused_before_counting(self):
+        big = 2 ** 40
+        t = CategoricalTable(("A", "B"), (big, big), np.array([[0, big - 1], [big - 1, 0]]))
+        with pytest.raises(ValidationError, match=r"A \(1099511627776\), B \(1099511627776\).*dense"):
+            contingency_counts(t, ["A", "B"])
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
