@@ -66,7 +66,7 @@ class ParamInstantiation:
     def __post_init__(self):
         for v, cpt in self.cpts.items():
             sums = cpt.sum(axis=-1)
-            if not np.allclose(sums, 1.0, atol=1e-12):
+            if not np.allclose(sums, 1.0, rtol=0, atol=1e-12):
                 raise ValueError(f"CPT rows for {v!r} do not sum to 1")
 
     def factors(self) -> list[Factor]:
@@ -299,15 +299,3 @@ def product_marginal(factors: Sequence[Factor], keep: Sequence[str]) -> np.ndarr
         live.append((tuple(w for w in vars if w != v), summed))
     # only kept variables survive, so the last product is built in keep order
     return np.asarray(_multiply(live, keep)[1])
-
-
-def _evidence_sliced(factors: Sequence[Factor], evidence: Mapping[str, int]) -> list[Factor]:
-    out = []
-    for vars, values in factors:
-        for v, code in evidence.items():
-            if v in vars:
-                ax = vars.index(v)
-                values = np.take(values, int(code), axis=ax)
-                vars = vars[:ax] + vars[ax + 1:]
-        out.append((vars, values))
-    return out

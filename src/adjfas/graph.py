@@ -104,16 +104,6 @@ class Dag:
     def topological_order(self) -> tuple[str, ...]:
         return self._order
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dag):
-            return NotImplemented
-        return (self._nodes == other._nodes and self._directed == other._directed
-                and self._observed == other._observed)
-
-    def __repr__(self):
-        return (f"Dag(nodes={len(self._nodes)}, directed={len(self._directed)}, "
-                f"latent={len(self._nodes) - len(self._observed)})")
-
     # --- reachability
 
     def _closure(self, vs: Iterable[str], step: dict[str, frozenset[str]]) -> set[str]:

@@ -48,7 +48,6 @@ class SelectionBn:
     one the tilted network gives, from the solver's last residual pass.
     """
 
-    base: ParamInstantiation
     selected_vars: tuple[str, ...]
     theta_s: dict[str, np.ndarray]
     reported: dict[str, np.ndarray]
@@ -185,6 +184,6 @@ def build_selection_bn(params: ParamInstantiation,
             f"selection solver did not reach residual {TOL:g} in {MAX_SWEEPS} sweeps "
             f"(best {residual:.3g})")
 
-    return SelectionBn(base=params, selected_vars=selected, theta_s=theta, reported=targets,
+    return SelectionBn(selected_vars=selected, theta_s=theta, reported=targets,
                        reproduced=reproduced, solved_residual=residual, sweeps=sweeps)
 

@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (Factor, ParamInstantiation, _canonical, _evidence_sliced, _normalize_rows,
-                       fit_posterior, learn_structure, posterior_mean, product_marginal)
+from .bayesnet import (ParamInstantiation, _normalize_rows, fit_posterior, learn_structure,
+                       posterior_mean, product_marginal)
 from .data import Arm, CategoricalTable, ExperimentSummary
 from .graph import Dag, forbidden_set, satisfies_adjustment_criterion
 from .score import (NOT_EXISTS, FasConfig, FasResult, Hypothesis, _root_joint, _walk_lattice,
@@ -84,21 +84,17 @@ class GroundTruth:
     true_id: dict[int, tuple[float, ...]]
 
 
-def _mutilated(params: ParamInstantiation, x: str, x_value: int) -> list[Factor]:
-    """The network's factors under do(x = x_value): x's mechanism removed, x fixed."""
-    factors = [f for f in params.factors() if f[0][-1] != x]
-    return _evidence_sliced(factors, {x: x_value})
-
-
-def _interventional(params: ParamInstantiation, x: str, y: str, x_value: int,
+def _interventional(params: ParamInstantiation, x: str, y: str,
                     tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-    """Exact P(y | do(x = x_value)) by truncated factorization, unnormalized.
+    """Exact P(y | do(x)) for every x by truncated factorization: x's own
+    mechanism dropped and x left free, so row x of the (x, y) table is the
+    law under do(x). x keeps its axis as a parent in its children's CPTs.
 
-    With ``tilts`` (variable -> inclusion probability per category) it is
-    P(y, S=1 | do(x = x_value)), whose total is the acceptance probability.
+    With ``tilts`` (variable -> inclusion probability per category) row x is
+    P(y, S=1 | do(x)), unnormalized, whose total is the acceptance probability.
     """
     tilt = [((v,), w) for v, w in (tilts or {}).items()]
-    return product_marginal(_mutilated(params, x, x_value) + tilt, (y,))
+    return product_marginal([f for f in params.factors() if f[0][-1] != x] + tilt, (x, y))
 
 
 def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
@@ -123,20 +119,19 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
             if ix > iy:
                 order[ix], order[iy] = order[iy], order[ix]
 
-        n = len(order)
-        p_edge = min(1.0, 2.0 * cfg.mean_in_degree / max(1, n - 1))
-        edges = []
-        for j in range(1, n):
+        p_edge = min(1.0, 2.0 * cfg.mean_in_degree / max(1, len(order) - 1))
+        parents = {}  # each node's parents, in node order
+        for j, v in enumerate(order):
             mask = rng.random(j) < p_edge
-            edges.extend((order[i], order[j]) for i in range(j) if mask[i])
-        dag = Dag(order, directed=edges, observed=observed & set(order))
+            parents[v] = tuple(order[i] for i in range(j) if mask[i])
+        dag = Dag(order, directed=[(u, v) for v, ps in parents.items() for u in ps],
+                  observed=observed & set(order))
 
         if "Y" not in dag.descendants({"X"}):
             continue
         if cfg.mode == "pretreatment" and (dag.descendants({"X"}) - {"X", "Y"}) & set(covs + lats):
             continue
 
-        selection = None
         if cfg.selection != "none":
             candidates = sorted(set(covs) - dag.descendants({"X"}))
             k = min(3, len(candidates))
@@ -146,27 +141,20 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
             if k < 1:
                 continue
             chosen = [candidates[i] for i in sorted(rng.choice(len(candidates), k, replace=False))]
-            selection = {}
         break
     else:
         raise ValueError("could not draw a world satisfying the structural constraints; "
                          "try a larger --mean-in-degree")
 
     cards = {v: int(rng.choice(CARDINALITIES)) for v in order}
-    order_idx = {v: i for i, v in enumerate(dag.nodes)}
-    parents = {v: _canonical(dag.parents(v), order_idx) for v in dag.nodes}
     cpts = {}
-    for v in dag.nodes:
-        shape = (*(cards[p] for p in parents[v]), cards[v])
+    for v, ps in parents.items():
+        shape = (*(cards[p] for p in ps), cards[v])
         cpts[v] = _normalize_rows(rng.standard_gamma(1.0, size=shape))
     params = ParamInstantiation(cards, parents, cpts)
-
-    if cfg.selection != "none":
-        for v in chosen:
-            selection[v] = rng.uniform(0.2, 1.0, cards[v])
-
-    true_id = {xv: tuple(_interventional(params, "X", "Y", xv).tolist())
-               for xv in range(cards["X"])}
+    selection = (None if cfg.selection == "none"
+                 else {v: rng.uniform(0.2, 1.0, cards[v]) for v in chosen})
+    true_id = {xv: tuple(law) for xv, law in enumerate(_interventional(params, "X", "Y").tolist())}
     return GroundTruth(dag=dag, params=params, x="X", y="Y",
                        selection=selection, true_id=true_id)
 
@@ -202,12 +190,13 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
     arm's outcome counts are one draw from Multinomial(n_per_arm,
     P(Y | do(x), S=1)): the truncated factorization times every inclusion
     probability θ_{S_i=1|v_i}, over its total, the arm's acceptance
-    probability. Without selection that law is P(Y | do(x)). Reported
-    marginals are exact (selected-population) values for a random subset of
-    observed covariates: the subset covers all selected variables in
-    ``observed`` mode and omits every selected variable in ``latent`` mode.
-    They are read off one elimination over the reported and the selected
-    variables, the selection solver's ``_marginal_fn``.
+    probability; one elimination gives every arm's law. Without selection
+    that law is P(Y | do(x)). Reported marginals are exact
+    (selected-population) values for a random subset of observed covariates:
+    the subset covers all selected variables in ``observed`` mode and omits
+    every selected variable in ``latent`` mode. They are read off one
+    elimination over the reported and the selected variables, the selection
+    solver's ``_marginal_fn``.
     """
     if (gt.selection is not None) != (cfg.selection != "none"):
         raise ValueError("config selection setting disagrees with the world's mechanism")
@@ -219,8 +208,7 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
     table = CategoricalTable(tuple(obs_vars), tuple(cards[v] for v in obs_vars), rows)
 
     arms = []
-    for xv in range(cards[gt.x]):
-        p = _interventional(gt.params, gt.x, gt.y, xv, tilts=gt.selection)
+    for xv, p in enumerate(_interventional(gt.params, gt.x, gt.y, tilts=gt.selection)):
         acc = float(p.sum())
         if acc < MIN_ACCEPTANCE:
             raise ValueError(

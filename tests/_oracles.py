@@ -20,8 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from adjfas.bayesnet import (ParamInstantiation, _evidence_sliced, product_marginal,
-                             sample_parameter_batch)
+from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
 from adjfas.data import CategoricalTable, ExperimentSummary, ParseError, SchemaError
 from adjfas.graph import Dag
 from adjfas.score import (Hypothesis, _pick, _score_arm, candidate_pool, enumerate_hypotheses,
@@ -205,6 +204,19 @@ def conditional_from_joint(joint, nodes, target, evidence) -> np.ndarray:
     axes = tuple(i for i, v in enumerate(kept) if v != target)
     t = sl.sum(axis=axes)
     return t / t.sum()
+
+
+def _evidence_sliced(factors, evidence):
+    """Each factor with every evidence variable's axis fixed at its observed code."""
+    out = []
+    for vars, values in factors:
+        for v, code in evidence.items():
+            if v in vars:
+                ax = vars.index(v)
+                values = np.take(values, int(code), axis=ax)
+                vars = vars[:ax] + vars[ax + 1:]
+        out.append((vars, values))
+    return out
 
 
 def eliminated_conditional(params: ParamInstantiation, target, evidence=None, tilts=None):

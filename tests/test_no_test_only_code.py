@@ -10,6 +10,12 @@ references do not count: an exported name needs a reader elsewhere in the
 package too. The match is by name alone, so a reference anywhere else in the
 package clears a definition.
 
+A ``@dataclass`` field is a definition the name match cannot see, since its
+generated ``__init__`` and ``asdict`` reach it without naming it. So every
+field of a package dataclass must also be read as an attribute
+(``obj.field``, not an assignment to it) by package code outside
+``__init__.py``.
+
 Since a name match cannot see an option nobody sets, every defaulted parameter
 of a package function must also be passed by some call in the package: by
 keyword, by position, or through ``*``/``**``. Calls match the function by
@@ -63,6 +69,25 @@ def _unused(sources: dict[str, str]) -> list[str]:
     return sorted({f"{module}:{qualname}" for module, qualname, name in defined
                    if name not in referenced
                    and not (name.startswith("__") and name.endswith("__"))})
+
+
+def _unread_fields(sources: dict[str, str]) -> list[str]:
+    """module:Class.field of every dataclass field no package code reads as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.attr for module, tree in trees.items() if module != "__init__.py"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    out = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            # @dataclass or @dataclass(...)
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(getattr(d, "func", d), "id", None) == "dataclass"
+                    for d in cls.decorator_list):
+                out += [f"{module}:{cls.name}.{node.target.id}" for node in cls.body
+                        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and node.target.id not in read]
+    return sorted(out)
 
 
 def _functions(tree, prefix="", cls=None):
@@ -123,6 +148,32 @@ def test_unread_constant_is_caught():
                "b.py": "from a import f\nf()\n",
                "__init__.py": "from a import UNREAD\n__all__ = ['UNREAD']\n"}
     assert _unused(sources) == ["a.py:UNREAD"]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    unread = _unread_fields(sources)
+    assert not unread, f"dataclass fields no code in src/adjfas reads: {unread}"
+
+
+def test_unread_field_is_caught():
+    sources = {"a.py": ("from dataclasses import dataclass\n\n"
+                        "@dataclass(frozen=True)\n"
+                        "class P:\n"
+                        "    kept: int\n"
+                        "    written: int = 0\n"
+                        "    LIMIT = 3\n\n"
+                        "@dataclass\n"
+                        "class Q:\n"
+                        "    only_exported: int\n\n"
+                        "class Plain:\n"
+                        "    ignored: int\n"),
+               "b.py": ("from a import P, Q\n"
+                        "p = P(1)\n"
+                        "print(p.kept)\n"
+                        "p.written = 2\n"),
+               "__init__.py": "from a import Q\nQ(0).only_exported\n"}
+    assert _unread_fields(sources) == ["a.py:P.written", "a.py:Q.only_exported"]
 
 
 def test_every_defaulted_parameter_is_passed_in_the_package():

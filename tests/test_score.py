@@ -7,7 +7,7 @@ from scipy.special import gammaln, logsumexp
 from _oracles import (confounded_world, eliminated_conditional, latent_confounder_world,
                       mean_abs_diff, score_by_elimination, score_one_arm, valid_set_world)
 from adjfas import score as score_module
-from adjfas.bayesnet import fit_posterior
+from adjfas.bayesnet import fit_posterior, posterior_mean
 from adjfas.data import Arm, CategoricalTable, ValidationError
 from adjfas.graph import Dag, satisfies_adjustment_criterion
 from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig, FasResult,
@@ -424,9 +424,9 @@ class TestPrepareScoring:
         reported = prep.exp.reported_marginals
         assert prep.selection.selected_vars == tuple(sorted(reported))
         assert set(reported) <= set(prep.post.dag.nodes)
-        sbn = prep.selection
+        sbn, base = prep.selection, posterior_mean(prep.post)  # the weights were solved on base
         for v, marginal in reported.items():
-            np.testing.assert_allclose(eliminated_conditional(sbn.base, v, tilts=sbn.theta_s),
+            np.testing.assert_allclose(eliminated_conditional(base, v, tilts=sbn.theta_s),
                                        marginal, rtol=0, atol=1e-6)
 
     def test_learned_dag_ignores_seed(self):

@@ -15,9 +15,9 @@ def binary_root(p1=0.5):
     return ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([1 - p1, p1])})
 
 
-def selected(sbn, target):
-    """P(target) in the population the solved weights select."""
-    return eliminated_conditional(sbn.base, target, tilts=sbn.theta_s)
+def selected(params, sbn, target):
+    """P(target) in the population the weights solved on ``params`` select."""
+    return eliminated_conditional(params, target, tilts=sbn.theta_s)
 
 
 def chain_net():
@@ -72,9 +72,10 @@ class TestBuildSelectionBn:
         assert np.allclose(sbn.theta_s["V"], [1.0, 1.0], atol=1e-6)
 
     def test_exclusion_criterion(self):
-        sbn = build_selection_bn(binary_root(0.5), {"V": [0.0, 1.0]})
+        params = binary_root(0.5)
+        sbn = build_selection_bn(params, {"V": [0.0, 1.0]})
         assert sbn.theta_s["V"][0] == 0.0
-        assert np.allclose(selected(sbn, "V"), [0.0, 1.0])
+        assert np.allclose(selected(params, sbn, "V"), [0.0, 1.0])
 
     def test_infeasible_unsupported_mass(self):
         degenerate = ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([1.0, 0.0])})
@@ -104,7 +105,7 @@ class TestBuildSelectionBn:
             sbn = build_selection_bn(params, marg)
             assert sbn.solved_residual <= 1e-6
             for v in chosen:
-                got = selected(sbn, v)
+                got = selected(params, sbn, v)
                 assert np.abs(got - np.asarray(marg[v])).max() <= 1e-6
 
     def test_joint_solve_reproduces_three_way_targets(self):
@@ -123,7 +124,7 @@ class TestBuildSelectionBn:
             marg = reachable_marginals(rng, params, chosen)
             sbn = build_selection_bn(params, marg)
             for v in chosen:
-                assert np.abs(selected(sbn, v) - np.asarray(marg[v])).max() <= TOL
+                assert np.abs(selected(params, sbn, v) - np.asarray(marg[v])).max() <= TOL
 
     def test_fallback_gives_the_joint_solution(self, monkeypatch):
         rng = np.random.default_rng(12)
@@ -156,10 +157,11 @@ class TestBuildSelectionBn:
         assert calls == [("N1", "N3", "N4")]
 
     def test_scale_invariance(self):
-        sbn = build_selection_bn(chain_net(), {"V1": [0.3, 0.7]})
-        before = selected(sbn, "V2")
+        params = chain_net()
+        sbn = build_selection_bn(params, {"V1": [0.3, 0.7]})
+        before = selected(params, sbn, "V2")
         sbn.theta_s["V1"] = sbn.theta_s["V1"] * 0.37
-        after = selected(sbn, "V2")
+        after = selected(params, sbn, "V2")
         assert np.abs(after - before).max() < 1e-10
 
 
@@ -167,16 +169,18 @@ class TestSelectedConditional:
     def test_no_selection_matches_base(self):
         params = chain_net()
         sbn = build_selection_bn(params, {"V1": [0.6, 0.4]})
-        assert np.abs(selected(sbn, "V2") - eliminated_conditional(params, "V2")).max() < 1e-6
+        assert np.abs(selected(params, sbn, "V2") - eliminated_conditional(params, "V2")).max() < 1e-6
 
     def test_constraint_restated(self):
-        sbn = build_selection_bn(chain_net(), {"V1": [0.3, 0.7]})
-        assert np.abs(selected(sbn, "V1") - np.array([0.3, 0.7])).max() <= 1e-6
+        params = chain_net()
+        sbn = build_selection_bn(params, {"V1": [0.3, 0.7]})
+        assert np.abs(selected(params, sbn, "V1") - np.array([0.3, 0.7])).max() <= 1e-6
 
     def test_hand_factorization(self):
-        sbn = build_selection_bn(chain_net(), {"V1": [0.3, 0.7]})
+        params = chain_net()
+        sbn = build_selection_bn(params, {"V1": [0.3, 0.7]})
         want = 0.3 * np.array([0.9, 0.1]) + 0.7 * np.array([0.3, 0.7])
-        assert np.abs(selected(sbn, "V2") - want).max() < 1e-5
+        assert np.abs(selected(params, sbn, "V2") - want).max() < 1e-5
 
 
 class TestFindAdjustmentSetSelected:

@@ -52,7 +52,8 @@ class TestGenerateWorld:
         cfg = SimConfig(selection="observed", seed=4)
         a = generate_world(cfg, np.random.default_rng(77))
         b = generate_world(cfg, np.random.default_rng(77))
-        assert a.dag == b.dag
+        assert ((a.dag.nodes, a.dag.directed_edges, a.dag.observed)
+                == (b.dag.nodes, b.dag.directed_edges, b.dag.observed))
         assert a.true_id == b.true_id
         assert sorted(a.selection) == sorted(b.selection)
         for v in a.selection:
@@ -67,6 +68,15 @@ class TestGenerateWorld:
             assert v not in gt.dag.descendants({"X"})
             assert (w >= 0.2).all() and (w <= 1.0).all()
 
+    def test_cpt_parents_in_node_order(self):
+        for mode in ("random", "pretreatment"):
+            rng = np.random.default_rng(8)
+            for _ in range(10):
+                gt = generate_world(SimConfig(mode=mode, seed=8), rng)
+                nodes = list(gt.dag.nodes)
+                for v in nodes:
+                    assert gt.params.parents[v] == tuple(sorted(gt.dag.parents(v), key=nodes.index))
+
     def test_unsatisfiable_constraints_raise_value_error(self):
         # with next to no edges, X never reaches Y
         cfg = SimConfig(n_observed=0, n_latent=0, mean_in_degree=1e-300, seed=0)
@@ -79,14 +89,14 @@ class TestTrueInterventional:
         dag = Dag(["X", "Y"], directed=[("X", "Y")])
         cpts = {"X": np.array([0.4, 0.6]), "Y": np.array([[0.8, 0.2], [0.3, 0.7]])}
         gt = make_ground_truth(dag, {"X": 2, "Y": 2}, cpts)
-        assert np.allclose(_interventional(gt.params, "X", "Y", 1), [0.3, 0.7])
+        assert np.allclose(_interventional(gt.params, "X", "Y")[1], [0.3, 0.7])
 
     def test_adjustment_cross_check(self):
         gt = confounded_world()
+        laws = _interventional(gt.params, gt.x, gt.y)
         for xv in (0, 1):
-            ti = _interventional(gt.params, gt.x, gt.y, xv)
             adj = adjusted_by_enumeration(gt, ("C",), xv)
-            assert np.abs(ti - adj).max() < 1e-12
+            assert np.abs(laws[xv] - adj).max() < 1e-12
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(6)
@@ -187,14 +197,17 @@ class TestSampleDatasets:
         assert moved > 1e-4
 
     def test_acceptance_prob_matches_enumeration(self):
-        # P(S=1 | do(X=x)), the total of the arm's tilted law: the mutilated
-        # joint weighted by every inclusion mechanism
+        # row x is P(Y, S=1 | do(X=x)), the mutilated joint weighted by every
+        # inclusion mechanism and summed to Y; its total is the acceptance probability
         cfg = SimConfig(n_observed=3, n_latent=1, selection="observed", seed=21)
         gt = generate_world(cfg, np.random.default_rng(21))
-        for xv in range(gt.params.cardinalities[gt.x]):
-            want = float(tilted_mutilated_joint(gt, xv).sum())
-            got = _interventional(gt.params, gt.x, gt.y, xv, tilts=gt.selection).sum()
-            assert got == pytest.approx(want, rel=1e-12)
+        laws = _interventional(gt.params, gt.x, gt.y, tilts=gt.selection)
+        assert laws.shape == (gt.params.cardinalities[gt.x], gt.params.cardinalities[gt.y])
+        iy = list(gt.dag.nodes).index(gt.y)
+        for xv, got in enumerate(laws):
+            joint = tilted_mutilated_joint(gt, xv)
+            want = joint.sum(axis=tuple(a for a in range(joint.ndim) if a != iy))
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_selected_arms_converge_to_tilted_law(self):
         cfg = SimConfig(n_observed=3, n_latent=1, n_obs=100, n_per_arm=1_000_000,
@@ -235,7 +248,7 @@ class TestSampleDatasets:
                 np.testing.assert_allclose(reported, want, rtol=0, atol=1e-12)
 
     def test_one_elimination_per_trial(self, monkeypatch):
-        # one per arm for P(Y | do(x), S=1), one for every reported marginal
+        # one for every arm's P(Y | do(x), S=1), one for every reported marginal
         calls = []
 
         def counted(*args, **kwargs):
@@ -248,8 +261,7 @@ class TestSampleDatasets:
             monkeypatch.setattr(module, "product_marginal", counted)
         _, exp = sample_datasets(gt, cfg, np.random.default_rng(12))
         assert len(exp.reported_marginals) > 1
-        assert len(calls) == gt.params.cardinalities[gt.x] + 1
-        assert calls[-1] == tuple(sorted(exp.reported_marginals))
+        assert calls == [(gt.x, gt.y), tuple(sorted(exp.reported_marginals))]
 
     def test_latent_mode_hides_all_selected(self):
         cfg = SimConfig(selection="latent", seed=13)
