@@ -28,12 +28,14 @@ import numpy as np
 from .bayesnet import (CELL_BUDGET, BayesNetPosterior, fit_posterior, learn_structure,
                        posterior_mean, product_marginal, sample_parameter_batch)
 from .data import Arm, CategoricalTable, ExperimentSummary, ValidationError, g2_independence_test
+from .graph import Dag, d_separated
 from .selection import SelectionBn, build_selection_bn, check_empirical_support
 
 POOL_ENUMERATION_LIMIT = 16
 TIE_TOL = 1e-9
 
 _BATCH = "\x00batch"  # reserved pseudo-variable naming the Monte-Carlo axis
+_SELECTED = "\x00selected"  # reserved node: trial inclusion, child of the selected variables
 
 
 class EnumerationLimitError(RuntimeError):
@@ -41,7 +43,12 @@ class EnumerationLimitError(RuntimeError):
 
 
 class ScoringError(RuntimeError):
-    """Every sampling iteration was degenerate for some hypothesis/arm."""
+    """Every sampling iteration was degenerate for some hypothesis/arm;
+    ``z`` is the set scored when the error concerns one."""
+
+    def __init__(self, message: str, z: frozenset[str] | None = None):
+        super().__init__(message)
+        self.z = z
 
 
 @dataclass(frozen=True)
@@ -115,8 +122,12 @@ class ArmScore:
 
 @dataclass(frozen=True)
 class HypothesisRecord:
+    """Prior, arm scores and the class representative they were scored for
+    (``_representatives``; None for the no-set hypothesis)."""
+
     prior_log: float
     arm_scores: tuple[ArmScore, ...]
+    representative: frozenset[str] | None
 
     @property
     def total(self) -> float:
@@ -151,10 +162,14 @@ class FasResult:
         return [(self.best, self.records[self.best].total), *rest]
 
     def to_dict(self) -> dict:
+        rep = self.records[self.best].representative
+        tied = sorted((h for h, r in self.records.items()
+                       if rep is not None and r.representative == rep), key=Hypothesis.sort_key)
         return {
             "population": self.population,
             "pool": list(self.pool),
             "best": _hypothesis_dict(self.best),
+            "tied_with": [sorted(h.z) for h in tied],
             "estimate": (None if self.estimate is None
                          else {str(x): list(p) for x, p in self.estimate.items()}),
             "hypotheses": [hypothesis_entry(h, self.records[h]) for h, _ in self.ranked()],
@@ -177,6 +192,8 @@ def hypothesis_entry(h: Hypothesis, record: HypothesisRecord) -> dict:
         "arm_log_marginals": [a.log_marginal for a in record.arm_scores],
         "arm_id_estimates": [None if a.id_estimate is None else list(a.id_estimate)
                              for a in record.arm_scores],
+        "representative": (None if record.representative is None
+                           else sorted(record.representative)),
     }
 
 
@@ -286,7 +303,7 @@ def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int],
                 ax = bin(mask & below).count("1")  # position of z_j among mask's axes
                 visit(child, j, sub, sl.sum(axis=1 + ax), p.sum(axis=ax))
 
-    visit((1 << k) - 1, -1, list(dict.fromkeys(masks)), sliced, pz)
+    visit((1 << k) - 1, -1, list(masks), sliced, pz)
     return out
 
 
@@ -337,7 +354,7 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: 
     if cells <= CELL_BUDGET:
         groups = [(zvars, zsets)]
     else:
-        groups = [(z, [z]) for z in dict.fromkeys(zsets)]
+        groups = [(z, [z]) for z in zsets]
     found = {}
     for root, members in groups:
         joint = _root_joint(batched, parents, x, y, root, tilts)
@@ -350,7 +367,8 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: 
     for z, d in zip(zsets, degenerate):
         if d.all():
             raise ScoringError(
-                f"every sampling iteration degenerate for arm x={arm.x_value}, z={sorted(z)}")
+                f"every sampling iteration degenerate for arm x={arm.x_value}, z={sorted(z)}",
+                frozenset(z))
     return theta, degenerate
 
 
@@ -432,18 +450,53 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
     return PreparedScoring(exp=exp, pool=pool, post=post, selection=selection)
 
 
+def _representatives(prep: PreparedScoring, sets: Sequence[frozenset[str]]
+                     ) -> dict[frozenset[str], frozenset[str]]:
+    """The confounding-equivalence class representative of every set.
+
+    v drops from Z when v ⊥ X | Z∖{v} (Pearl & Paz, J. Causal Inference 2014)
+    or v ⊥ Y | Z∖{v} ∪ {X} (de Luna, Waernbaum & Richardson, Biometrika 2011)
+    in the learned DAG: either leaves Σ_z P(y|x,z)P(z) unchanged on every
+    posterior draw. rep(Z) is rep(Z∖{v}) for the first droppable v in
+    topological order, else Z, so it is a subset of every member. Every test
+    conditions on a leaf child of the selected variables (none for a `same`
+    trial), to which the tilted draws are Markov; conditioning on a leaf only
+    opens paths, so each drop also holds for the untilted estimates.
+    """
+    post, x, y = prep.post, prep.exp.treatment, prep.exp.outcome
+    selected = () if prep.selection is None else prep.selection.selected_vars
+    dag = Dag((*post.dag.nodes, _SELECTED),
+              (*post.dag.directed_edges, *((v, _SELECTED) for v in selected)))
+    rep = {}
+    # a neighbour is never d-separated, so it skips that test's walk
+    near_x, near_y = (post.dag.parents(u) | post.dag.children(u) for u in (x, y))
+
+    def find(z):
+        if z not in rep:
+            drop = next((v for v in post.dag.topological_order() if v in z and (
+                v not in near_x and d_separated(dag, {v}, {x}, z - {v} | {_SELECTED})
+                or v not in near_y and d_separated(dag, {v}, {y}, z - {v} | {_SELECTED, x}))),
+                None)
+            rep[z] = z if drop is None else find(z - {drop})
+        return rep[z]
+
+    return {z: find(z) for z in sets}
+
+
 def score_hypotheses(prep: PreparedScoring, config: FasConfig,
                      hypotheses: Sequence[Hypothesis] | None = None
                      ) -> dict[Hypothesis, HypothesisRecord]:
     """Score every hypothesis over every arm.
 
-    One parameter batch is drawn per arm (seed derived from (seed, arm)) and
-    shared by every hypothesis: common random numbers make the score
-    differences between near-equivalent hypotheses reflect their true gap
-    instead of independent Monte-Carlo noise. A selected trial's arms are
-    scored in the population tilted by ``prep.selection``, and there the
-    no-set hypothesis has no estimate: the raw trial frequencies describe the
-    selected population, not the observational one.
+    Only each class representative (``_representatives``) is scored, and
+    its members share its arm scores. One parameter batch is drawn per arm
+    (seed derived from (seed, arm)) and shared by every hypothesis: common
+    random numbers make the score differences between near-equivalent
+    hypotheses reflect their true gap instead of independent Monte-Carlo
+    noise. A selected trial's arms are scored in the population tilted by
+    ``prep.selection``, and there the no-set hypothesis has no estimate: the
+    raw trial frequencies describe the selected population, not the
+    observational one.
     """
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
@@ -464,24 +517,25 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         batches.append(sample_parameter_batch(post, rng, config.niters))
 
     subsets = [h for h in hypotheses if not h.is_not_exists]
-    zsets = [tuple(v for v in post.dag.nodes if v in h.z) for h in subsets]
-    per_arm = [_score_arm(batch, post.parents, x, y, zsets, arm, tilts=tilts) if zsets else []
-               for batch, arm in zip(batches, exp.arms)]
-    subset_scores = {h: tuple(arm_scores[i] for arm_scores in per_arm)
-                     for i, h in enumerate(subsets)}
-
+    rep = _representatives(prep, [h.z for h in subsets])
+    reps = list(dict.fromkeys(rep.values()))
+    zsets = [tuple(v for v in post.dag.nodes if v in z) for z in reps]
+    try:
+        per_arm = [_score_arm(batch, post.parents, x, y, zsets, arm, tilts=tilts) if zsets else []
+                   for batch, arm in zip(batches, exp.arms)]
+    except ScoringError as e:
+        if e.z is None:
+            raise
+        asked = next(h.label() for h in subsets if rep[h.z] == e.z)
+        raise ScoringError(f"{e}, the class representative scored for {asked}", e.z) from None
+    scores = {z: tuple(arm_scores[i] for arm_scores in per_arm) for i, z in enumerate(reps)}
+    scores[None] = tuple(ArmScore(
+        log_marginal=score_not_exists(arm),
+        id_estimate=None if prep.selection is not None else arm.frequencies,
+        trial_estimate=None) for arm in exp.arms)
+    rep[None] = None
     prior = prior_log_prob(prep.pool)
-    records = {}
-    for h in hypotheses:
-        if h.is_not_exists:
-            arm_scores = tuple(ArmScore(
-                log_marginal=score_not_exists(arm),
-                id_estimate=None if prep.selection is not None else arm.frequencies,
-                trial_estimate=None) for arm in exp.arms)
-        else:
-            arm_scores = subset_scores[h]
-        records[h] = HypothesisRecord(prior, arm_scores)
-    return records
+    return {h: HypothesisRecord(prior, scores[rep[h.z]], rep[h.z]) for h in hypotheses}
 
 
 def _pick(values: Mapping[Hypothesis, float]) -> Hypothesis:

@@ -506,6 +506,26 @@ class TestScoreCommand:
                                    rtol=0, atol=1e-9)
 
 
+    def test_set_scored_as_its_class_representative(self, tmp_path):
+        # score runs only the set's representative, as fas does for every member
+        world = tmp_path / "world"
+        assert main(["simulate", "--seed", "42", "--out", str(world)]) == 0
+        obs, expf = world / "observational.csv", world / "experiment.json"
+        fas_out, score_out = tmp_path / "fas.json", tmp_path / "score.json"
+        common = ["--seed", "1", "--niters", "20"]
+        assert main(["fas", str(obs), str(expf), *common, "--out", str(fas_out)]) == 0
+        doc = json.loads(fas_out.read_text())
+        want = next(h for h in doc["hypotheses"]
+                    if not h["not_exists"] and h["representative"] != h["z"])
+        assert set(want["representative"]) < set(want["z"])
+        assert main(["score", str(obs), str(expf), "--set", ",".join(want["z"]), *common,
+                     "--out", str(score_out)]) == 0
+        got = json.loads(score_out.read_text())
+        assert got["z"] == want["z"] and got["representative"] == want["representative"]
+        np.testing.assert_allclose(got["arm_log_marginals"], want["arm_log_marginals"],
+                                   rtol=0, atol=1e-12)
+
+
 class TestModelFlags:
     """Out-of-range model flags exit 2 with a message naming the flag."""
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from adjfas.bayesnet import fit_posterior, posterior_mean
 from adjfas.data import Arm, CategoricalTable, ValidationError
 from adjfas.graph import Dag, satisfies_adjustment_criterion
 from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig, FasResult,
-                          Hypothesis, HypothesisRecord, candidate_pool, enumerate_hypotheses,
+                          Hypothesis, HypothesisRecord, ScoringError, candidate_pool,
+                          enumerate_hypotheses,
                           find_adjustment_set, pick_best, pick_min_kl, prepare_scoring,
                           prior_log_prob, score_hypotheses, score_not_exists)
 from adjfas.sim import SimConfig, generate_world, sample_datasets, simulate_replicate
@@ -239,7 +242,7 @@ class TestFindAdjustmentSet:
                   Hypothesis.adjustment(("A",)): -5.0,
                   Hypothesis.adjustment(("A", "B")): -5.0 + 1e-13,
                   NOT_EXISTS: -20.0}
-        records = {h: HypothesisRecord(t, ()) for h, t in totals.items()}
+        records = {h: HypothesisRecord(t, (), h.z) for h, t in totals.items()}
         best = pick_best(records)
         assert best == Hypothesis.adjustment(("A",))
         res = FasResult(best=best, estimate=None, pool=("A", "B"),
@@ -295,7 +298,7 @@ class TestKlSelect:
         exp = type(datasets_for(confounded_world(), 100, 10, 0)[1])(
             treatment="X", outcome="Y", arms=(arm,))
         h = Hypothesis.adjustment(())
-        rec = HypothesisRecord(0.0, (ArmScore(0.0, (0.25, 0.75), (0.25, 0.75)),))
+        rec = HypothesisRecord(0.0, (ArmScore(0.0, (0.25, 0.75), (0.25, 0.75)),), frozenset())
         assert kl_divergences(exp, {h: rec})[h] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -414,6 +417,112 @@ class TestLatticeScoring:
         records = score_hypotheses(prep, config, hypotheses=hyps)
         assert len(roots) == 2 * len(prep.exp.arms)  # one root per set and arm
         _assert_matches_elimination(records, score_by_elimination(prep, config, hyps))
+
+
+# (world config, replicate, niters): criterion 5's fixture (pool of 6, 49
+# classes), criterion 6's (pool of 5, 30 classes; replicate 10 has a pair
+# that only the selection node keeps apart) and a world with a pool of 7
+CLASS_FIXTURES = {
+    "criterion-5": (SimConfig(selection="none", n_obs=10000, n_per_arm=500, seed=42), 13, 100),
+    "criterion-6": (SimConfig(selection="observed", n_obs=10000, n_per_arm=500, seed=55), 6, 100),
+    "criterion-6-rep-10": (
+        SimConfig(selection="observed", n_obs=10000, n_per_arm=500, seed=55), 10, 100),
+    "pool-of-7": (SimConfig(n_observed=10, n_latent=1, n_obs=5000, n_per_arm=500, seed=4), 0, 50),
+}
+
+
+def _class_fixture(name):
+    cfg, rep, niters = CLASS_FIXTURES[name]
+    _, table, exp = simulate_replicate(cfg, rep)
+    config = FasConfig(niters=niters)
+    return prepare_scoring(table, exp, config), config
+
+
+def _oracle_pick(prep, oracle, records):
+    totals = {h: prior_log_prob(prep.pool) + sum(a[0] for a in arms) for h, arms in oracle.items()}
+    totals[NOT_EXISTS] = records[NOT_EXISTS].total
+    top = max(totals.values())
+    return min((h for h, t in totals.items() if t >= top - TIE_TOL), key=Hypothesis.sort_key)
+
+
+class TestConfoundingClasses:
+    """Only class representatives are scored; members share their scores."""
+
+    @pytest.mark.parametrize("name", ["criterion-5", "criterion-6", "pool-of-7"])
+    def test_classes_match_elimination(self, name):
+        prep, config = _class_fixture(name)
+        records = score_hypotheses(prep, config)
+        oracle = score_by_elimination(prep, config)
+        for h, arms in oracle.items():
+            rec = records[h]
+            for got, (log_marginal, id_est, trial_est) in zip(rec.arm_scores, arms, strict=True):
+                assert got.log_marginal == pytest.approx(log_marginal, rel=1e-11, abs=0)
+                np.testing.assert_allclose(got.id_estimate, id_est, rtol=1e-11, atol=0)
+                np.testing.assert_allclose(got.trial_estimate, trial_est, rtol=1e-11, atol=0)
+            rep = records[Hypothesis.adjustment(rec.representative)]
+            assert rec.representative <= h.z and rep.representative == rec.representative
+            assert all(a is b for a, b in zip(rec.arm_scores, rep.arm_scores, strict=True))
+        assert len({records[h].representative for h in oracle}) < len(oracle)
+        assert pick_best(records) == _oracle_pick(prep, oracle, records)
+
+    def test_selection_node_keeps_sets_apart(self):
+        # without the selection node the prune merges sets whose tilted
+        # predictives differ
+        prep, config = _class_fixture("criterion-6-rep-10")
+        records = score_hypotheses(prep, config)
+        oracle = score_by_elimination(prep, config)
+        total = {h: sum(a[0] for a in arms) for h, arms in oracle.items()}
+        unselected = score_module._representatives(dataclasses.replace(prep, selection=None),
+                                                   list({h.z for h in oracle}))
+        pairs = [(a, b) for a, b in combinations(oracle, 2)
+                 if unselected[a.z] == unselected[b.z] and abs(total[a] - total[b]) > 1e-6]
+        assert pairs
+        for a, b in pairs:
+            assert records[a].representative != records[b].representative
+
+    def test_scores_one_set_per_class(self, monkeypatch):
+        prep, config = _class_fixture("pool-of-7")
+        assert len(prep.pool) >= 7
+        seen = []
+        score_arm = score_module._score_arm
+        monkeypatch.setattr(score_module, "_score_arm",
+                            lambda *a, **k: seen.append(a[4]) or score_arm(*a, **k))
+        records = score_hypotheses(prep, config)
+        reps = {r.representative for h, r in records.items() if not h.is_not_exists}
+        assert len(seen) == len(prep.exp.arms)
+        for zsets in seen:
+            assert len(zsets) == len(reps) < 2 ** len(prep.pool)
+            assert {frozenset(z) for z in zsets} == reps
+
+    def test_degenerate_error_names_asked_set_and_representative(self, monkeypatch):
+        prep, config = _class_fixture("pool-of-7")
+        records = score_hypotheses(prep, config)
+        h = max((h for h, r in records.items() if not h.is_not_exists and r.representative != h.z),
+                key=Hypothesis.sort_key)
+        walk = score_module._walk_lattice
+        monkeypatch.setattr(score_module, "_walk_lattice", lambda *a, **k: {
+            m: (t, np.ones_like(d)) for m, (t, d) in walk(*a, **k).items()})
+        rep = Hypothesis.adjustment(records[h].representative)
+        with pytest.raises(ScoringError) as err:
+            score_hypotheses(prep, config, [h])
+        assert f"z={sorted(rep.z)}" in str(err.value) and h.label() in str(err.value)
+        assert err.value.z == rep.z
+
+    def test_report_names_classes(self):
+        prep, config = _class_fixture("criterion-5")
+        records = score_hypotheses(prep, config)
+        res = FasResult(best=pick_best(records), estimate=None, pool=prep.pool, records=records,
+                        config=config, selection=None)
+        doc = res.to_dict()
+        rep = records[res.best].representative
+        assert rep == res.best.z
+        assert doc["tied_with"] == [
+            sorted(h.z) for h in sorted(records, key=Hypothesis.sort_key)
+            if not h.is_not_exists and records[h].representative == rep]
+        for entry in doc["hypotheses"]:
+            h = NOT_EXISTS if entry["not_exists"] else Hypothesis.adjustment(entry["z"])
+            want = records[h].representative
+            assert entry["representative"] == (None if want is None else sorted(want))
 
 
 class TestPrepareScoring:
