@@ -82,11 +82,7 @@ MAX_PARENTS = 4
 
 
 def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
-                ess: float, cache: dict) -> float:
-    key = (node, parents)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+                ess: float) -> float:
     r = table.cardinality(node)
     counts = contingency_counts(table, [*parents, node]).reshape(-1, r)
     q = counts.shape[0]
@@ -95,25 +91,12 @@ def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
     # an empty cell or parent row adds lgamma(a) - lgamma(a) = 0, so only
     # the nonzero counts are visited
     lg_j, lg_jk = math.lgamma(a_j), math.lgamma(a_jk)
-    score = (sum(lg_j - math.lgamma(a_j + n) for n in counts.sum(axis=1).tolist() if n)
-             + sum(math.lgamma(a_jk + c) - lg_jk for c in counts[counts > 0].tolist()))
-    cache[key] = score
-    return score
+    return (sum(lg_j - math.lgamma(a_j + n) for n in counts.sum(axis=1).tolist() if n)
+            + sum(math.lgamma(a_jk + c) - lg_jk for c in counts[counts > 0].tolist()))
 
 
 def _canonical(parents: Iterable[str], order: Mapping[str, int]) -> tuple[str, ...]:
     return tuple(sorted(parents, key=order.__getitem__))
-
-
-def _below(children: Mapping[str, set], v: str) -> set:
-    """Every node a directed path of one or more edges leads to from ``v``."""
-    stack, seen = list(children[v]), set()
-    while stack:
-        w = stack.pop()
-        if w not in seen:
-            seen.add(w)
-            stack.extend(children[w])
-    return seen
 
 
 def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
@@ -137,16 +120,20 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
     order = {v: i for i, v in enumerate(nodes)}
     cache = {}
 
-    def local(v, parents) -> float:
-        return _bdeu_local(table, v, _canonical(parents, order), ess, cache)
+    def local(v, parents: frozenset) -> float:
+        key = (v, parents)
+        if key not in cache:
+            cache[key] = _bdeu_local(table, v, _canonical(parents, order), ess)
+        return cache[key]
 
+    dag = Dag(nodes)
     parents = {v: frozenset() for v in nodes}
-    children = {v: set() for v in nodes}
-    score = {v: local(v, ()) for v in nodes}
+    score = {v: local(v, parents[v]) for v in nodes}
     while True:
+        children = {v: dag.children(v) for v in nodes}
+        desc = {v: dag.descendants((v,)) for v in nodes}
         # a move is the (node, new parent set) pairs it sets: one for an
         # addition or deletion, two for a reversal
-        below = {v: _below(children, v) for v in nodes}
         moves = []
         for u in nodes:
             for v in nodes:
@@ -156,11 +143,11 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
                     moves.append(((v, parents[v] - {u}),))
                     # reversing u -> v cycles iff another child of u reaches v
                     if (len(parents[u]) < MAX_PARENTS
-                            and not any(v in below[w] for w in children[u] if w != v)):
+                            and not any(v in desc[w] for w in children[u] if w != v)):
                         moves.append(((v, parents[v] - {u}), (u, parents[u] | {v})))
                 elif u not in children[v]:
                     # adding u -> v cycles iff v already reaches u
-                    if len(parents[v]) < MAX_PARENTS and u not in below[v]:
+                    if len(parents[v]) < MAX_PARENTS and u not in desc[v]:
                         moves.append(((v, parents[v] | {u}),))
         tol = _TIE_RTOL * abs(sum(score.values()))
         best_move, best_gain = None, 0.0
@@ -171,15 +158,11 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
             if gain - best_gain > tol:
                 best_move, best_gain = move, gain
         if best_move is None:
-            break
+            return dag
         for w, ps in best_move:
-            for p in parents[w] - ps:
-                children[p].discard(w)
-            for p in ps - parents[w]:
-                children[p].add(w)
             parents[w] = ps
             score[w] = local(w, ps)
-    return Dag(nodes, directed=[(u, v) for v, ps in parents.items() for u in ps])
+        dag = Dag(nodes, [(u, v) for v, ps in parents.items() for u in ps])
 
 
 # --- posterior and sampling

@@ -3,9 +3,9 @@
 Every command is fully deterministic given its inputs and flags, --seed
 included. Reports are machine-readable first (JSON/CSV) with a console
 summary, and every report file is written before the summary is printed.
-Exit codes: 0 ok, 2 validation failure, 3 infeasible selection model, 4
-enumeration refusal, 141 when the reader of standard output closed it early
-(the report files stand).
+Exit codes: 0 ok, 2 validation failure or a set no posterior draw can score,
+3 infeasible selection model, 4 enumeration refusal, 141 when the reader of
+standard output closed it early (the report files stand).
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import (ParseError, SchemaError, ValidationError, load_experiment,
-                   load_observational, save_experiment, save_observational)
+from .data import load_experiment, load_observational, save_experiment, save_observational
 from .score import (EnumerationLimitError, FasConfig, Hypothesis, NOT_EXISTS, FasResult,
-                    find_adjustment_set, hypothesis_entry, prepare_scoring, score_hypotheses)
+                    ScoringError, find_adjustment_set, hypothesis_entry, prepare_scoring,
+                    score_hypotheses)
 from .selection import SelectionError
 from .sim import (METHODS, SimConfig, run_benchmark, simulate_replicate, write_benchmark_csv,
                   write_benchmark_summary)
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
     except SelectionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ParseError, SchemaError, ValidationError, ValueError, KeyError, OSError) as e:
+    except (ScoringError, ValueError, KeyError, OSError) as e:
         # str() of a KeyError is the repr of its message
         print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
         return EXIT_VALIDATION

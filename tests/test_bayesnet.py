@@ -22,14 +22,13 @@ def table_from(rng, cols, n):
 def assert_local_maximum(t, dag):
     """No single addition, deletion or reversal that keeps the graph acyclic
     and every node within MAX_PARENTS raises the BDeu score."""
-    cache = {}
     order = {v: i for i, v in enumerate(t.variable_names)}
 
     def canon(ps):
         return tuple(sorted(ps, key=order.__getitem__))
 
     parents = {v: set(dag.parents(v)) for v in dag.nodes}
-    base = sum(_bdeu_local(t, v, canon(parents[v]), 1.0, cache) for v in dag.nodes)
+    base = sum(_bdeu_local(t, v, canon(parents[v]), 1.0) for v in dag.nodes)
     for u in dag.nodes:
         for v in dag.nodes:
             if u == v:
@@ -50,7 +49,7 @@ def assert_local_maximum(t, dag):
                     Dag(dag.nodes, [(p, w) for w, ps in tr.items() for p in ps])
                 except Exception:
                     continue
-                score = sum(_bdeu_local(t, w, canon(tr[w]), 1.0, cache) for w in dag.nodes)
+                score = sum(_bdeu_local(t, w, canon(tr[w]), 1.0) for w in dag.nodes)
                 assert score <= base + 1e-9
 
 
@@ -62,10 +61,9 @@ class TestLearnStructure:
         dag = learn_structure(t)
         assert not dag.directed_edges
         # BDeu oracle: the empty model dominates either single-edge model
-        cache = {}
-        empty = _bdeu_local(t, "A", (), 1.0, cache) + _bdeu_local(t, "B", (), 1.0, cache)
-        ab = _bdeu_local(t, "A", (), 1.0, cache) + _bdeu_local(t, "B", ("A",), 1.0, cache)
-        ba = _bdeu_local(t, "B", (), 1.0, cache) + _bdeu_local(t, "A", ("B",), 1.0, cache)
+        empty = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", (), 1.0)
+        ab = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", ("A",), 1.0)
+        ba = _bdeu_local(t, "B", (), 1.0) + _bdeu_local(t, "A", ("B",), 1.0)
         assert empty > max(ab, ba)
 
     def test_copy_gives_one_edge(self):
@@ -74,9 +72,8 @@ class TestLearnStructure:
         t = CategoricalTable(("A", "B"), (2, 2), np.column_stack([a, a]))
         dag = learn_structure(t)
         assert sorted(dag.directed_edges) in ([("A", "B")], [("B", "A")])
-        cache = {}
-        edge = _bdeu_local(t, "A", (), 1.0, cache) + _bdeu_local(t, "B", ("A",), 1.0, cache)
-        empty = _bdeu_local(t, "A", (), 1.0, cache) + _bdeu_local(t, "B", (), 1.0, cache)
+        edge = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", ("A",), 1.0)
+        empty = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", (), 1.0)
         assert edge > empty
 
     def test_single_variable(self):
@@ -114,20 +111,32 @@ class TestLearnStructure:
         assert sorted(learn_structure(table).directed_edges) == [
             tuple(e.split(">")) for e in edges.split()]
 
+    def test_each_family_scored_once(self, monkeypatch):
+        _, table, _ = simulate_replicate(SimConfig(selection="observed", seed=7), 10)
+        scored = []
+        exact = bayesnet._bdeu_local
+
+        def counting(table, node, parents, *rest):
+            scored.append((node, frozenset(parents)))
+            return exact(table, node, parents, *rest)
+
+        monkeypatch.setattr(bayesnet, "_bdeu_local", counting)
+        learn_structure(table)
+        assert scored and len(scored) == len(set(scored))
+
     def test_covered_edge_reversal_bdeu_equality(self):
         rng = np.random.default_rng(3)
         c = rng.integers(0, 2, 2000)
         a = (c ^ (rng.random(2000) < 0.25)).astype(int)
         b = ((a ^ c) ^ (rng.random(2000) < 0.25)).astype(int)
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
-        cache = {}
         # A -> B with Pa(B) = {A, C}, Pa(A) = {C}: covered edge, equal scores
-        s1 = (_bdeu_local(t, "C", (), 1.0, cache)
-              + _bdeu_local(t, "A", ("C",), 1.0, cache)
-              + _bdeu_local(t, "B", ("A", "C"), 1.0, cache))
-        s2 = (_bdeu_local(t, "C", (), 1.0, cache)
-              + _bdeu_local(t, "B", ("C",), 1.0, cache)
-              + _bdeu_local(t, "A", ("B", "C"), 1.0, cache))
+        s1 = (_bdeu_local(t, "C", (), 1.0)
+              + _bdeu_local(t, "A", ("C",), 1.0)
+              + _bdeu_local(t, "B", ("A", "C"), 1.0))
+        s2 = (_bdeu_local(t, "C", (), 1.0)
+              + _bdeu_local(t, "B", ("C",), 1.0)
+              + _bdeu_local(t, "A", ("B", "C"), 1.0))
         assert s1 == pytest.approx(s2, abs=1e-9)
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -139,8 +148,7 @@ class TestLearnStructure:
         b = (a ^ (rng.random(3000) < 0.1)).astype(int)
         c = (b ^ (rng.random(3000) < 0.3)).astype(int)
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
-        cache = {}
-        gains = {(u, v): _bdeu_local(t, v, (u,), 1.0, cache) - _bdeu_local(t, v, (), 1.0, cache)
+        gains = {(u, v): _bdeu_local(t, v, (u,), 1.0) - _bdeu_local(t, v, (), 1.0)
                  for u in "ABC" for v in "ABC" if u != v}
         top = max(gains.values())
         assert sum(g == pytest.approx(top, rel=1e-12) for g in gains.values()) == 2
@@ -149,10 +157,10 @@ class TestLearnStructure:
 
         exact = bayesnet._bdeu_local
 
-        def perturbed(table, node, parents, ess, cache):
+        def perturbed(table, node, parents, ess):
             # a deterministic ±1e-13 relative error per local score
             s = 1 if zlib.crc32(repr((node, parents)).encode()) & 1 else -1
-            return exact(table, node, parents, ess, cache) * (1 + sign * s * 1e-13)
+            return exact(table, node, parents, ess) * (1 + sign * s * 1e-13)
 
         monkeypatch.setattr(bayesnet, "_bdeu_local", perturbed)
         assert sorted(learn_structure(t).directed_edges) == plain
@@ -176,7 +184,7 @@ class TestLearnStructure:
             a_jk, a_j = ess / (q * r), ess / q
             ref = (np.sum(gammaln(a_j) - gammaln(a_j + counts.sum(axis=1)))
                    + np.sum(gammaln(a_jk + counts) - gammaln(a_jk)))
-            assert _bdeu_local(t, "V", parents, ess, {}) == pytest.approx(ref, rel=1e-12, abs=0)
+            assert _bdeu_local(t, "V", parents, ess) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestFitPosterior:

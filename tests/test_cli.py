@@ -526,6 +526,48 @@ class TestScoreCommand:
                                    rtol=0, atol=1e-12)
 
 
+def degenerate_files(tmp_path):
+    """50 rows of near-copies scored under a vanishing BDeu prior: every posterior
+    draw of {V1,V2,V3} is degenerate for arm x=0."""
+    rng = np.random.default_rng(2)
+    cols = [rng.integers(0, 3, 50)]
+    for _ in range(5):
+        c = rng.integers(0, 3, 50)
+        cols.append(np.where(rng.random(50) < 0.85, cols[int(rng.integers(len(cols)))], c))
+    from adjfas.data import CategoricalTable
+    obs, expf = tmp_path / "obs.csv", tmp_path / "exp.json"
+    save_observational(CategoricalTable(("V0", "V1", "V2", "V3", "X", "Y"), (3,) * 6,
+                                        np.column_stack(cols)), obs)
+    expf.write_text(json.dumps({"treatment": "X", "outcome": "Y",
+                                "arms": [{"x": x, "counts": [10, 10, 10]} for x in range(3)]}))
+    return obs, expf
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize("argv", [["fas"], ["score", "--set", "V1,V2,V3"]])
+    def test_degenerate_set_exit_2(self, tmp_path, capsys, argv):
+        obs, expf = degenerate_files(tmp_path)
+        code = main([argv[0], str(obs), str(expf), *argv[1:], "--ess", "1e-12",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: every sampling iteration degenerate for arm x=0")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", [n for n in adjfas.__all__
+                                      if isinstance(getattr(adjfas, n), type)
+                                      and issubclass(getattr(adjfas, n), Exception)])
+    def test_every_exported_error_has_an_exit_code(self, monkeypatch, capsys, name):
+        cls = getattr(adjfas, name)
+
+        def raise_it(args):
+            raise cls("boom")
+
+        monkeypatch.setitem(cli._COMMANDS, "fas", raise_it)
+        assert main(["fas", "obs.csv", "exp.json"]) in (2, 3, 4)
+        assert capsys.readouterr().err == "error: boom\n"
+
+
 class TestModelFlags:
     """Out-of-range model flags exit 2 with a message naming the flag."""
 
