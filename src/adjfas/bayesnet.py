@@ -207,53 +207,38 @@ def posterior_mean(post: BayesNetPosterior) -> ParamInstantiation:
 def _expand(values: np.ndarray, vars: tuple[str, ...], target: tuple[str, ...]) -> np.ndarray:
     """View of ``values`` broadcastable over the axes of ``target``."""
     have = set(vars)
-    order = [v for v in target if v in have]
-    if order != list(vars):
-        values = values.transpose([vars.index(v) for v in order])
-    idx = tuple(slice(None) if v in have else None for v in target)
-    return values[idx]
+    values = values.transpose([vars.index(v) for v in target if v in have])
+    return values[tuple(slice(None) if v in have else None for v in target)]
 
 
 def _multiply(factors: Sequence[Factor], target: tuple[str, ...] | None = None) -> Factor:
-    """Product of the factors over ``target`` (default: the order variables first appear).
-
-    With a target given the product is C-contiguous in that order, as the
-    caller reads it; mid-elimination it is summed at once, so numpy may keep
-    whatever layout the inputs have.
-    """
-    order = "K" if target is None else "C"
+    """Product of the factors over ``target`` (default: the order variables
+    first appear); a product of two or more factors is C-contiguous."""
     if target is None:
         target = tuple(dict.fromkeys(v for vars, _ in factors for v in vars))
     out = _expand(factors[0][1], factors[0][0], target)
     for vars, values in factors[1:]:
-        out = np.multiply(out, _expand(values, vars, target), order=order)
+        out = np.multiply(out, _expand(values, vars, target), order="C")
     return target, out
 
 
 def _min_fill_order(scopes: Sequence[tuple[str, ...]], elim: set[str]) -> list[str]:
+    """Greedy min-fill order of ``elim`` (every one in some scope), ties to the smaller name."""
     adj: dict[str, set[str]] = {}
     for scope in scopes:
         for v in scope:
             adj.setdefault(v, set()).update(w for w in scope if w != v)
-    for v in elim:
-        adj.setdefault(v, set())
     order = []
     remaining = set(elim)
     while remaining:
-        def fill(v):
-            nbrs = [w for w in adj[v] if w in adj]
-            return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:] if b not in adj[a])
-        v = min(remaining, key=lambda w: (fill(w), w))
+        # each non-adjacent pair of w's neighbours is counted once from either end
+        v = min(remaining, key=lambda w: (sum(len(adj[w] - adj[a]) - 1 for a in adj[w]), w))
         order.append(v)
         remaining.discard(v)
-        nbrs = [w for w in adj[v] if w in adj and w != v]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1:]:
-                adj[a].add(b)
-                adj[b].add(a)
-        for w in nbrs:
-            adj[w].discard(v)
-        del adj[v]
+        nbrs = adj.pop(v)
+        for a in nbrs:
+            adj[a] |= nbrs
+            adj[a] -= {a, v}
     return order
 
 

@@ -404,9 +404,7 @@ def contingency_counts(table: CategoricalTable, vars: Sequence[str]) -> np.ndarr
         return np.array(table.n, dtype=np.int64)
     rows, weights = table.distinct
     # row-major index of each distinct row's joint category (codes are < cardinality)
-    flat = rows[:, idx[0]]
-    for i, c in zip(idx[1:], cards[1:]):
-        flat = flat * c + rows[:, i]
+    flat = np.ravel_multi_index(tuple(rows[:, i] for i in idx), cards)
     # float64 sums of integer weights are exact below 2**53 rows
     counts = np.bincount(flat, weights=weights, minlength=cells)
     return counts.astype(np.int64).reshape(cards)

@@ -489,14 +489,14 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     """Score every hypothesis over every arm.
 
     Only each class representative (``_representatives``) is scored, and
-    its members share its arm scores. One parameter batch is drawn per arm
-    (seed derived from (seed, arm)) and shared by every hypothesis: common
-    random numbers make the score differences between near-equivalent
-    hypotheses reflect their true gap instead of independent Monte-Carlo
-    noise. A selected trial's arms are scored in the population tilted by
-    ``prep.selection``, and there the no-set hypothesis has no estimate: the
-    raw trial frequencies describe the selected population, not the
-    observational one.
+    its members share its arm scores. When a subset hypothesis is asked, one
+    parameter batch is drawn per arm (seed derived from (seed, arm)) and
+    shared by every hypothesis: common random numbers make the score
+    differences between near-equivalent hypotheses reflect their true gap
+    instead of independent Monte-Carlo noise. A selected trial's arms are
+    scored in the population tilted by ``prep.selection``, and there the
+    no-set hypothesis has no estimate: the raw trial frequencies describe the
+    selected population, not the observational one.
     """
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
@@ -511,24 +511,24 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
                 f"{limit} of the candidate pool {{{','.join(prep.pool)}}}")
     tilts = None if prep.selection is None else dict(prep.selection.theta_s)
 
-    batches = []
-    for a_idx in range(len(exp.arms)):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, a_idx)))
-        batches.append(sample_parameter_batch(post, rng, config.niters))
-
     subsets = [h for h in hypotheses if not h.is_not_exists]
-    rep = _representatives(prep, [h.z for h in subsets])
-    reps = list(dict.fromkeys(rep.values()))
-    zsets = [tuple(v for v in post.dag.nodes if v in z) for z in reps]
-    try:
-        per_arm = [_score_arm(batch, post.parents, x, y, zsets, arm, tilts=tilts) if zsets else []
-                   for batch, arm in zip(batches, exp.arms)]
-    except ScoringError as e:
-        if e.z is None:
-            raise
-        asked = next(h.label() for h in subsets if rep[h.z] == e.z)
-        raise ScoringError(f"{e}, the class representative scored for {asked}", e.z) from None
-    scores = {z: tuple(arm_scores[i] for arm_scores in per_arm) for i, z in enumerate(reps)}
+    rep, scores = {}, {}
+    if subsets:
+        rep = _representatives(prep, [h.z for h in subsets])
+        reps = list(dict.fromkeys(rep.values()))
+        zsets = [tuple(v for v in post.dag.nodes if v in z) for z in reps]
+        per_arm = []
+        try:
+            for a_idx, arm in enumerate(exp.arms):
+                seeds = np.random.SeedSequence(config.seed, spawn_key=(1, a_idx))
+                batch = sample_parameter_batch(post, np.random.default_rng(seeds), config.niters)
+                per_arm.append(_score_arm(batch, post.parents, x, y, zsets, arm, tilts=tilts))
+        except ScoringError as e:
+            if e.z is None:
+                raise
+            asked = next(h.label() for h in subsets if rep[h.z] == e.z)
+            raise ScoringError(f"{e}, the class representative scored for {asked}", e.z) from None
+        scores = {z: tuple(arm_scores[i] for arm_scores in per_arm) for i, z in enumerate(reps)}
     scores[None] = tuple(ArmScore(
         log_marginal=score_not_exists(arm),
         id_estimate=None if prep.selection is not None else arm.frequencies,

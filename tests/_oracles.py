@@ -227,6 +227,35 @@ def eliminated_conditional(params: ParamInstantiation, target, evidence=None, ti
     return t / t.sum()
 
 
+def min_fill_order_by_pairs(scopes, elim) -> list[str]:
+    """Greedy min-fill elimination order, ties to the smaller name, by
+    counting every non-adjacent pair of a candidate's neighbours."""
+    adj: dict[str, set[str]] = {}
+    for scope in scopes:
+        for v in scope:
+            adj.setdefault(v, set()).update(w for w in scope if w != v)
+    for v in elim:
+        adj.setdefault(v, set())
+    order = []
+    remaining = set(elim)
+    while remaining:
+        def fill(v):
+            nbrs = [w for w in adj[v] if w in adj]
+            return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1:] if b not in adj[a])
+        v = min(remaining, key=lambda w: (fill(w), w))
+        order.append(v)
+        remaining.discard(v)
+        nbrs = [w for w in adj[v] if w in adj and w != v]
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1:]:
+                adj[a].add(b)
+                adj[b].add(a)
+        for w in nbrs:
+            adj[w].discard(v)
+        del adj[v]
+    return order
+
+
 def i_projection_by_dual(joint, targets) -> np.ndarray:
     """The I-projection of ``joint`` onto one marginal per axis (Csiszár 1975).
 

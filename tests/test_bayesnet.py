@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from _oracles import conditional_from_joint, eliminated_conditional, enumerate_joint
+from _oracles import (conditional_from_joint, eliminated_conditional, enumerate_joint,
+                      min_fill_order_by_pairs)
 from adjfas import bayesnet
 from adjfas.bayesnet import (_bdeu_local, fit_posterior, learn_structure, posterior_mean,
                              product_marginal, sample_parameter_batch)
 from adjfas.data import CategoricalTable
 from adjfas.graph import Dag
-from adjfas.sim import SimConfig, simulate_replicate
+from adjfas.score import FasConfig
+from adjfas.sim import METHODS, SimConfig, _run_replicate, simulate_replicate
 
 
 def table_from(rng, cols, n):
@@ -322,3 +324,45 @@ class TestInference:
         got = eliminated_conditional(params, nodes[2], {nodes[0]: 0})
         assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
+
+class TestEliminationKernel:
+    def test_min_fill_order_matches_pairwise_reference_on_random_scopes(self):
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            names = [f"v{int(i)}" for i in rng.choice(40, size=int(rng.integers(1, 15)),
+                                                       replace=False)]
+            scopes = [tuple(rng.choice(names, size=min(int(rng.integers(1, 5)), len(names)),
+                                       replace=False).tolist())
+                      for _ in range(int(rng.integers(1, 12)))]
+            present = {v for scope in scopes for v in scope}
+            keep = {v for v in present if rng.random() < 0.3}
+            elim = present - keep
+            assert bayesnet._min_fill_order(scopes, elim) == min_fill_order_by_pairs(scopes, elim)
+
+    def test_min_fill_order_matches_pairwise_reference_on_study_calls(self, monkeypatch):
+        # every order product_marginal asks for in a few replicates of three studies
+        calls = []
+        order = bayesnet._min_fill_order
+        monkeypatch.setattr(bayesnet, "_min_fill_order",
+                            lambda scopes, elim: calls.append((list(scopes), set(elim)))
+                            or order(scopes, elim))
+        for selection, seed in (("observed", 7), ("none", 42), ("latent", 231)):
+            for rep in range(3):
+                _run_replicate(rep, SimConfig(selection=selection, seed=seed), FasConfig(),
+                               METHODS)
+        assert len(calls) > 50
+        for scopes, elim in calls:
+            assert order(scopes, elim) == min_fill_order_by_pairs(scopes, elim)
+
+    def test_product_of_two_or_more_factors_is_c_contiguous(self):
+        rng = np.random.default_rng(3)
+        a = rng.random((2, 3)).T                     # over (B, A), a transposed view
+        b = np.asfortranarray(rng.random((3, 4)))    # over (B, C)
+        c = np.asfortranarray(rng.random((4, 2)))    # over (C, A)
+        for factors in ([(("B", "A"), a), (("B", "C"), b)],
+                        [(("B", "C"), b), (("C", "A"), c), (("B", "A"), a)]):
+            vars, prod = bayesnet._multiply(factors)
+            assert prod.flags.c_contiguous
+            want = np.einsum(",".join("".join(f[0]) for f in factors) + "->" + "".join(vars),
+                             *(f[1] for f in factors))
+            np.testing.assert_allclose(prod, want, rtol=1e-15)

@@ -418,6 +418,21 @@ class TestLatticeScoring:
         assert len(roots) == 2 * len(prep.exp.arms)  # one root per set and arm
         _assert_matches_elimination(records, score_by_elimination(prep, config, hyps))
 
+    @pytest.mark.parametrize("selection", ["none", "observed"])
+    def test_no_set_alone_draws_no_parameters(self, selection, monkeypatch):
+        prep, config = _scoring_world(selection)
+        full = score_hypotheses(prep, config)
+        calls = []
+        for name in ("sample_parameter_batch", "_representatives"):
+            wrapped = getattr(score_module, name)
+            monkeypatch.setattr(score_module, name, lambda *a, _f=wrapped, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        records = score_hypotheses(prep, config, [NOT_EXISTS])
+        assert calls == []
+        assert records == {NOT_EXISTS: full[NOT_EXISTS]}
+        score_hypotheses(prep, config, [Hypothesis.adjustment(prep.pool[:1]), NOT_EXISTS])
+        assert calls == ["_representatives"] + ["sample_parameter_batch"] * len(prep.exp.arms)
+
 
 # (world config, replicate, niters): criterion 5's fixture (pool of 6, 49
 # classes), criterion 6's (pool of 5, 30 classes; replicate 10 has a pair
