@@ -26,11 +26,6 @@ from .graph import Dag
 
 Factor = tuple[tuple[str, ...], np.ndarray]
 
-# Largest dense table, in cells, that the scorer's lattice root (Monte-Carlo
-# axis counted) or the selection solver's reported-variable joint may hold;
-# past it each query is its own elimination.
-CELL_BUDGET = 1 << 22
-
 
 @dataclass(frozen=True)
 class BayesNetPosterior:

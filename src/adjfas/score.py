@@ -25,14 +25,18 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import (CELL_BUDGET, BayesNetPosterior, fit_posterior, learn_structure,
-                       posterior_mean, product_marginal, sample_parameter_batch)
+from .bayesnet import (BayesNetPosterior, fit_posterior, learn_structure, posterior_mean,
+                       product_marginal, sample_parameter_batch)
 from .data import Arm, CategoricalTable, ExperimentSummary, ValidationError, g2_independence_test
 from .graph import Dag, d_separated
 from .selection import SelectionBn, build_selection_bn, check_empirical_support
 
 POOL_ENUMERATION_LIMIT = 16
 TIE_TOL = 1e-9
+# Most cells, Monte-Carlo axis counted, of a root that serves several sets:
+# elimination and the lattice walk cost grow with the largest tensor built,
+# and most cells of a wide root are summed away again by the walk.
+ROOT_BUDGET = 1 << 17
 
 _BATCH = "\x00batch"  # reserved pseudo-variable naming the Monte-Carlo axis
 _SELECTED = "\x00selected"  # reserved node: trial inclusion, child of the selected variables
@@ -344,19 +348,27 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: 
                  tilts=None) -> tuple[np.ndarray, np.ndarray]:
     """θ_{Y_x} of every set in ``zsets`` for the arm's x: shapes (H, |Y|, batch), (H, batch).
 
-    One root holds the union of the sets; past ``CELL_BUDGET`` cells
-    each set is its own root instead.
+    The sets are grouped under roots of at most ``ROOT_BUDGET`` cells
+    (draws × |Y| × |X| × the covariates' cardinalities). Taken largest
+    first, each set joins the first group whose root, unioned with it,
+    stays within the budget, and otherwise starts a group of its own; so a
+    set over the budget by itself is its own root. Each group is one
+    elimination to its root, walked for its members' masks.
     """
-    union = set().union(*zsets)
-    zvars = tuple(v for v in batched if v in union)
-    n_draws = len(batched[x])
-    cells = n_draws * np.prod([batched[v].shape[-1] for v in (y, x, *zvars)], dtype=float)
-    if cells <= CELL_BUDGET:
-        groups = [(zvars, zsets)]
-    else:
-        groups = [(z, [z]) for z in zsets]
+    card = {v: batched[v].shape[-1] for v in batched}
+    base = len(batched[x]) * card[y] * card[x]
+    groups: list[tuple[set[str], list[tuple[str, ...]]]] = []
+    for z in sorted(zsets, key=lambda z: -math.prod(card[v] for v in z)):
+        for union, members in groups:
+            if base * math.prod(card[v] for v in union.union(z)) <= ROOT_BUDGET:
+                union.update(z)
+                members.append(z)
+                break
+        else:
+            groups.append((set(z), [z]))
     found = {}
-    for root, members in groups:
+    for union, members in groups:
+        root = tuple(v for v in batched if v in union)
         joint = _root_joint(batched, parents, x, y, root, tilts)
         bit = {v: 1 << i for i, v in enumerate(root)}
         masks = {z: sum(bit[v] for v in z) for z in members}

@@ -19,11 +19,14 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bayesnet import CELL_BUDGET, ParamInstantiation, product_marginal
+from .bayesnet import ParamInstantiation, product_marginal
 from .data import CategoricalTable, ValidationError, contingency_counts
 
 MAX_SWEEPS = 10000
 TOL = 1e-6  # largest residual between a reported and a reproduced marginal
+# Largest reported-variable joint P(R), in cells, that the solver builds;
+# past it each marginal query is its own elimination over the network.
+CELL_BUDGET = 1 << 22
 
 
 class SelectionError(RuntimeError):

@@ -411,12 +411,35 @@ class TestLatticeScoring:
         hyps = [Hypothesis.adjustment(prep.pool[:2]), Hypothesis.adjustment(prep.pool[2:])]
         roots = []
         build = score_module._root_joint
-        monkeypatch.setattr(score_module, "CELL_BUDGET", 1)
+        monkeypatch.setattr(score_module, "ROOT_BUDGET", 1)
         monkeypatch.setattr(score_module, "_root_joint",
                             lambda *a, **k: roots.append(a[4]) or build(*a, **k))
         records = score_hypotheses(prep, config, hypotheses=hyps)
         assert len(roots) == 2 * len(prep.exp.arms)  # one root per set and arm
         _assert_matches_elimination(records, score_by_elimination(prep, config, hyps))
+
+    @pytest.mark.parametrize("budget", [score_module.ROOT_BUDGET, score_module.ROOT_BUDGET // 8])
+    def test_roots_grouped_under_budget(self, budget, monkeypatch):
+        prep, config = _class_fixture("pool-of-7")
+        monkeypatch.setattr(score_module, "ROOT_BUDGET", budget)
+        cells, served = [], []  # per root built: its cells, and the sets walked from it
+        build, walk = score_module._root_joint, score_module._walk_lattice
+
+        def root_joint(*a, **k):
+            joint = build(*a, **k)
+            cells.append(joint.size)
+            return joint
+
+        monkeypatch.setattr(score_module, "_root_joint", root_joint)
+        monkeypatch.setattr(score_module, "_walk_lattice", lambda joint, x_value, masks, **k:
+                            served.append(len(masks)) or walk(joint, x_value, masks, **k))
+        records = score_hypotheses(prep, config)
+        roots = list(zip(cells, served, strict=True))
+        assert all(c <= budget for c, n in roots if n > 1)
+        assert any(n > 1 for _, n in roots) and any(c > budget for c, _ in roots)
+        reps = {r.representative for h, r in records.items() if not h.is_not_exists}
+        assert sum(served) == len(reps) * len(prep.exp.arms)  # each set once per arm
+        _assert_matches_elimination(records, score_by_elimination(prep, config))
 
     @pytest.mark.parametrize("selection", ["none", "observed"])
     def test_no_set_alone_draws_no_parameters(self, selection, monkeypatch):
