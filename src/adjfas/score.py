@@ -39,6 +39,7 @@ TIE_TOL = 1e-9
 ROOT_BUDGET = 1 << 17
 
 _BATCH = "\x00batch"  # reserved pseudo-variable naming the Monte-Carlo axis
+_POPULATION = "\x00population"  # reserved pseudo-variable: 0 observational, 1 the trial's
 _SELECTED = "\x00selected"  # reserved node: trial inclusion, child of the selected variables
 
 
@@ -245,44 +246,48 @@ def score_not_exists(arm: Arm) -> float:
 
 def _root_joint(batched: Mapping[str, np.ndarray], parents: Mapping[str, tuple[str, ...]],
                 x: str, y: str, zvars: tuple[str, ...],
-                tilts: Mapping[str, np.ndarray] | None = None) -> np.ndarray:
-    """P(Y, X, *zvars) for every draw in the batch, by one variable elimination.
+                tilts: Mapping[str, np.ndarray]) -> np.ndarray:
+    """P(Y, X, *zvars) for every population and draw, by one variable elimination.
 
-    The result is C-contiguous with axes (Y, X, *zvars, batch): the
-    Monte-Carlo axis goes last so that summing out a covariate reduces over
-    contiguous runs of draws. With ``tilts`` the joint is that of the
-    reweighted population (unnormalized).
+    The result is C-contiguous with axes (Y, X, *zvars, population, batch):
+    the Monte-Carlo axis goes last so that summing out a covariate reduces
+    over contiguous runs of draws. Population 0 is the observational one;
+    ``tilts`` add the reweighted one (unnormalized) as population 1, by a
+    factor [1, tilts[v]] over (v, population) per tilted variable.
     """
     factors = [((*parents[v], v, _BATCH), np.moveaxis(batched[v], 0, -1)) for v in batched]
-    if tilts:
-        factors += [((v,), np.asarray(t, dtype=float)) for v, t in tilts.items()]
-    return np.ascontiguousarray(product_marginal(factors, (y, x, *zvars, _BATCH)))
+    factors += [((v, _POPULATION), np.stack([np.ones(len(t)), t], axis=-1))
+                for v, t in tilts.items()]
+    keep = (y, x, *zvars, *([_POPULATION] if tilts else []), _BATCH)
+    joint = product_marginal(factors, keep)
+    return np.ascontiguousarray(joint.reshape(*joint.shape[:2 + len(zvars)], -1, joint.shape[-1]))
 
 
-def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int],
-                  tilted: bool = False) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int]
+                  ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Adjustment-formula predictive θ_{Y_x} for subsets of the root's covariates.
 
     ``joint`` is a root from ``_root_joint`` over covariates z_0..z_{k-1};
     each mask names a subset (bit i set keeps z_i). Returns mask ->
-    (theta, degenerate): theta has shape (|Y|, batch) and degenerate flags
-    draws where some stratum (x, z) has probability zero while P(z) > 0,
-    making the conditional undefined. ``tilted`` marks a root of the
-    reweighted population, whose P(z) is normalized per draw.
+    (theta, degenerate): theta has shape (|Y|, population, batch) and
+    degenerate flags the (population, draw) slices, each with P(z)
+    normalized, where some stratum (x, z) has probability zero while
+    P(z) > 0, making the conditional undefined.
 
     The subsets are walked depth-first from the root, each child being its
     parent summed over one more covariate (removed in increasing index
     order, so every subset is reached once), and only branches holding a
     requested set are entered: memory holds one chain, never the lattice.
     """
+    draws = joint.shape[-2:]  # (population, batch), walked as one axis
+    joint = joint.reshape(*joint.shape[:-2], -1)
     k = joint.ndim - 3
-    pz = joint.sum(axis=(0, 1))  # (*z, batch)
-    if tilted:
-        qtot = pz.reshape(-1, pz.shape[-1]).sum(axis=0)
-        if not (qtot > 0).all():
-            raise ScoringError("selection weights annihilate the whole distribution")
-        pz = pz / qtot
-    sliced = joint[:, x_value]  # (|Y|, *z, batch)
+    pz = joint.sum(axis=(0, 1))  # (*z, population × batch)
+    qtot = pz.reshape(-1, pz.shape[-1]).sum(axis=0)
+    if not (qtot > 0).all():
+        raise ScoringError("selection weights annihilate the whole distribution")
+    pz = pz / qtot
+    sliced = joint[:, x_value]  # (|Y|, *z, population × batch)
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def visit(mask, last, wanted, sl, p):
@@ -297,7 +302,7 @@ def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int],
                 cond = sl / np.where(denom > 0, denom, 1.0)
                 degenerate = ((denom == 0) & (p > 0)).reshape(-1, n_b).any(axis=0)
             theta = (cond * p).reshape(n_y, -1, n_b).sum(axis=1)
-            out[mask] = (theta, degenerate)
+            out[mask] = (theta.reshape(n_y, *draws), degenerate.reshape(draws))
         for j in range(last + 1, k):
             child, below = mask & ~(1 << j), (1 << j) - 1
             # child's subtree drops only covariates past j, so it holds w iff
@@ -337,23 +342,18 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, direct)
 
 
-def _masked_means(theta: np.ndarray, degenerate: np.ndarray) -> list[tuple[float, ...]]:
-    """Per set, the mean predictive over its non-degenerate draws."""
-    ok = ~degenerate
-    means = (theta * ok[:, None, :]).sum(axis=-1) / ok.sum(axis=-1)[:, None]
-    return [tuple(row) for row in means.tolist()]
-
-
 def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: Arm,
-                 tilts=None) -> tuple[np.ndarray, np.ndarray]:
-    """θ_{Y_x} of every set in ``zsets`` for the arm's x: shapes (H, |Y|, batch), (H, batch).
+                 tilts: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """θ_{Y_x} of every set in ``zsets`` for the arm's x, in every population of
+    ``_root_joint``: shapes (H, |Y|, population, batch) and (H, population, batch).
 
-    The sets are grouped under roots of at most ``ROOT_BUDGET`` cells
-    (draws × |Y| × |X| × the covariates' cardinalities). Taken largest
-    first, each set joins the first group whose root, unioned with it,
-    stays within the budget, and otherwise starts a group of its own; so a
-    set over the budget by itself is its own root. Each group is one
-    elimination to its root, walked for its members' masks.
+    The sets are grouped under roots of at most ``ROOT_BUDGET`` cells per
+    population (draws × |Y| × |X| × the covariates' cardinalities), so a
+    selected trial's root holds up to twice that. Taken largest first, each
+    set joins the first group whose root, unioned with it, stays within the
+    budget, and otherwise starts a group of its own; so a set over the
+    budget by itself is its own root. Each group is one elimination to its
+    root, walked once for its members' masks in every population.
     """
     card = {v: batched[v].shape[-1] for v in batched}
     base = len(batched[x]) * card[y] * card[x]
@@ -372,32 +372,16 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: 
         joint = _root_joint(batched, parents, x, y, root, tilts)
         bit = {v: 1 << i for i, v in enumerate(root)}
         masks = {z: sum(bit[v] for v in z) for z in members}
-        walked = _walk_lattice(joint, arm.x_value, list(masks.values()), tilted=bool(tilts))
+        walked = _walk_lattice(joint, arm.x_value, list(masks.values()))
         found.update((z, walked[m]) for z, m in masks.items())
     theta = np.stack([found[z][0] for z in zsets])
     degenerate = np.stack([found[z][1] for z in zsets])
     for z, d in zip(zsets, degenerate):
-        if d.all():
+        if d.all(axis=-1).any():
             raise ScoringError(
                 f"every sampling iteration degenerate for arm x={arm.x_value}, z={sorted(z)}",
                 frozenset(z))
     return theta, degenerate
-
-
-def _score_arm(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: Arm,
-               tilts=None) -> list[ArmScore]:
-    """ArmScore of every set in ``zsets`` (each ordered as the network's nodes),
-    all from the same parameter batch."""
-    theta_trial, degen_trial = _predictives(batched, parents, x, y, zsets, arm, tilts)
-    ll = np.where(degen_trial, -np.inf, _loglik(theta_trial, arm.outcome_counts))
-    log_marginals = _logsumexp(ll) - math.log(ll.shape[-1])
-    if tilts:
-        theta_id, degen_id = _predictives(batched, parents, x, y, zsets, arm)
-    else:
-        theta_id, degen_id = theta_trial, degen_trial
-    return [ArmScore(float(lm), ide, tre) for lm, ide, tre in zip(
-        log_marginals.tolist(), _masked_means(theta_id, degen_id),
-        _masked_means(theta_trial, degen_trial))]
 
 
 # --- hypothesis enumeration and the search itself
@@ -509,6 +493,11 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     scored in the population tilted by ``prep.selection``, and there the
     no-set hypothesis has no estimate: the raw trial frequencies describe the
     selected population, not the observational one.
+
+    Each draw serves both populations: the trial's (the last slice) gives
+    the likelihood and ``trial_estimate``, the observational one (slice 0)
+    ``id_estimate``. One log-mean-exp reduces the per-draw log-likelihoods,
+    an (arms × representatives × draws) array, to the log marginals.
     """
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
@@ -521,7 +510,7 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
             raise ValidationError(
                 f"hypothesis {h.label()} outside the enumerated space: the subsets"
                 f"{limit} of the candidate pool {{{','.join(prep.pool)}}}")
-    tilts = None if prep.selection is None else dict(prep.selection.theta_s)
+    tilts = {} if prep.selection is None else prep.selection.theta_s
 
     subsets = [h for h in hypotheses if not h.is_not_exists]
     rep, scores = {}, {}
@@ -529,18 +518,26 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         rep = _representatives(prep, [h.z for h in subsets])
         reps = list(dict.fromkeys(rep.values()))
         zsets = [tuple(v for v in post.dag.nodes if v in z) for z in reps]
-        per_arm = []
+        ll, means = [], []  # per arm: log-likelihoods (H, draws); means [set][population][y]
         try:
             for a_idx, arm in enumerate(exp.arms):
                 seeds = np.random.SeedSequence(config.seed, spawn_key=(1, a_idx))
                 batch = sample_parameter_batch(post, np.random.default_rng(seeds), config.niters)
-                per_arm.append(_score_arm(batch, post.parents, x, y, zsets, arm, tilts=tilts))
+                theta, degenerate = _predictives(batch, post.parents, x, y, zsets, arm, tilts)
+                ll.append(np.where(degenerate[:, -1], -np.inf,
+                                   _loglik(theta[:, :, -1], arm.outcome_counts)))
+                ok = ~degenerate  # each mean is over the non-degenerate draws
+                means.append(((theta * ok[:, None]).sum(axis=-1) / ok.sum(axis=-1)[:, None])
+                             .transpose(0, 2, 1).tolist())
         except ScoringError as e:
             if e.z is None:
                 raise
             asked = next(h.label() for h in subsets if rep[h.z] == e.z)
             raise ScoringError(f"{e}, the class representative scored for {asked}", e.z) from None
-        scores = {z: tuple(arm_scores[i] for arm_scores in per_arm) for i, z in enumerate(reps)}
+        log_marginals = (_logsumexp(np.stack(ll)) - math.log(config.niters)).tolist()
+        scores = {z: tuple(ArmScore(lm[i], tuple(m[i][0]), tuple(m[i][-1]))
+                           for lm, m in zip(log_marginals, means))
+                  for i, z in enumerate(reps)}
     scores[None] = tuple(ArmScore(
         log_marginal=score_not_exists(arm),
         id_estimate=None if prep.selection is not None else arm.frequencies,

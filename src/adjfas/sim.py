@@ -256,12 +256,12 @@ def _adjusted_from_instantiation(params, x: str, y: str, z: Sequence[str]) -> di
     """Σ_z P(Y|x,z)P(z) of one CPT set for every x, by the scorer's own formula."""
     batched = {v: cpt[None] for v, cpt in params.cpts.items()}  # a batch of one draw
     zvars = tuple(sorted(z))
-    joint = _root_joint(batched, params.parents, x, y, zvars)
+    joint = _root_joint(batched, params.parents, x, y, zvars, {})
     full = (1 << len(zvars)) - 1  # the mask of the root's own set
     out = {}
     for xv in range(joint.shape[1]):
-        theta, _ = _walk_lattice(joint, xv, [full])[full]  # (|Y|, 1)
-        out[xv] = tuple(theta[:, 0].tolist())
+        theta, _ = _walk_lattice(joint, xv, [full])[full]  # (|Y|, 1 population, 1 draw)
+        out[xv] = tuple(theta[:, 0, 0].tolist())
     return out
 
 

@@ -6,7 +6,7 @@ the library's inference or graph-search code paths it is checking. Three
 exceptions: ``eliminated_conditional`` is a network's exact query spelled
 with the library's elimination, so tests can hold it to enumeration and read
 a selected population with it; ``score_one_arm`` drives the library's
-per-arm scorer on its own so that tests can hold it to closed forms; and
+scorer on a one-arm trial so that tests can hold it to closed forms; and
 ``ideal_pick`` takes the library's candidate pool, no-set score and tie rule
 so that only its adjusted θ differs from the program's.
 """
@@ -23,8 +23,8 @@ from scipy.special import logsumexp
 from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
 from adjfas.data import CategoricalTable, ExperimentSummary, ParseError, SchemaError
 from adjfas.graph import Dag
-from adjfas.score import (Hypothesis, _pick, _score_arm, candidate_pool, enumerate_hypotheses,
-                          score_not_exists)
+from adjfas.score import (FasConfig, Hypothesis, PreparedScoring, _pick, candidate_pool,
+                          enumerate_hypotheses, score_hypotheses, score_not_exists)
 from adjfas.sim import GroundTruth
 
 
@@ -475,12 +475,14 @@ def all_valid_subsets(gt: GroundTruth):
 # --- per-hypothesis scoring
 
 
-def score_one_arm(x, y, z, post, arm, niters, rng):
+def score_one_arm(x, y, z, post, arm, niters, seed):
     """The scorer's ``ArmScore`` of one arm under 'z adjusts', from ``niters``
-    posterior draws of ``rng``."""
-    batched = sample_parameter_batch(post, np.random.default_rng(rng), niters)
-    zvars = tuple(v for v in post.dag.nodes if v in set(z))
-    return _score_arm(batched, post.parents, x, y, [zvars], arm)[0]
+    posterior draws seeded by ``seed``: ``score_hypotheses`` on a trial of
+    that arm alone, in the observational population."""
+    prep = PreparedScoring(exp=ExperimentSummary(x, y, (arm,)), pool=tuple(z), post=post,
+                           selection=None)
+    h = Hypothesis.adjustment(z)
+    return score_hypotheses(prep, FasConfig(niters=niters, seed=seed), [h])[h].arm_scores[0]
 
 
 def _predictive_by_elimination(batched, parents, x, y, zvars, x_value, tilts=None):

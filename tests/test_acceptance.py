@@ -76,7 +76,7 @@ def test_criterion_1_closed_form_consistency():
         xv = int(rng.integers(0, 2))
         counts = rng.multinomial(int(rng.integers(20, 60)), np.ones(ky) / ky)
         arm = Arm.from_counts(xv, counts.tolist())
-        sc = score_one_arm("X", "Y", (), post, arm, 100000, np.random.default_rng(100 + rep))
+        sc = score_one_arm("X", "Y", (), post, arm, 100000, 100 + rep)
         exact = dm_log(post.alpha["Y"][xv], arm.outcome_counts)
         worst = max(worst, abs(sc.log_marginal - exact) / abs(exact))
     elapsed = time.perf_counter() - t0

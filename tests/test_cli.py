@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -417,6 +418,21 @@ class TestSelectionCheck:
                                    "marginals": {"V": [0.3, 0.2, 0.5]}}))
         out = tmp_path / "fas.json"
         assert main(["fas", str(obs), str(exp), "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_annihilating_weights_exit_2(self, selected_files, tmp_path, monkeypatch, capsys):
+        from adjfas import score as score_module
+        obs, expf = selected_files
+        solve = score_module.build_selection_bn
+
+        def annihilating(*a, **k):  # inclusion weights that select no one
+            sbn = solve(*a, **k)
+            return dataclasses.replace(sbn, theta_s={v: 0 * t for v, t in sbn.theta_s.items()})
+
+        monkeypatch.setattr(score_module, "build_selection_bn", annihilating)
+        out = tmp_path / "fas.json"
+        assert main(["fas", str(obs), str(expf), "--niters", "10", "--out", str(out)]) == 2
+        assert "selection weights annihilate the whole distribution" in capsys.readouterr().err
         assert not out.exists()
 
     def test_reports_the_model_fas_scores_with(self, selected_files, tmp_path, monkeypatch):

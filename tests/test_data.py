@@ -4,7 +4,7 @@ from scipy.special import chdtrc
 from scipy.stats import kstest
 
 from _oracles import contingency_by_row_pass, load_observational_by_cells
-from adjfas import data
+from adjfas import data, score
 from adjfas.data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaError,
                          ValidationError, _chi2_sf, contingency_counts,
                          g2_independence_test, load_experiment, load_observational,
@@ -37,6 +37,15 @@ class TestLoadObservational:
     def test_non_integer_cell_names_row_and_column(self, tmp_path):
         p = write(tmp_path / "t.csv", "A,B\n0,1\n0,x\n")
         with pytest.raises(ParseError, match=r"line 3.*'B'"):
+            load_observational(p)
+
+    @pytest.mark.parametrize("name", [score._BATCH, score._POPULATION, score._SELECTED])
+    def test_scorer_reserved_names_rejected(self, tmp_path, name):
+        # the scorer's pseudo-variables carry a NUL, which no column name may hold
+        with pytest.raises(ValidationError, match="printable"):
+            CategoricalTable(("X", name), (2, 2), [[0, 1]])
+        p = write(tmp_path / "t.csv", f"X,{name}\n0,1\n1,0\n")
+        with pytest.raises(ValidationError, match="printable"):
             load_observational(p)
 
     def test_utf8_bom_is_not_part_of_the_first_name(self, tmp_path):

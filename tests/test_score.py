@@ -105,14 +105,14 @@ class TestScoreExpArm:
     def test_closed_form_oracle_small(self):
         post = xy_posterior(0)
         arm = Arm.from_counts(1, [12, 28])
-        sc = score_one_arm("X", "Y", (), post, arm, 50000, np.random.default_rng(1))
+        sc = score_one_arm("X", "Y", (), post, arm, 50000, 1)
         exact = dirichlet_multinomial_log(post.alpha["Y"][1], arm.outcome_counts)
         assert abs(sc.log_marginal - exact) / abs(exact) < 0.01
 
     def test_empty_arm_scores_zero(self):
         post = xy_posterior(2)
         arm = Arm.from_counts(0, [0, 0])
-        sc = score_one_arm("X", "Y", (), post, arm, 100, np.random.default_rng(3))
+        sc = score_one_arm("X", "Y", (), post, arm, 100, 3)
         assert sc.log_marginal == pytest.approx(0.0, abs=1e-12)
 
     def test_concentration_limit(self):
@@ -124,15 +124,14 @@ class TestScoreExpArm:
         post2 = type(post)(dag=post.dag, cardinalities=post.cardinalities,
                            parents=post.parents, alpha=big)
         arm = Arm.from_counts(1, [30, 70])
-        sc = score_one_arm("X", "Y", (), post2, arm, 200, np.random.default_rng(5))
+        sc = score_one_arm("X", "Y", (), post2, arm, 200, 5)
         want = 30 * math.log(theta0[0]) + 70 * math.log(theta0[1])
         assert sc.log_marginal == pytest.approx(want, abs=1e-2)
         assert np.allclose(sc.id_estimate, theta0, atol=1e-4)
 
     def test_estimate_normalized(self):
         post = xy_posterior(6)
-        sc = score_one_arm("X", "Y", (), post, Arm.from_counts(0, [10, 20]), 100,
-                           np.random.default_rng(7))
+        sc = score_one_arm("X", "Y", (), post, Arm.from_counts(0, [10, 20]), 100, 7)
         assert sum(sc.id_estimate) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -381,7 +380,7 @@ def _assert_matches_elimination(records, oracle):
 class TestLatticeScoring:
     """The lattice walk against one variable elimination per hypothesis."""
 
-    @pytest.mark.parametrize("selection", ["none", "observed"])
+    @pytest.mark.parametrize("selection", ["none", "observed", "latent"])
     def test_full_enumeration_matches_elimination(self, selection):
         prep, config = _scoring_world(selection)
         assert len(prep.pool) == 4
@@ -397,7 +396,7 @@ class TestLatticeScoring:
         want = min((h for h, t in totals.items() if t >= top - TIE_TOL), key=Hypothesis.sort_key)
         assert pick_best(records) == want
 
-    @pytest.mark.parametrize("selection", ["none", "observed"])
+    @pytest.mark.parametrize("selection", ["none", "observed", "latent"])
     def test_single_hypothesis_matches_elimination(self, selection):
         prep, config = _scoring_world(selection)
         for z in ((), prep.pool[1:3], prep.pool):
@@ -440,6 +439,37 @@ class TestLatticeScoring:
         reps = {r.representative for h, r in records.items() if not h.is_not_exists}
         assert sum(served) == len(reps) * len(prep.exp.arms)  # each set once per arm
         _assert_matches_elimination(records, score_by_elimination(prep, config))
+
+    @pytest.mark.parametrize("world", ["none", "observed", "pool-of-7"])
+    def test_one_root_and_walk_per_group_and_arm(self, world, monkeypatch):
+        # a selected trial's root holds both populations, so one elimination
+        # and one walk per group and arm serve its estimates and its scores
+        prep, config = _class_fixture(world) if world in CLASS_FIXTURES else _scoring_world(world)
+        roots, walks = [], []
+        build, walk = score_module._root_joint, score_module._walk_lattice
+
+        def root_joint(*a, **k):
+            joint = build(*a, **k)
+            roots.append((a[4], joint.shape[-2]))  # its covariates and populations
+            return joint
+
+        monkeypatch.setattr(score_module, "_root_joint", root_joint)
+        monkeypatch.setattr(score_module, "_walk_lattice",
+                            lambda *a, **k: walks.append(a[2]) or walk(*a, **k))
+        score_hypotheses(prep, config)
+        groups = set(roots)
+        assert len(roots) == len(walks) == len(groups) * len(prep.exp.arms)
+        assert {n for _, n in groups} == {1 if prep.selection is None else 2}
+        assert (len(groups) > 1) == (world == "pool-of-7")
+
+    def test_annihilated_population_raises(self):
+        batched = {"X": np.tile([0.5, 0.5], (3, 1)), "Y": np.full((3, 2, 2), 0.5)}
+        joint = score_module._root_joint(batched, {"X": (), "Y": ("X",)}, "X", "Y", (),
+                                         {"X": np.zeros(2)})
+        assert joint.shape == (2, 2, 2, 3) and joint[..., 0, :].all()
+        assert not joint[..., 1, :].any()  # the trial's population weighs nothing
+        with pytest.raises(ScoringError, match="selection weights annihilate"):
+            score_module._walk_lattice(joint, 1, [0])
 
     @pytest.mark.parametrize("selection", ["none", "observed"])
     def test_no_set_alone_draws_no_parameters(self, selection, monkeypatch):
@@ -522,9 +552,9 @@ class TestConfoundingClasses:
         prep, config = _class_fixture("pool-of-7")
         assert len(prep.pool) >= 7
         seen = []
-        score_arm = score_module._score_arm
-        monkeypatch.setattr(score_module, "_score_arm",
-                            lambda *a, **k: seen.append(a[4]) or score_arm(*a, **k))
+        predictives = score_module._predictives
+        monkeypatch.setattr(score_module, "_predictives",
+                            lambda *a, **k: seen.append(a[4]) or predictives(*a, **k))
         records = score_hypotheses(prep, config)
         reps = {r.representative for h, r in records.items() if not h.is_not_exists}
         assert len(seen) == len(prep.exp.arms)
@@ -587,7 +617,6 @@ class TestPrepareScoring:
 
 class TestDegenerateAndValidationPaths:
     def test_all_degenerate_iterations_error(self):
-        from adjfas.score import ScoringError, _score_arm
         # hand-built batch where P(X=1) is exactly zero in every draw
         batched = {
             "X": np.tile(np.array([1.0, 0.0]), (5, 1)),
@@ -596,7 +625,7 @@ class TestDegenerateAndValidationPaths:
         parents = {"X": (), "Y": ("X",)}
         arm = Arm.from_counts(1, [3, 7])
         with pytest.raises(ScoringError):
-            _score_arm(batched, parents, "X", "Y", [()], arm)
+            score_module._predictives(batched, parents, "X", "Y", [()], arm, {})
 
     def test_arm_value_outside_cardinality(self):
         gt = confounded_world()
