@@ -60,8 +60,8 @@ class ParamInstantiation:
 
     def __post_init__(self):
         for v, cpt in self.cpts.items():
-            sums = cpt.sum(axis=-1)
-            if not np.allclose(sums, 1.0, rtol=0, atol=1e-12):
+            # written so that a NaN row fails too
+            if not (np.abs(cpt.sum(axis=-1) - 1.0) <= 1e-12).all():
                 raise ValueError(f"CPT rows for {v!r} do not sum to 1")
 
     def factors(self) -> list[Factor]:

@@ -48,12 +48,8 @@ class EnumerationLimitError(RuntimeError):
 
 
 class ScoringError(RuntimeError):
-    """Every sampling iteration was degenerate for some hypothesis/arm;
-    ``z`` is the set scored when the error concerns one."""
-
-    def __init__(self, message: str, z: frozenset[str] | None = None):
-        super().__init__(message)
-        self.z = z
+    """A set cannot be scored: every draw was degenerate for it in some arm
+    (``score_hypotheses``), or the selection weights annihilate (``_walk_lattice``)."""
 
 
 @dataclass(frozen=True)
@@ -342,10 +338,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, direct)
 
 
-def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: Arm,
+def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], x_value: int,
                  tilts: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """θ_{Y_x} of every set in ``zsets`` for the arm's x, in every population of
-    ``_root_joint``: shapes (H, |Y|, population, batch) and (H, population, batch).
+    """θ_{Y_x} of every set in ``zsets`` at X = ``x_value``, in every population
+    of ``_root_joint``, and the degenerate flags of ``_walk_lattice``: shapes
+    (H, |Y|, population, batch) and (H, population, batch).
 
     The sets are grouped under roots of at most ``ROOT_BUDGET`` cells per
     population (draws × |Y| × |X| × the covariates' cardinalities), so a
@@ -372,16 +369,9 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], arm: 
         joint = _root_joint(batched, parents, x, y, root, tilts)
         bit = {v: 1 << i for i, v in enumerate(root)}
         masks = {z: sum(bit[v] for v in z) for z in members}
-        walked = _walk_lattice(joint, arm.x_value, list(masks.values()))
+        walked = _walk_lattice(joint, x_value, list(masks.values()))
         found.update((z, walked[m]) for z, m in masks.items())
-    theta = np.stack([found[z][0] for z in zsets])
-    degenerate = np.stack([found[z][1] for z in zsets])
-    for z, d in zip(zsets, degenerate):
-        if d.all(axis=-1).any():
-            raise ScoringError(
-                f"every sampling iteration degenerate for arm x={arm.x_value}, z={sorted(z)}",
-                frozenset(z))
-    return theta, degenerate
+    return np.stack([found[z][0] for z in zsets]), np.stack([found[z][1] for z in zsets])
 
 
 # --- hypothesis enumeration and the search itself
@@ -519,21 +509,22 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         reps = list(dict.fromkeys(rep.values()))
         zsets = [tuple(v for v in post.dag.nodes if v in z) for z in reps]
         ll, means = [], []  # per arm: log-likelihoods (H, draws); means [set][population][y]
-        try:
-            for a_idx, arm in enumerate(exp.arms):
-                seeds = np.random.SeedSequence(config.seed, spawn_key=(1, a_idx))
-                batch = sample_parameter_batch(post, np.random.default_rng(seeds), config.niters)
-                theta, degenerate = _predictives(batch, post.parents, x, y, zsets, arm, tilts)
-                ll.append(np.where(degenerate[:, -1], -np.inf,
-                                   _loglik(theta[:, :, -1], arm.outcome_counts)))
-                ok = ~degenerate  # each mean is over the non-degenerate draws
-                means.append(((theta * ok[:, None]).sum(axis=-1) / ok.sum(axis=-1)[:, None])
-                             .transpose(0, 2, 1).tolist())
-        except ScoringError as e:
-            if e.z is None:
-                raise
-            asked = next(h.label() for h in subsets if rep[h.z] == e.z)
-            raise ScoringError(f"{e}, the class representative scored for {asked}", e.z) from None
+        for a_idx, arm in enumerate(exp.arms):
+            seeds = np.random.SeedSequence(config.seed, spawn_key=(1, a_idx))
+            batch = sample_parameter_batch(post, np.random.default_rng(seeds), config.niters)
+            theta, degenerate = _predictives(batch, post.parents, x, y, zsets, arm.x_value, tilts)
+            failed = degenerate.all(axis=-1).any(axis=-1)  # per set: no usable draw in a population
+            if failed.any():
+                z = reps[failed.argmax()]
+                asked = next(h.label() for h in subsets if rep[h.z] == z)
+                raise ScoringError(
+                    f"every sampling iteration degenerate for arm x={arm.x_value}, "
+                    f"z={sorted(z)}, the class representative scored for {asked}")
+            ll.append(np.where(degenerate[:, -1], -np.inf,
+                               _loglik(theta[:, :, -1], arm.outcome_counts)))
+            ok = ~degenerate  # each mean is over the non-degenerate draws
+            means.append(((theta * ok[:, None]).sum(axis=-1) / ok.sum(axis=-1)[:, None])
+                         .transpose(0, 2, 1).tolist())
         log_marginals = (_logsumexp(np.stack(ll)) - math.log(config.niters)).tolist()
         scores = {z: tuple(ArmScore(lm[i], tuple(m[i][0]), tuple(m[i][-1]))
                            for lm, m in zip(log_marginals, means))

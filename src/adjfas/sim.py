@@ -425,8 +425,8 @@ def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METH
     it. Replicates run in forked worker processes, one per CPU in the
     affinity set, at most one per replicate; rows come back in replicate
     order. A method's failure is recorded on its rows; a replicate that
-    raises (a world that cannot be drawn) ends the run and cancels the
-    replicates not yet handed to a worker.
+    raises (a world that cannot be drawn) ends the run: its workers are
+    killed, so the replicates they run or have queued stop there.
     """
     methods = tuple(methods)
     if not methods:
@@ -444,6 +444,7 @@ def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METH
 
     report = BenchmarkReport(config=cfg, fas_config=fas_config, methods=methods)
     workers = min(len(os.sched_getaffinity(0)), replicates)
+    others = multiprocessing.active_children()
     # fork, not spawn: a spawned worker imports numpy and adjfas afresh (~0.1 s each)
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_die_with_parent, initargs=(os.getpid(),))
@@ -451,8 +452,13 @@ def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METH
         for rows in pool.map(_run_replicate, range(replicates), repeat(cfg), repeat(fas_config),
                              repeat(methods)):
             report.results.extend(rows)
+    except BaseException:
+        # the calls the pool has already queued cannot be cancelled: kill its workers
+        for p in set(multiprocessing.active_children()) - set(others):
+            p.kill()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)  # a raising replicate stops the run
+        pool.shutdown(cancel_futures=True)
     return report
 
 

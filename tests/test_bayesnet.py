@@ -261,11 +261,14 @@ class TestInference:
         assert np.allclose(eliminated_conditional(params, "Y", {"X": 1}), [0.2, 0.8])
 
     def test_cpt_rows_must_sum_to_one_within_1e_12(self):
-        # an absolute bound: numpy's default rtol would pass a row off by 1e-5
+        # an absolute bound (numpy's default rtol would pass a row off by 1e-5),
+        # and a NaN row fails it
         from adjfas.bayesnet import ParamInstantiation
         ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([0.5, 0.5 + 1e-13])})
         with pytest.raises(ValueError, match="do not sum to 1"):
             ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([0.5, 0.5 + 1e-8])})
+        with pytest.raises(ValueError, match="do not sum to 1"):
+            ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([0.5, np.nan])})
 
     def test_chain_marginalization(self):
         from adjfas.bayesnet import ParamInstantiation
