@@ -33,38 +33,20 @@ EXIT_ENUMERATION = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-def _add_common(p: argparse.ArgumentParser, *, model: bool = True) -> None:
-    """``--seed`` and ``--out``, plus the flags of the learned network and of
-    its Monte-Carlo scorer (``model``) for the commands that read them."""
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
-    if model:
-        p.add_argument("--niters", type=int, default=100,
-                       help="sampling iterations per hypothesis/arm")
-        p.add_argument("--alpha", type=float, default=0.05,
-                       help="significance for pool membership")
-        p.add_argument("--ess", type=float, default=1.0,
-                       help="equivalent sample size of the BDeu prior")
-    p.add_argument("--out", type=str, default=None, help="output file or directory")
+def _add_config(p: argparse.ArgumentParser, cls, skip=()) -> None:
+    """One ``--flag`` per field of the config dataclass ``cls``, except those
+    named in ``skip``: its default and type are the field's, its help and
+    choices (and type, where the default is None) the field's metadata."""
+    for f in dataclasses.fields(cls):
+        if f.name not in skip:
+            p.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                           **{"type": type(f.default), **f.metadata})
 
 
-def _add_world(p: argparse.ArgumentParser) -> None:
-    """The simulated world's flags, read back by ``_sim_config``."""
-    p.add_argument("--n-observed", type=int, default=6)
-    p.add_argument("--n-latent", type=int, default=4)
-    p.add_argument("--mean-in-degree", type=float, default=2.0)
-    p.add_argument("--n-obs", type=int, default=10000)
-    p.add_argument("--n-per-arm", type=int, default=500)
-    p.add_argument("--mode", choices=("random", "pretreatment"), default="random")
-    p.add_argument("--selection", choices=("none", "observed", "latent"), default="none")
-
-
-def _sim_config(args) -> SimConfig:
-    return SimConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)})
-
-
-def _fas_config(args) -> FasConfig:
-    return FasConfig(alpha=args.alpha, niters=args.niters, ess=args.ess, seed=args.seed,
-                     max_subset_size=getattr(args, "max_subset_size", None))
+def _config(cls, args):
+    """The ``cls`` config of the parsed flags; a field without a flag keeps its default."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                  if hasattr(args, f.name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,20 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fas", help="run the adjustment-set search on data files")
     p.add_argument("obs", help="observational CSV (header row, integer codes)")
     p.add_argument("exp", help="experiment-summary JSON")
-    p.add_argument("--max-subset-size", type=int, default=None,
-                   help="cap on candidate subset size (required for pools over 16 variables)")
-    _add_common(p)
+    _add_config(p, FasConfig)
+    p.add_argument("--out", type=Path, default="fas_report.json", help="output file")
 
     p = sub.add_parser("simulate", help="generate a ground-truth world and datasets")
-    _add_world(p)
-    _add_common(p, model=False)
+    _add_config(p, SimConfig)
+    p.add_argument("--out", type=Path, default=".", help="output directory")
 
     p = sub.add_parser("benchmark", help="replicated evaluation against baselines")
     p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--methods", type=str, default="FAS,KL,DEXP,VWS",
+    p.add_argument("--methods", type=str, default=",".join(METHODS),
                    help=f"comma list from {{{','.join(METHODS)}}}")
-    _add_world(p)
-    _add_common(p)
+    _add_config(p, SimConfig)
+    _add_config(p, FasConfig, skip=("seed", "max_subset_size"))  # --seed is SimConfig's
+    p.add_argument("--out", type=Path, default=".", help="output directory")
 
     p = sub.add_parser("score", help="score one named hypothesis")
     p.add_argument("obs")
@@ -100,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--set", dest="zset", type=str, default=None,
                    help="comma-separated adjustment set ('' for the empty set)")
     g.add_argument("--not-exists", action="store_true", help="score the no-set hypothesis")
-    _add_common(p)
+    _add_config(p, FasConfig, skip=("max_subset_size",))
+    p.add_argument("--out", type=Path, default=None, help="output file")
 
     return parser
 
@@ -132,41 +115,38 @@ def _print_fas(result: FasResult, out) -> None:
 
 
 def cmd_fas(args) -> int:
-    config = _fas_config(args)
+    config = _config(FasConfig, args)
     table = load_observational(args.obs)
     exp = load_experiment(args.exp)
     result = find_adjustment_set(table, exp, config)
-    out = Path(args.out) if args.out else Path("fas_report.json")
-    _write_json(result.to_dict(), out)
+    _write_json(result.to_dict(), args.out)
     _print_fas(result, sys.stdout)
-    print(f"report written to {out}")
+    print(f"report written to {args.out}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    gt, table, exp = simulate_replicate(_sim_config(args), 0)  # replicate 0 of `benchmark`
+    gt, table, exp = simulate_replicate(_config(SimConfig, args), 0)  # replicate 0 of `benchmark`
 
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    gt.dag.save(outdir / "world_graph.json")
-    save_observational(table, outdir / "observational.csv")
-    save_experiment(exp, outdir / "experiment.json")
+    args.out.mkdir(parents=True, exist_ok=True)
+    gt.dag.save(args.out / "world_graph.json")
+    save_observational(table, args.out / "observational.csv")
+    save_experiment(exp, args.out / "experiment.json")
     truth = {str(xv): list(vec) for xv, vec in gt.true_id.items()}
     _write_json({"true_interventional": truth,
                  "selection": {v: w.tolist() for v, w in (gt.selection or {}).items()}},
-                outdir / "world_truth.json")
-    print(f"world and datasets written to {outdir}/")
+                args.out / "world_truth.json")
+    print(f"world and datasets written to {args.out}/")
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
     methods = tuple(dict.fromkeys(m.strip().upper() for m in args.methods.split(",") if m.strip()))
-    report = run_benchmark(_sim_config(args), args.replicates, methods=methods,
-                           fas_config=_fas_config(args))
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_benchmark_csv(report, outdir / "benchmark.csv")
-    write_benchmark_summary(report, outdir / "benchmark_summary.json")
+    report = run_benchmark(_config(SimConfig, args), args.replicates, methods=methods,
+                           fas_config=_config(FasConfig, args))
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_benchmark_csv(report, args.out / "benchmark.csv")
+    write_benchmark_summary(report, args.out / "benchmark_summary.json")
     summary = report.summary()
     for m in methods:
         s = summary["methods"][m]
@@ -174,12 +154,12 @@ def cmd_benchmark(args) -> int:
         print(f"{m:<5} median |dtheta| = {med}  "
               f"(missing {s['missing']}, errors {s['errors']}, "
               f"no-set rate {s['not_exists_rate']:.2f})")
-    print(f"reports written to {outdir}/benchmark.csv and {outdir}/benchmark_summary.json")
+    print(f"reports written to {args.out}/benchmark.csv and {args.out}/benchmark_summary.json")
     return EXIT_OK
 
 
 def cmd_score(args) -> int:
-    config = _fas_config(args)
+    config = _config(FasConfig, args)
     table = load_observational(args.obs)
     exp = load_experiment(args.exp)
     if args.not_exists:
@@ -190,7 +170,7 @@ def cmd_score(args) -> int:
 
     rec = score_hypotheses(prepare_scoring(table, exp, config), config, hypotheses=[hyp])[hyp]
     if args.out:
-        _write_json(hypothesis_entry(hyp, rec), Path(args.out))
+        _write_json(hypothesis_entry(hyp, rec), args.out)
     print(f"hypothesis: {hyp.label()}")
     print(f"prior log prob: {rec.prior_log:.6f}")
     for arm, s in zip(exp.arms, rec.arm_scores):

@@ -50,7 +50,13 @@ class CategoricalTable:
     def __post_init__(self):
         names = tuple(self.variable_names)
         cards = tuple(int(c) for c in self.cardinalities)
-        rows = np.asarray(self.rows, dtype=np.int64)
+        rows = np.asarray(self.rows)
+        if rows.dtype.kind not in "biu":  # float (or other) codes must be exact integers
+            codes = np.asarray(rows, dtype=float)
+            bad = ~(np.isfinite(codes) & (codes == np.round(codes)))
+            if bad.any():
+                raise SchemaError(f"category code {float(codes[bad][0])} is not an integer")
+        rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2:
             rows = rows.reshape(-1, len(names))
         object.__setattr__(self, "variable_names", names)
@@ -147,26 +153,23 @@ class Arm:
 
     x_value: int
     outcome_counts: tuple[int, ...]
-    total: int
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.outcome_counts)
-        object.__setattr__(self, "outcome_counts", counts)
+        values = (self.x_value, *self.outcome_counts)
+        if not all(isinstance(v, (int, np.integer)) or float(v).is_integer() for v in values):
+            raise ValidationError(f"arm x value and outcome counts must be integers, got {values}")
         object.__setattr__(self, "x_value", int(self.x_value))
-        object.__setattr__(self, "total", int(self.total))
+        object.__setattr__(self, "outcome_counts", tuple(int(c) for c in self.outcome_counts))
         if self.x_value < 0:
             raise ValidationError("arm x value must be a non-negative code")
-        if not counts:
+        if not self.outcome_counts:
             raise ValidationError("arm has no outcome counts")
-        if any(c < 0 for c in counts):
+        if any(c < 0 for c in self.outcome_counts):
             raise ValidationError("outcome counts must be non-negative")
-        if sum(counts) != self.total:
-            raise ValidationError(
-                f"arm x={self.x_value}: counts sum to {sum(counts)}, total is {self.total}")
 
-    @classmethod
-    def from_counts(cls, x_value: int, counts: Sequence[int]) -> "Arm":
-        return cls(x_value, tuple(int(c) for c in counts), int(sum(counts)))
+    @property
+    def total(self) -> int:
+        return sum(self.outcome_counts)
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -206,9 +209,9 @@ class ExperimentSummary:
         for var, vec in self.reported_marginals.items():
             if var in (self.treatment, self.outcome):
                 raise ValidationError(f"marginal reported for {var!r}, which is the treatment or outcome")
-            if not vec or any(p < 0 for p in vec):
+            if not vec or not all(p >= 0 for p in vec):  # NaN fails too
                 raise ValidationError(f"marginal for {var!r} must be a non-negative vector")
-            if abs(sum(vec) - 1.0) > 1e-9:
+            if not abs(sum(vec) - 1.0) <= 1e-9:
                 raise ValidationError(f"marginal for {var!r} sums to {sum(vec)}, expected 1")
         if self.population == "selected" and not self.reported_marginals:
             raise ValidationError(
@@ -334,7 +337,7 @@ def load_experiment(path) -> ExperimentSummary:
         if not (isinstance(counts, list) and all(_is_int(c) for c in counts)):
             raise ValidationError(f"{path}: arm {i}: 'counts' must be a list of integers")
         try:
-            arm = Arm.from_counts(a["x"], counts)
+            arm = Arm(a["x"], counts)
         except ValidationError as e:
             raise ValidationError(f"{path}: arm {i}: {e}") from None
         if "n" in a and a["n"] != arm.total:

@@ -19,7 +19,7 @@ argmax), so log scores are comparable only within a single run.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -85,13 +85,16 @@ NOT_EXISTS = Hypothesis(None)
 
 @dataclass(frozen=True)
 class FasConfig:
-    """Search settings, checked here for every command that reads them."""
+    """Search settings, checked here for every command that reads them. Each
+    field's metadata holds the help (and type, where the default is None) of
+    its command-line flag."""
 
-    alpha: float = 0.05
-    niters: int = 100
-    ess: float = 1.0
-    seed: int = 0
-    max_subset_size: int | None = None
+    alpha: float = field(default=0.05, metadata={"help": "significance for pool membership"})
+    niters: int = field(default=100, metadata={"help": "sampling iterations per hypothesis/arm"})
+    ess: float = field(default=1.0, metadata={"help": "equivalent sample size of the BDeu prior"})
+    seed: int = field(default=0, metadata={"help": "master random seed"})
+    max_subset_size: int | None = field(default=None, metadata={
+        "type": int, "help": "cap on candidate subset size (required for pools over 16 variables)"})
 
     def __post_init__(self):
         if not (math.isfinite(self.ess) and self.ess > 0):

@@ -182,7 +182,7 @@ def build_selection_bn(params: ParamInstantiation,
         residual = max(float(np.abs(reproduced[v] - targets[v]).max()) for v in selected)
         if residual < aim:
             break
-    if residual >= TOL:
+    if not residual < TOL:  # a NaN residual fails too
         raise SolverConvergenceError(
             f"selection solver did not reach residual {TOL:g} in {MAX_SWEEPS} sweeps "
             f"(best {residual:.3g})")

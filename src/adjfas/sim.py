@@ -35,23 +35,30 @@ MIN_ACCEPTANCE = 1e-6
 CARDINALITIES = (2, 3)  # each variable's number of categories is drawn from these
 
 METHODS = ("FAS", "KL", "DEXP", "VWS")
+MODES = ("random", "pretreatment")
+SELECTIONS = ("none", "observed", "latent")
 
 
 @dataclass
 class SimConfig:
-    n_observed: int = 6
-    n_latent: int = 4
-    mean_in_degree: float = 2.0
-    n_obs: int = 10000
-    n_per_arm: int = 500
-    mode: str = "random"          # random | pretreatment
-    selection: str = "none"       # none | observed | latent
-    seed: int = 0
+    """World settings; each field's metadata holds the help (and choices) of
+    its command-line flag."""
+
+    n_observed: int = field(default=6, metadata={"help": "observed covariates"})
+    n_latent: int = field(default=4, metadata={"help": "latent covariates"})
+    mean_in_degree: float = field(default=2.0, metadata={"help": "mean parents per variable"})
+    n_obs: int = field(default=10000, metadata={"help": "rows of the observational table"})
+    n_per_arm: int = field(default=500, metadata={"help": "trial units per arm"})
+    mode: str = field(default="random", metadata={
+        "choices": MODES, "help": "pretreatment: no covariate descends from the treatment"})
+    selection: str = field(default="none", metadata={
+        "choices": SELECTIONS, "help": "trial selected on reported/unreported covariates"})
+    seed: int = field(default=0, metadata={"help": "master random seed"})
 
     def __post_init__(self):
-        if self.mode not in ("random", "pretreatment"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.selection not in ("none", "observed", "latent"):
+        if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection setting {self.selection!r}")
         if self.seed < 0:
             raise ValueError(f"--seed must be at least 0, got {self.seed}")
@@ -214,7 +221,7 @@ def sample_datasets(gt: GroundTruth, cfg: SimConfig,
             raise ValueError(
                 f"acceptance probability {acc:.2e} for arm x={xv} below {MIN_ACCEPTANCE:g}")
         counts = rng.multinomial(cfg.n_per_arm, p / acc)
-        arms.append(Arm.from_counts(xv, counts.tolist()))
+        arms.append(Arm(xv, counts.tolist()))
 
     covs = [v for v in obs_vars if v not in (gt.x, gt.y)]
     tilts = gt.selection or {}

@@ -75,7 +75,7 @@ def test_criterion_1_closed_form_consistency():
         post = fit_posterior(Dag(["X", "Y"], directed=[("X", "Y")]), table, 1.0)
         xv = int(rng.integers(0, 2))
         counts = rng.multinomial(int(rng.integers(20, 60)), np.ones(ky) / ky)
-        arm = Arm.from_counts(xv, counts.tolist())
+        arm = Arm(xv, counts.tolist())
         sc = score_one_arm("X", "Y", (), post, arm, 100000, 100 + rep)
         exact = dm_log(post.alpha["Y"][xv], arm.outcome_counts)
         worst = max(worst, abs(sc.log_marginal - exact) / abs(exact))
@@ -145,8 +145,8 @@ def test_criterion_3_adjustment_criterion_oracle():
 
 def test_criterion_4_closed_form_values():
     """Hand-computed Dirichlet-multinomial values for counts (1,1) and (2,0)."""
-    v11 = score_not_exists(Arm.from_counts(0, [1, 1]))
-    v20 = score_not_exists(Arm.from_counts(0, [2, 0]))
+    v11 = score_not_exists(Arm(0, [1, 1]))
+    v20 = score_not_exists(Arm(0, [2, 0]))
     e11 = abs(v11 - math.log(1 / 6))
     e20 = abs(v20 - math.log(1 / 3))
     ok = e11 <= 1e-12 and e20 <= 1e-12

@@ -18,6 +18,7 @@ from _oracles import confounded_world
 from adjfas import cli
 from adjfas.cli import main
 from adjfas.data import save_experiment, save_observational
+from adjfas.score import FasConfig
 from adjfas.sim import SimConfig, sample_datasets, simulate_replicate
 
 
@@ -635,6 +636,31 @@ class TestGlobalBehavior:
                      "--replicates", "--methods", "--selection", "--mode"):
             assert flag in out
         assert "--threads" not in out
+
+    @pytest.mark.parametrize("argv", [["fas", "o.csv", "e.json"],
+                                      ["score", "o.csv", "e.json", "--not-exists"],
+                                      ["simulate"], ["benchmark"]])
+    def test_flag_defaults_are_the_config_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config(FasConfig, args) == FasConfig()
+        assert cli._config(SimConfig, args) == SimConfig()
+        for cls in (FasConfig, SimConfig):
+            for f in dataclasses.fields(cls):
+                if hasattr(args, f.name):
+                    assert type(getattr(args, f.name)) is type(f.default), (argv[0], f.name)
+
+    def test_help_shows_each_config_help_and_choice(self, capsys):
+        texts = {}
+        for command in ("fas", "benchmark"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            texts[command] = " ".join(capsys.readouterr().out.split())  # undo the line wrapping
+        for f in dataclasses.fields(FasConfig):
+            assert f.metadata["help"] in texts["fas"]
+            if f.name != "max_subset_size":
+                assert f.metadata["help"] in texts["benchmark"]
+        assert "--mode {random,pretreatment}" in texts["benchmark"]
+        assert "--selection {none,observed,latent}" in texts["benchmark"]
 
     def test_every_listed_flag_is_read(self, g1_files, tmp_path):
         # each command's --help lists only flags its command function reads

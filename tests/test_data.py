@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import chdtrc
@@ -228,18 +230,38 @@ class TestLoadExperiment:
         assert e1 == e2
 
 
+class TestTableInvariants:
+    @pytest.mark.parametrize("bad", [1.7, np.nan, np.inf, -np.inf])
+    def test_non_integer_code_rejected(self, bad):
+        # a float code is not truncated; NaN and inf are refused without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match="not an integer"):
+                CategoricalTable(("A", "B"), (2, 2), [[0, 1], [bad, 0]])
+        assert CategoricalTable(("A",), (2,), [[1.0], [0.0]]).rows.tolist() == [[1], [0]]
+
+
 class TestArmAndSummaryInvariants:
-    def test_arm_total_must_match(self):
-        with pytest.raises(ValidationError):
-            Arm(0, (3, 4), 8)
+    @pytest.mark.parametrize("x, counts", [(1.5, (2, 3)), (0, (2.5, 3)), (0, (2, np.nan))])
+    def test_non_integer_arm_value_rejected(self, x, counts):
+        with pytest.raises(ValidationError, match="must be integers"):
+            Arm(x, counts)
+
+    def test_total_is_the_count_sum(self):
+        assert Arm(np.int64(1), (np.int64(3), 4)).total == 7
+
+    def test_nan_marginal_rejected(self):
+        arms = (Arm(0, (1, 2)), Arm(1, (2, 1)))
+        with pytest.raises(ValidationError, match="non-negative vector"):
+            ExperimentSummary("X", "Y", arms, {"V": (np.nan, 1.0)}, "selected")
 
     def test_duplicate_arm_values(self):
         with pytest.raises(ValidationError):
-            ExperimentSummary("X", "Y", (Arm.from_counts(0, [1, 2]), Arm.from_counts(0, [2, 1])))
+            ExperimentSummary("X", "Y", (Arm(0, [1, 2]), Arm(0, [2, 1])))
 
     def test_marginal_for_treatment_rejected(self):
         with pytest.raises(ValidationError):
-            ExperimentSummary("X", "Y", (Arm.from_counts(0, [1, 2]),),
+            ExperimentSummary("X", "Y", (Arm(0, [1, 2]),),
                               reported_marginals={"X": (0.5, 0.5)})
 
 

@@ -73,15 +73,15 @@ class TestPrior:
 class TestScoreNotExists:
     def test_hand_computed_values(self):
         # Dirichlet(1)-multinomial: Γ(2)Γ(2)Γ(2)/Γ(4) = 1/6 and Γ(2)Γ(3)Γ(1)/Γ(4) = 1/3
-        assert score_not_exists(Arm.from_counts(0, [1, 1])) == pytest.approx(math.log(1 / 6), abs=1e-12)
-        assert score_not_exists(Arm.from_counts(0, [2, 0])) == pytest.approx(math.log(1 / 3), abs=1e-12)
+        assert score_not_exists(Arm(0, [1, 1])) == pytest.approx(math.log(1 / 6), abs=1e-12)
+        assert score_not_exists(Arm(0, [2, 0])) == pytest.approx(math.log(1 / 3), abs=1e-12)
 
     def test_empty_arm(self):
-        assert score_not_exists(Arm.from_counts(0, [0, 0])) == pytest.approx(0.0, abs=1e-12)
+        assert score_not_exists(Arm(0, [0, 0])) == pytest.approx(0.0, abs=1e-12)
 
     def test_three_categories(self):
         # Γ(3)·Γ(2)Γ(2)Γ(1)/Γ(5) = 2/24
-        assert score_not_exists(Arm.from_counts(0, [1, 1, 0])) == pytest.approx(
+        assert score_not_exists(Arm(0, [1, 1, 0])) == pytest.approx(
             math.log(2 / 24), abs=1e-12)
 
 
@@ -105,14 +105,14 @@ class TestScoreExpArm:
 
     def test_closed_form_oracle_small(self):
         post = xy_posterior(0)
-        arm = Arm.from_counts(1, [12, 28])
+        arm = Arm(1, [12, 28])
         sc = score_one_arm("X", "Y", (), post, arm, 50000, 1)
         exact = dirichlet_multinomial_log(post.alpha["Y"][1], arm.outcome_counts)
         assert abs(sc.log_marginal - exact) / abs(exact) < 0.01
 
     def test_empty_arm_scores_zero(self):
         post = xy_posterior(2)
-        arm = Arm.from_counts(0, [0, 0])
+        arm = Arm(0, [0, 0])
         sc = score_one_arm("X", "Y", (), post, arm, 100, 3)
         assert sc.log_marginal == pytest.approx(0.0, abs=1e-12)
 
@@ -124,7 +124,7 @@ class TestScoreExpArm:
         big["X"] = np.array([0.5, 0.5]) * 1e10
         post2 = type(post)(dag=post.dag, cardinalities=post.cardinalities,
                            parents=post.parents, alpha=big)
-        arm = Arm.from_counts(1, [30, 70])
+        arm = Arm(1, [30, 70])
         sc = score_one_arm("X", "Y", (), post2, arm, 200, 5)
         want = 30 * math.log(theta0[0]) + 70 * math.log(theta0[1])
         assert sc.log_marginal == pytest.approx(want, abs=1e-2)
@@ -132,7 +132,7 @@ class TestScoreExpArm:
 
     def test_estimate_normalized(self):
         post = xy_posterior(6)
-        sc = score_one_arm("X", "Y", (), post, Arm.from_counts(0, [10, 20]), 100, 7)
+        sc = score_one_arm("X", "Y", (), post, Arm(0, [10, 20]), 100, 7)
         assert sum(sc.id_estimate) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -228,7 +228,7 @@ class TestFindAdjustmentSet:
             cols[f"V{i:02d}"] = (y ^ (rng.random(n) < 0.2)).astype(int)
         rows = np.column_stack([*cols.values(), x, y])
         t = CategoricalTable((*cols, "X", "Y"), (2,) * 19, rows)
-        arms = (Arm.from_counts(0, [50, 50]), Arm.from_counts(1, [40, 60]))
+        arms = (Arm(0, [50, 50]), Arm(1, [40, 60]))
         exp = type(datasets_for(confounded_world(), 100, 10, 0)[1])(
             treatment="X", outcome="Y", arms=arms)
         with pytest.raises(EnumerationLimitError):
@@ -294,7 +294,7 @@ class TestKlSelect:
 
     def test_exact_match_gives_zero_kl(self):
         from adjfas.score import kl_divergences, HypothesisRecord, ArmScore
-        arm = Arm.from_counts(0, [25, 75])
+        arm = Arm(0, [25, 75])
         exp = type(datasets_for(confounded_world(), 100, 10, 0)[1])(
             treatment="X", outcome="Y", arms=(arm,))
         h = Hypothesis.adjustment(())
@@ -312,7 +312,7 @@ class TestScoreProperties:
             table, exp = datasets_for(gt, 10000, 600, seed=600 + rep)
             scaled = type(exp)(
                 treatment=exp.treatment, outcome=exp.outcome,
-                arms=tuple(Arm.from_counts(a.x_value, [3 * c for c in a.outcome_counts])
+                arms=tuple(Arm(a.x_value, [3 * c for c in a.outcome_counts])
                            for a in exp.arms),
                 reported_marginals=exp.reported_marginals, population=exp.population)
             true_h, false_h = Hypothesis.adjustment(("C",)), Hypothesis.adjustment(())
@@ -629,7 +629,7 @@ class TestDegenerateAndValidationPaths:
         # the scorer, not _predictives, turns the flags into the error
         post = BayesNetPosterior(Dag(("X", "Y"), (("X", "Y"),)), {"X": 2, "Y": 2}, parents,
                                  {"X": np.ones(2), "Y": np.ones((2, 2))})
-        prep = PreparedScoring(ExperimentSummary("X", "Y", (Arm.from_counts(1, [3, 7]),)),
+        prep = PreparedScoring(ExperimentSummary("X", "Y", (Arm(1, [3, 7]),)),
                                (), post, None)
         monkeypatch.setattr(score_module, "sample_parameter_batch", lambda *a: batched)
         with pytest.raises(ScoringError, match=re.escape(
@@ -641,7 +641,7 @@ class TestDegenerateAndValidationPaths:
         gt = confounded_world()
         table, exp = datasets_for(gt, 2000, 100, seed=30)
         bad = type(exp)(treatment="X", outcome="Y",
-                        arms=(Arm.from_counts(5, [10, 10]),))
+                        arms=(Arm(5, [10, 10]),))
         with pytest.raises(ValidationError):
             find_adjustment_set(table, bad, FasConfig(seed=0))
 
@@ -663,6 +663,6 @@ class TestDegenerateAndValidationPaths:
         gt = confounded_world()
         table, exp = datasets_for(gt, 2000, 100, seed=31)
         bad = type(exp)(treatment="X", outcome="Y",
-                        arms=(Arm.from_counts(0, [5, 5, 5]),))
+                        arms=(Arm(0, [5, 5, 5]),))
         with pytest.raises(ValidationError):
             find_adjustment_set(table, bad, FasConfig(seed=0))

@@ -7,7 +7,8 @@ from adjfas.bayesnet import ParamInstantiation, product_marginal
 from adjfas.data import ExperimentSummary, ValidationError
 from adjfas.graph import satisfies_adjustment_criterion
 from adjfas.score import FasConfig, find_adjustment_set
-from adjfas.selection import TOL, InfeasibleSelectionError, build_selection_bn
+from adjfas.selection import (TOL, InfeasibleSelectionError, SolverConvergenceError,
+                              build_selection_bn)
 from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
@@ -76,6 +77,10 @@ class TestBuildSelectionBn:
         sbn = build_selection_bn(params, {"V": [0.0, 1.0]})
         assert sbn.theta_s["V"][0] == 0.0
         assert np.allclose(selected(params, sbn, "V"), [0.0, 1.0])
+
+    def test_nan_target_is_not_converged(self):
+        with pytest.raises(SolverConvergenceError, match="best nan"):
+            build_selection_bn(binary_root(0.5), {"V": [np.nan, 1.0]})
 
     def test_infeasible_unsupported_mass(self):
         degenerate = ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([1.0, 0.0])})
@@ -218,7 +223,7 @@ class TestFindAdjustmentSetSelected:
         k = exp.n_outcomes
         skew = [0] * k
         skew[0] = 4000
-        arms = tuple(Arm.from_counts(a.x_value, skew) for a in exp.arms)
+        arms = tuple(Arm(a.x_value, skew) for a in exp.arms)
         contradicting = ExperimentSummary(exp.treatment, exp.outcome, arms,
                                           exp.reported_marginals, population="selected")
         res = find_adjustment_set(table, contradicting, FasConfig(seed=1))
