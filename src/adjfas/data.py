@@ -179,6 +179,15 @@ class Arm:
         return tuple(c / self.total for c in self.outcome_counts)
 
 
+def check_marginal(var: str, vec: Sequence[float]) -> None:
+    """A reported marginal is a non-empty, non-negative vector summing to 1
+    within 1e-9; a NaN or infinite entry fails too."""
+    if not len(vec) or not all(p >= 0 for p in vec):
+        raise ValidationError(f"marginal for {var!r} must be a non-negative vector")
+    if not abs(sum(vec) - 1.0) <= 1e-9:
+        raise ValidationError(f"marginal for {var!r} sums to {sum(vec)}, expected 1")
+
+
 @dataclass(frozen=True)
 class ExperimentSummary:
     """Summary-level trial data: arms, reported covariate marginals, population flag."""
@@ -209,10 +218,7 @@ class ExperimentSummary:
         for var, vec in self.reported_marginals.items():
             if var in (self.treatment, self.outcome):
                 raise ValidationError(f"marginal reported for {var!r}, which is the treatment or outcome")
-            if not vec or not all(p >= 0 for p in vec):  # NaN fails too
-                raise ValidationError(f"marginal for {var!r} must be a non-negative vector")
-            if not abs(sum(vec) - 1.0) <= 1e-9:
-                raise ValidationError(f"marginal for {var!r} sums to {sum(vec)}, expected 1")
+            check_marginal(var, vec)
         if self.population == "selected" and not self.reported_marginals:
             raise ValidationError(
                 "population is 'selected' but no covariate marginals are reported; "

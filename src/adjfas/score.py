@@ -262,16 +262,17 @@ def _root_joint(batched: Mapping[str, np.ndarray], parents: Mapping[str, tuple[s
     return np.ascontiguousarray(joint.reshape(*joint.shape[:2 + len(zvars)], -1, joint.shape[-1]))
 
 
-def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int]
+def _walk_lattice(joint: np.ndarray, masks: Sequence[int]
                   ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Adjustment-formula predictive θ_{Y_x} for subsets of the root's covariates.
+    """Adjustment-formula predictive θ_{Y_x} at every x for subsets of the
+    root's covariates.
 
     ``joint`` is a root from ``_root_joint`` over covariates z_0..z_{k-1};
     each mask names a subset (bit i set keeps z_i). Returns mask ->
-    (theta, degenerate): theta has shape (|Y|, population, batch) and
-    degenerate flags the (population, draw) slices, each with P(z)
-    normalized, where some stratum (x, z) has probability zero while
-    P(z) > 0, making the conditional undefined.
+    (theta, degenerate): theta has shape (|Y|, |X|, population, batch) and
+    degenerate (|X|, population, batch) flags the (x, population, draw)
+    slices, each with P(z) normalized, where some stratum (x, z) has
+    probability zero while P(z) > 0, making the conditional undefined.
 
     The subsets are walked depth-first from the root, each child being its
     parent summed over one more covariate (removed in increasing index
@@ -286,22 +287,21 @@ def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int]
     if not (qtot > 0).all():
         raise ScoringError("selection weights annihilate the whole distribution")
     pz = pz / qtot
-    sliced = joint[:, x_value]  # (|Y|, *z, population × batch)
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def visit(mask, last, wanted, sl, p):
-        # wanted: the requested sets inside this node's subtree
+        # wanted: the requested sets inside this node's subtree; sl is (|Y|, |X|, *z, draws)
         if mask in wanted:
-            n_y, n_b = sl.shape[0], sl.shape[-1]
+            n_y, n_x, n_b = *sl.shape[:2], sl.shape[-1]
             denom = sl.sum(axis=0)
             if denom.all():
-                cond, degenerate = sl / denom, np.zeros(n_b, dtype=bool)
+                cond, degenerate = sl / denom, np.zeros((n_x, n_b), dtype=bool)
             else:
                 # a zero stratum has a zero conditional; its P(z) mass is lost
                 cond = sl / np.where(denom > 0, denom, 1.0)
-                degenerate = ((denom == 0) & (p > 0)).reshape(-1, n_b).any(axis=0)
-            theta = (cond * p).reshape(n_y, -1, n_b).sum(axis=1)
-            out[mask] = (theta.reshape(n_y, *draws), degenerate.reshape(draws))
+                degenerate = ((denom == 0) & (p > 0)).reshape(n_x, -1, n_b).any(axis=1)
+            theta = (cond * p).reshape(n_y, n_x, -1, n_b).sum(axis=2)
+            out[mask] = (theta.reshape(n_y, n_x, *draws), degenerate.reshape(n_x, *draws))
         for j in range(last + 1, k):
             child, below = mask & ~(1 << j), (1 << j) - 1
             # child's subtree drops only covariates past j, so it holds w iff
@@ -309,9 +309,9 @@ def _walk_lattice(joint: np.ndarray, x_value: int, masks: Sequence[int]
             sub = [w for w in wanted if not w & ~child and not child & ~w & below]
             if sub:
                 ax = bin(mask & below).count("1")  # position of z_j among mask's axes
-                visit(child, j, sub, sl.sum(axis=1 + ax), p.sum(axis=ax))
+                visit(child, j, sub, sl.sum(axis=2 + ax), p.sum(axis=ax))
 
-    visit((1 << k) - 1, -1, list(masks), sliced, pz)
+    visit((1 << k) - 1, -1, list(masks), joint, pz)
     return out
 
 
@@ -341,11 +341,11 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, direct)
 
 
-def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], x_value: int,
+def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]],
                  tilts: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """θ_{Y_x} of every set in ``zsets`` at X = ``x_value``, in every population
+    """θ_{Y_x} of every set in ``zsets`` at every X value, in every population
     of ``_root_joint``, and the degenerate flags of ``_walk_lattice``: shapes
-    (H, |Y|, population, batch) and (H, population, batch).
+    (H, |Y|, |X|, population, batch) and (H, |X|, population, batch).
 
     The sets are grouped under roots of at most ``ROOT_BUDGET`` cells per
     population (draws × |Y| × |X| × the covariates' cardinalities), so a
@@ -353,7 +353,8 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], x_val
     set joins the first group whose root, unioned with it, stays within the
     budget, and otherwise starts a group of its own; so a set over the
     budget by itself is its own root. Each group is one elimination to its
-    root, walked once for its members' masks in every population.
+    root, walked once for its members' masks at every X value and in every
+    population, so every trial arm reads its own x slice of one walk.
     """
     card = {v: batched[v].shape[-1] for v in batched}
     base = len(batched[x]) * card[y] * card[x]
@@ -372,7 +373,7 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]], x_val
         joint = _root_joint(batched, parents, x, y, root, tilts)
         bit = {v: 1 << i for i, v in enumerate(root)}
         masks = {z: sum(bit[v] for v in z) for z in members}
-        walked = _walk_lattice(joint, x_value, list(masks.values()))
+        walked = _walk_lattice(joint, list(masks.values()))
         found.update((z, walked[m]) for z, m in masks.items())
     return np.stack([found[z][0] for z in zsets]), np.stack([found[z][1] for z in zsets])
 
@@ -479,18 +480,21 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
 
     Only each class representative (``_representatives``) is scored, and
     its members share its arm scores. When a subset hypothesis is asked, one
-    parameter batch is drawn per arm (seed derived from (seed, arm)) and
-    shared by every hypothesis: common random numbers make the score
-    differences between near-equivalent hypotheses reflect their true gap
-    instead of independent Monte-Carlo noise. A selected trial's arms are
-    scored in the population tilted by ``prep.selection``, and there the
-    no-set hypothesis has no estimate: the raw trial frequencies describe the
-    selected population, not the observational one.
+    parameter batch is drawn per search (seed derived from (seed, 1)) and
+    shared by every arm and every hypothesis, so each group of sets runs one
+    elimination and one lattice walk for all arms, and common random numbers
+    make the score differences between near-equivalent hypotheses reflect
+    their true gap instead of independent Monte-Carlo noise. A selected
+    trial's arms are scored in the population tilted by ``prep.selection``,
+    and there the no-set hypothesis has no estimate: the raw trial
+    frequencies describe the selected population, not the observational one.
 
     Each draw serves both populations: the trial's (the last slice) gives
     the likelihood and ``trial_estimate``, the observational one (slice 0)
-    ``id_estimate``. One log-mean-exp reduces the per-draw log-likelihoods,
-    an (arms × representatives × draws) array, to the log marginals.
+    ``id_estimate``. Each arm reads its own x slice of the predictives and
+    is checked for degenerate draws in arm order. One log-mean-exp reduces
+    the per-draw log-likelihoods, an (arms × representatives × draws) array,
+    to the per-arm log marginals, which with the prior sum to the total.
     """
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
@@ -511,11 +515,12 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
         rep = _representatives(prep, [h.z for h in subsets])
         reps = list(dict.fromkeys(rep.values()))
         zsets = [tuple(v for v in post.dag.nodes if v in z) for z in reps]
+        seeds = np.random.SeedSequence(config.seed, spawn_key=(1,))
+        batch = sample_parameter_batch(post, np.random.default_rng(seeds), config.niters)
+        theta_x, degenerate_x = _predictives(batch, post.parents, x, y, zsets, tilts)
         ll, means = [], []  # per arm: log-likelihoods (H, draws); means [set][population][y]
-        for a_idx, arm in enumerate(exp.arms):
-            seeds = np.random.SeedSequence(config.seed, spawn_key=(1, a_idx))
-            batch = sample_parameter_batch(post, np.random.default_rng(seeds), config.niters)
-            theta, degenerate = _predictives(batch, post.parents, x, y, zsets, arm.x_value, tilts)
+        for arm in exp.arms:
+            theta, degenerate = theta_x[:, :, arm.x_value], degenerate_x[:, arm.x_value]
             failed = degenerate.all(axis=-1).any(axis=-1)  # per set: no usable draw in a population
             if failed.any():
                 z = reps[failed.argmax()]

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bayesnet import ParamInstantiation, product_marginal
-from .data import CategoricalTable, ValidationError, contingency_counts
+from .data import CategoricalTable, ValidationError, check_marginal, contingency_counts
 
 MAX_SWEEPS = 10000
 TOL = 1e-6  # largest residual between a reported and a reproduced marginal
@@ -139,8 +139,9 @@ def build_selection_bn(params: ParamInstantiation,
     the unique I-projection of the network onto all of them (Csiszár, Ann.
     Probab. 1975). Every weight starts at 1, except that a category with zero
     reported mass is an exclusion criterion and is pinned at weight exactly 0.
-    A reported marginal that puts mass on a category the observational model
-    gives probability 0 is infeasible and is rejected before the first sweep.
+    Before the first sweep, a marginal that is not a distribution
+    (``check_marginal``) is rejected, and so is one that puts mass on a
+    category the observational model gives probability 0, which is infeasible.
     """
     selected = tuple(sorted(marginals))
     if not selected:
@@ -154,6 +155,7 @@ def build_selection_bn(params: ParamInstantiation,
         if t.shape != (params.cardinalities[v],):
             raise ValidationError(
                 f"marginal for {v!r} has {t.size} entries, cardinality is {params.cardinalities[v]}")
+        check_marginal(v, t)
         targets[v] = t
 
     marginal = _marginal_fn(params, selected)

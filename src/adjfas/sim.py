@@ -265,11 +265,8 @@ def _adjusted_from_instantiation(params, x: str, y: str, z: Sequence[str]) -> di
     zvars = tuple(sorted(z))
     joint = _root_joint(batched, params.parents, x, y, zvars, {})
     full = (1 << len(zvars)) - 1  # the mask of the root's own set
-    out = {}
-    for xv in range(joint.shape[1]):
-        theta, _ = _walk_lattice(joint, xv, [full])[full]  # (|Y|, 1 population, 1 draw)
-        out[xv] = tuple(theta[:, 0, 0].tolist())
-    return out
+    theta, _ = _walk_lattice(joint, [full])[full]  # (|Y|, |X|, 1 population, 1 draw)
+    return {xv: tuple(theta[:, xv, 0, 0].tolist()) for xv in range(theta.shape[1])}
 
 
 def _is_valid(gt: GroundTruth, h: Hypothesis) -> bool:
@@ -282,24 +279,6 @@ def _is_valid(gt: GroundTruth, h: Hypothesis) -> bool:
         canonical = (g.ancestors({x, y}) & g.observed) - {x, y} - forbidden_set(g, x, y)
         return not satisfies_adjustment_criterion(g, x, y, canonical)
     return satisfies_adjustment_criterion(g, x, y, h.z)
-
-
-def _median(values: Sequence[float]) -> float:
-    """np.median, bit for bit. np.median imports numpy.ma on first use, and
-    the statistics module imports decimal (1.6 MB of peak RSS per process)."""
-    s = sorted(values)
-    h = len(s) // 2
-    return s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2
-
-
-def _quantile(values: Sequence[float], q: float) -> float:
-    """np.percentile(values, 100 q), bit for bit: its default linear rule."""
-    s = sorted(values)
-    pos = (len(s) - 1) * q
-    i = math.floor(pos)
-    t = pos - i
-    a, b = s[i], s[min(i + 1, len(s) - 1)]
-    return a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t)
 
 
 @dataclass
@@ -337,9 +316,9 @@ class BenchmarkReport:
                 "n": len(rows),
                 "errors": sum(1 for r in rows if r.error),
                 "missing": sum(1 for r in rows if r.delta is None and not r.error),
-                "delta_median": _median(deltas) if deltas else None,
-                "delta_q1": _quantile(deltas, 0.25) if deltas else None,
-                "delta_q3": _quantile(deltas, 0.75) if deltas else None,
+                "delta_median": float(np.median(deltas)) if deltas else None,
+                "delta_q1": float(np.percentile(deltas, 25)) if deltas else None,
+                "delta_q3": float(np.percentile(deltas, 75)) if deltas else None,
                 "not_exists_rate": (sum(1 for r in rows if r.hypothesis == NOT_EXISTS.label())
                                     / len(rows)) if rows else None,
                 "criterion_valid_rate": (sum(flags) / len(flags)) if flags else None,

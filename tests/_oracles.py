@@ -508,8 +508,8 @@ def score_by_elimination(prep, config, hypotheses=None):
 
     The slow, obvious form of the scorer: every hypothesis runs a full
     ``product_marginal`` on every arm (the lattice walk under test derives
-    all of them from one root per arm). It draws the same parameter batch
-    per arm as the scorer, so the two agree up to rounding. Returns
+    all of them from one root per group of sets). It draws the scorer's one
+    parameter batch per search, so the two agree up to rounding. Returns
     {hypothesis: [(log_marginal, id_estimate, trial_estimate) per arm]}.
     """
     post, exp = prep.post, prep.exp
@@ -518,9 +518,9 @@ def score_by_elimination(prep, config, hypotheses=None):
     if hypotheses is None:
         hypotheses = enumerate_hypotheses(prep.pool, config.max_subset_size)
     out = {h: [] for h in hypotheses if not h.is_not_exists}
-    for a_idx, arm in enumerate(exp.arms):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1, a_idx)))
-        batched = sample_parameter_batch(post, rng, config.niters)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(1,)))
+    batched = sample_parameter_batch(post, rng, config.niters)
+    for arm in exp.arms:
         counts = np.asarray(arm.outcome_counts, dtype=float)
         for h in out:
             zvars = tuple(v for v in post.dag.nodes if v in h.z)

@@ -716,17 +716,6 @@ class TestGlobalBehavior:
         assert e.value.code == 2
         assert "invalid choice: 'selection-check'" in capsys.readouterr().err
 
-    def test_benchmark_summary_leaves_numpy_ma_unloaded(self, tmp_path):
-        # np.median and np.percentile import numpy.ma on first use
-        code = ("import sys; from adjfas.cli import main; "
-                "assert main(['benchmark', '--methods', 'DEXP', '--replicates', '2', "
-                f"'--n-obs', '300', '--n-per-arm', '30', '--out', {str(tmp_path)!r}]) == 0; "
-                "print('numpy.ma' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=src_env(), timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "False"
-
     def test_import_leaves_scipy_unloaded(self):
         # the runtime needs numpy only; scipy serves the tests as a reference
         code = ("import sys, adjfas, adjfas.cli; "

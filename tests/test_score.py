@@ -415,7 +415,7 @@ class TestLatticeScoring:
         monkeypatch.setattr(score_module, "_root_joint",
                             lambda *a, **k: roots.append(a[4]) or build(*a, **k))
         records = score_hypotheses(prep, config, hypotheses=hyps)
-        assert len(roots) == 2 * len(prep.exp.arms)  # one root per set and arm
+        assert len(roots) == 2  # one root per set, shared by every arm
         _assert_matches_elimination(records, score_by_elimination(prep, config, hyps))
 
     @pytest.mark.parametrize("budget", [score_module.ROOT_BUDGET, score_module.ROOT_BUDGET // 8])
@@ -431,20 +431,21 @@ class TestLatticeScoring:
             return joint
 
         monkeypatch.setattr(score_module, "_root_joint", root_joint)
-        monkeypatch.setattr(score_module, "_walk_lattice", lambda joint, x_value, masks, **k:
-                            served.append(len(masks)) or walk(joint, x_value, masks, **k))
+        monkeypatch.setattr(score_module, "_walk_lattice", lambda joint, masks, **k:
+                            served.append(len(masks)) or walk(joint, masks, **k))
         records = score_hypotheses(prep, config)
         roots = list(zip(cells, served, strict=True))
         assert all(c <= budget for c, n in roots if n > 1)
         assert any(n > 1 for _, n in roots) and any(c > budget for c, _ in roots)
         reps = {r.representative for h, r in records.items() if not h.is_not_exists}
-        assert sum(served) == len(reps) * len(prep.exp.arms)  # each set once per arm
+        assert sum(served) == len(reps)  # each set once, for every arm
         _assert_matches_elimination(records, score_by_elimination(prep, config))
 
     @pytest.mark.parametrize("world", ["none", "observed", "pool-of-7"])
     def test_one_root_and_walk_per_group_and_arm(self, world, monkeypatch):
-        # a selected trial's root holds both populations, so one elimination
-        # and one walk per group and arm serve its estimates and its scores
+        # a root holds every X value and, for a selected trial, both
+        # populations, so one elimination and one walk per group serve every
+        # arm's estimates and scores
         prep, config = _class_fixture(world) if world in CLASS_FIXTURES else _scoring_world(world)
         roots, walks = [], []
         build, walk = score_module._root_joint, score_module._walk_lattice
@@ -456,12 +457,31 @@ class TestLatticeScoring:
 
         monkeypatch.setattr(score_module, "_root_joint", root_joint)
         monkeypatch.setattr(score_module, "_walk_lattice",
-                            lambda *a, **k: walks.append(a[2]) or walk(*a, **k))
+                            lambda *a, **k: walks.append(a[1]) or walk(*a, **k))
         score_hypotheses(prep, config)
         groups = set(roots)
-        assert len(roots) == len(walks) == len(groups) * len(prep.exp.arms)
+        assert len(prep.exp.arms) >= 2
+        assert len(roots) == len(walks) == len(groups)
         assert {n for _, n in groups} == {1 if prep.selection is None else 2}
         assert (len(groups) > 1) == (world == "pool-of-7")
+
+    @pytest.mark.parametrize("world", ["observed", "pool-of-7"])
+    def test_arm_order_does_not_matter(self, world):
+        # every arm reads the same draws, so an arm's scores depend on its x
+        # value and counts, not on its place in the trial
+        prep, config = _class_fixture(world) if world in CLASS_FIXTURES else _scoring_world(world)
+        flipped = dataclasses.replace(
+            prep, exp=dataclasses.replace(prep.exp, arms=prep.exp.arms[::-1]))
+        assert len(prep.exp.arms) >= 2
+        seen = []
+        for p in (prep, flipped):
+            records = score_hypotheses(p, config)
+            doc = FasResult(best=pick_best(records), estimate=None, pool=p.pool, records=records,
+                            config=config, selection=p.selection).to_dict()
+            by_x = {h: dict(zip((a.x_value for a in p.exp.arms), r.arm_scores, strict=True))
+                    for h, r in records.items()}
+            seen.append((by_x, doc["best"], doc["tied_with"]))
+        assert seen[0] == seen[1]
 
     def test_annihilated_population_raises(self):
         batched = {"X": np.tile([0.5, 0.5], (3, 1)), "Y": np.full((3, 2, 2), 0.5)}
@@ -470,7 +490,7 @@ class TestLatticeScoring:
         assert joint.shape == (2, 2, 2, 3) and joint[..., 0, :].all()
         assert not joint[..., 1, :].any()  # the trial's population weighs nothing
         with pytest.raises(ScoringError, match="selection weights annihilate"):
-            score_module._walk_lattice(joint, 1, [0])
+            score_module._walk_lattice(joint, [0])
 
     @pytest.mark.parametrize("selection", ["none", "observed"])
     def test_no_set_alone_draws_no_parameters(self, selection, monkeypatch):
@@ -485,7 +505,8 @@ class TestLatticeScoring:
         assert calls == []
         assert records == {NOT_EXISTS: full[NOT_EXISTS]}
         score_hypotheses(prep, config, [Hypothesis.adjustment(prep.pool[:1]), NOT_EXISTS])
-        assert calls == ["_representatives"] + ["sample_parameter_batch"] * len(prep.exp.arms)
+        assert len(prep.exp.arms) == 2
+        assert calls == ["_representatives", "sample_parameter_batch"]  # one batch per search
 
 
 # (world config, replicate, niters): criterion 5's fixture (pool of 6, 49
@@ -558,7 +579,7 @@ class TestConfoundingClasses:
                             lambda *a, **k: seen.append(a[4]) or predictives(*a, **k))
         records = score_hypotheses(prep, config)
         reps = {r.representative for h, r in records.items() if not h.is_not_exists}
-        assert len(seen) == len(prep.exp.arms)
+        assert len(seen) == 1 < len(prep.exp.arms)  # one call serves every arm
         for zsets in seen:
             assert len(zsets) == len(reps) < 2 ** len(prep.pool)
             assert {frozenset(z) for z in zsets} == reps
@@ -623,9 +644,9 @@ class TestDegenerateAndValidationPaths:
             "Y": np.tile(np.array([[0.5, 0.5], [0.5, 0.5]]), (5, 1, 1)),
         }
         parents = {"X": (), "Y": ("X",)}
-        theta, degenerate = score_module._predictives(batched, parents, "X", "Y", [()], 1, {})
-        assert theta.shape == (1, 2, 1, 5) and degenerate.shape == (1, 1, 5)
-        assert degenerate.all()
+        theta, degenerate = score_module._predictives(batched, parents, "X", "Y", [()], {})
+        assert theta.shape == (1, 2, 2, 1, 5) and degenerate.shape == (1, 2, 1, 5)
+        assert degenerate[:, 1].all() and not degenerate[:, 0].any()
         # the scorer, not _predictives, turns the flags into the error
         post = BayesNetPosterior(Dag(("X", "Y"), (("X", "Y"),)), {"X": 2, "Y": 2}, parents,
                                  {"X": np.ones(2), "Y": np.ones((2, 2))})
@@ -636,6 +657,31 @@ class TestDegenerateAndValidationPaths:
                 "every sampling iteration degenerate for arm x=1, z=[], "
                 "the class representative scored for {}")):
             score_hypotheses(prep, FasConfig(niters=5), [Hypothesis.adjustment(())])
+
+    def test_x_value_without_an_arm_never_raises(self, monkeypatch):
+        # P(X=0) is exactly zero in every draw, so θ_{Y_0} is undefined in
+        # each; only an arm at x = 0 asks for it
+        batched = {
+            "X": np.tile(np.array([0.0, 1.0]), (5, 1)),
+            "Y": np.tile(np.array([[0.5, 0.5], [0.5, 0.5]]), (5, 1, 1)),
+        }
+        parents = {"X": (), "Y": ("X",)}
+        post = BayesNetPosterior(Dag(("X", "Y"), (("X", "Y"),)), {"X": 2, "Y": 2}, parents,
+                                 {"X": np.ones(2), "Y": np.ones((2, 2))})
+        monkeypatch.setattr(score_module, "sample_parameter_batch", lambda *a: batched)
+        h = Hypothesis.adjustment(())
+
+        def score(*arms):
+            prep = PreparedScoring(ExperimentSummary("X", "Y", arms), (), post, None)
+            return score_hypotheses(prep, FasConfig(niters=5), [h])[h]
+
+        (arm,) = score(Arm(1, [3, 7])).arm_scores
+        assert arm.log_marginal == pytest.approx(10 * math.log(0.5), rel=1e-15)
+        assert arm.id_estimate == arm.trial_estimate == (0.5, 0.5)
+        with pytest.raises(ScoringError, match=re.escape(
+                "every sampling iteration degenerate for arm x=0, z=[], "
+                "the class representative scored for {}")):
+            score(Arm(1, [3, 7]), Arm(0, [5, 5]))
 
     def test_arm_value_outside_cardinality(self):
         gt = confounded_world()

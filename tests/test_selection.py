@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -78,9 +80,28 @@ class TestBuildSelectionBn:
         assert sbn.theta_s["V"][0] == 0.0
         assert np.allclose(selected(params, sbn, "V"), [0.0, 1.0])
 
-    def test_nan_target_is_not_converged(self):
-        with pytest.raises(SolverConvergenceError, match="best nan"):
-            build_selection_bn(binary_root(0.5), {"V": [np.nan, 1.0]})
+    @pytest.mark.parametrize("target, message", [
+        ([np.nan, 1.0], "must be a non-negative vector"),
+        ([np.inf, 0.0], "sums to inf, expected 1"),
+        ([-0.2, 1.2], "must be a non-negative vector"),
+        ([0.5, 0.5 + 2e-9], "sums to 1.0000000020000002, expected 1"),
+    ], ids=["nan", "inf", "negative", "sum"])
+    def test_malformed_target_rejected_before_any_sweep(self, target, message, monkeypatch):
+        # ExperimentSummary's rule, checked before the network is eliminated,
+        # so a library caller does not pay the sweep budget for it
+        monkeypatch.setattr(selection_module, "_marginal_fn", lambda *a: pytest.fail("swept"))
+        with pytest.raises(ValidationError, match=re.escape(f"marginal for 'V' {message}")):
+            build_selection_bn(binary_root(0.5), {"V": target})
+
+    def test_target_within_1e_9_of_a_distribution_is_solved(self):
+        sbn = build_selection_bn(binary_root(0.5), {"V": [0.2, 0.8 + 5e-10]})
+        assert sbn.solved_residual < TOL
+
+    def test_spent_sweep_budget_is_not_converged(self, monkeypatch):
+        # two coupled marginals need more than one sweep
+        monkeypatch.setattr(selection_module, "MAX_SWEEPS", 1)
+        with pytest.raises(SolverConvergenceError, match="did not reach residual 1e-06 in 1 sweeps"):
+            build_selection_bn(chain_net(), {"V1": [0.3, 0.7], "V2": [0.5, 0.5]})
 
     def test_infeasible_unsupported_mass(self):
         degenerate = ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([1.0, 0.0])})
