@@ -241,12 +241,10 @@ def product_marginal(factors: Sequence[Factor], keep: Sequence[str]) -> np.ndarr
     """Sum-product of the factor list, reduced to a tensor over ``keep``.
 
     Eliminates every other variable in min-fill order and returns the
-    unnormalized result with axes ordered as ``keep``. With no factors, or
-    ``keep`` empty, the result degenerates to a scalar array.
+    unnormalized result with axes ordered as ``keep``. With ``keep`` empty,
+    the result degenerates to a scalar array.
     """
     keep = tuple(keep)
-    if not factors:
-        return np.ones(()) if not keep else np.ones([1] * len(keep))
     all_vars = {v for vars, _ in factors for v in vars}
     missing = set(keep) - all_vars
     if missing:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -90,7 +90,8 @@ class FasConfig:
     its command-line flag."""
 
     alpha: float = field(default=0.05, metadata={"help": "significance for pool membership"})
-    niters: int = field(default=100, metadata={"help": "sampling iterations per hypothesis/arm"})
+    niters: int = field(default=100, metadata={
+        "help": "posterior draws per search, shared by every arm and hypothesis"})
     ess: float = field(default=1.0, metadata={"help": "equivalent sample size of the BDeu prior"})
     seed: int = field(default=0, metadata={"help": "master random seed"})
     max_subset_size: int | None = field(default=None, metadata={
@@ -262,56 +263,51 @@ def _root_joint(batched: Mapping[str, np.ndarray], parents: Mapping[str, tuple[s
     return np.ascontiguousarray(joint.reshape(*joint.shape[:2 + len(zvars)], -1, joint.shape[-1]))
 
 
-def _walk_lattice(joint: np.ndarray, masks: Sequence[int]
-                  ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+def _walk_lattice(joint: np.ndarray, root: Sequence[str], sets: Sequence[Collection[str]]
+                  ) -> dict[Collection[str], tuple[np.ndarray, np.ndarray]]:
     """Adjustment-formula predictive θ_{Y_x} at every x for subsets of the
     root's covariates.
 
-    ``joint`` is a root from ``_root_joint`` over covariates z_0..z_{k-1};
-    each mask names a subset (bit i set keeps z_i). Returns mask ->
+    ``joint`` is a root from ``_root_joint`` over the covariates ``root``,
+    and each of ``sets`` is a subset of them. Returns set ->
     (theta, degenerate): theta has shape (|Y|, |X|, population, batch) and
     degenerate (|X|, population, batch) flags the (x, population, draw)
     slices, each with P(z) normalized, where some stratum (x, z) has
     probability zero while P(z) > 0, making the conditional undefined.
 
-    The subsets are walked depth-first from the root, each child being its
-    parent summed over one more covariate (removed in increasing index
-    order, so every subset is reached once), and only branches holding a
-    requested set are entered: memory holds one chain, never the lattice.
+    Each set is the root with the covariates it lacks summed out one at a
+    time, in root order. The sets are walked sorted by those dropped
+    covariates, so one stack of partial sums from the root serves them
+    all: it is popped back to the longest prefix the next set shares, and
+    only the rest is summed. Memory holds one chain, never the lattice.
     """
     draws = joint.shape[-2:]  # (population, batch), walked as one axis
     joint = joint.reshape(*joint.shape[:-2], -1)
-    k = joint.ndim - 3
     pz = joint.sum(axis=(0, 1))  # (*z, population × batch)
     qtot = pz.reshape(-1, pz.shape[-1]).sum(axis=0)
     if not (qtot > 0).all():
         raise ScoringError("selection weights annihilate the whole distribution")
-    pz = pz / qtot
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def visit(mask, last, wanted, sl, p):
-        # wanted: the requested sets inside this node's subtree; sl is (|Y|, |X|, *z, draws)
-        if mask in wanted:
-            n_y, n_x, n_b = *sl.shape[:2], sl.shape[-1]
-            denom = sl.sum(axis=0)
-            if denom.all():
-                cond, degenerate = sl / denom, np.zeros((n_x, n_b), dtype=bool)
-            else:
-                # a zero stratum has a zero conditional; its P(z) mass is lost
-                cond = sl / np.where(denom > 0, denom, 1.0)
-                degenerate = ((denom == 0) & (p > 0)).reshape(n_x, -1, n_b).any(axis=1)
-            theta = (cond * p).reshape(n_y, n_x, -1, n_b).sum(axis=2)
-            out[mask] = (theta.reshape(n_y, n_x, *draws), degenerate.reshape(n_x, *draws))
-        for j in range(last + 1, k):
-            child, below = mask & ~(1 << j), (1 << j) - 1
-            # child's subtree drops only covariates past j, so it holds w iff
-            # w is inside child and every covariate child keeps below j is in w
-            sub = [w for w in wanted if not w & ~child and not child & ~w & below]
-            if sub:
-                ax = bin(mask & below).count("1")  # position of z_j among mask's axes
-                visit(child, j, sub, sl.sum(axis=2 + ax), p.sum(axis=ax))
-
-    visit((1 << k) - 1, -1, list(masks), joint, pz)
+    dropped = {z: tuple(j for j, v in enumerate(root) if v not in z) for z in sets}
+    stack = [((), joint, pz / qtot)]  # (covariates summed out, (|Y|, |X|, *z, draws), P(z))
+    out = {}
+    for z in sorted(dropped, key=dropped.__getitem__):
+        while dropped[z][:len(stack[-1][0])] != stack[-1][0]:
+            stack.pop()
+        done, sl, p = stack[-1]
+        for j in dropped[z][len(done):]:
+            ax = j - len(done)  # z_j's axis once the earlier covariates are gone
+            done, sl, p = (*done, j), sl.sum(axis=2 + ax), p.sum(axis=ax)
+            stack.append((done, sl, p))
+        n_y, n_x, n_b = *sl.shape[:2], sl.shape[-1]
+        denom = sl.sum(axis=0)
+        if denom.all():
+            cond, degenerate = sl / denom, np.zeros((n_x, n_b), dtype=bool)
+        else:
+            # a zero stratum has a zero conditional; its P(z) mass is lost
+            cond = sl / np.where(denom > 0, denom, 1.0)
+            degenerate = ((denom == 0) & (p > 0)).reshape(n_x, -1, n_b).any(axis=1)
+        theta = (cond * p).reshape(n_y, n_x, -1, n_b).sum(axis=2)
+        out[z] = (theta.reshape(n_y, n_x, *draws), degenerate.reshape(n_x, *draws))
     return out
 
 
@@ -341,7 +337,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(out), out, direct)
 
 
-def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]],
+def _predictives(batched, parents, x, y, zsets: Sequence[frozenset[str]],
                  tilts: Mapping[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """θ_{Y_x} of every set in ``zsets`` at every X value, in every population
     of ``_root_joint``, and the degenerate flags of ``_walk_lattice``: shapes
@@ -353,12 +349,12 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]],
     set joins the first group whose root, unioned with it, stays within the
     budget, and otherwise starts a group of its own; so a set over the
     budget by itself is its own root. Each group is one elimination to its
-    root, walked once for its members' masks at every X value and in every
+    root, walked once for its members at every X value and in every
     population, so every trial arm reads its own x slice of one walk.
     """
     card = {v: batched[v].shape[-1] for v in batched}
     base = len(batched[x]) * card[y] * card[x]
-    groups: list[tuple[set[str], list[tuple[str, ...]]]] = []
+    groups: list[tuple[set[str], list[frozenset[str]]]] = []
     for z in sorted(zsets, key=lambda z: -math.prod(card[v] for v in z)):
         for union, members in groups:
             if base * math.prod(card[v] for v in union.union(z)) <= ROOT_BUDGET:
@@ -370,11 +366,7 @@ def _predictives(batched, parents, x, y, zsets: Sequence[tuple[str, ...]],
     found = {}
     for union, members in groups:
         root = tuple(v for v in batched if v in union)
-        joint = _root_joint(batched, parents, x, y, root, tilts)
-        bit = {v: 1 << i for i, v in enumerate(root)}
-        masks = {z: sum(bit[v] for v in z) for z in members}
-        walked = _walk_lattice(joint, list(masks.values()))
-        found.update((z, walked[m]) for z, m in masks.items())
+        found.update(_walk_lattice(_root_joint(batched, parents, x, y, root, tilts), root, members))
     return np.stack([found[z][0] for z in zsets]), np.stack([found[z][1] for z in zsets])
 
 
@@ -514,10 +506,9 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     if subsets:
         rep = _representatives(prep, [h.z for h in subsets])
         reps = list(dict.fromkeys(rep.values()))
-        zsets = [tuple(v for v in post.dag.nodes if v in z) for z in reps]
         seeds = np.random.SeedSequence(config.seed, spawn_key=(1,))
         batch = sample_parameter_batch(post, np.random.default_rng(seeds), config.niters)
-        theta_x, degenerate_x = _predictives(batch, post.parents, x, y, zsets, tilts)
+        theta_x, degenerate_x = _predictives(batch, post.parents, x, y, reps, tilts)
         ll, means = [], []  # per arm: log-likelihoods (H, draws); means [set][population][y]
         for arm in exp.arms:
             theta, degenerate = theta_x[:, :, arm.x_value], degenerate_x[:, arm.x_value]

@@ -136,8 +136,6 @@ def generate_world(cfg: SimConfig, rng: np.random.Generator) -> GroundTruth:
 
         if "Y" not in dag.descendants({"X"}):
             continue
-        if cfg.mode == "pretreatment" and (dag.descendants({"X"}) - {"X", "Y"}) & set(covs + lats):
-            continue
 
         if cfg.selection != "none":
             candidates = sorted(set(covs) - dag.descendants({"X"}))
@@ -264,8 +262,7 @@ def _adjusted_from_instantiation(params, x: str, y: str, z: Sequence[str]) -> di
     batched = {v: cpt[None] for v, cpt in params.cpts.items()}  # a batch of one draw
     zvars = tuple(sorted(z))
     joint = _root_joint(batched, params.parents, x, y, zvars, {})
-    full = (1 << len(zvars)) - 1  # the mask of the root's own set
-    theta, _ = _walk_lattice(joint, [full])[full]  # (|Y|, |X|, 1 population, 1 draw)
+    theta, _ = _walk_lattice(joint, zvars, [zvars])[zvars]  # (|Y|, |X|, 1 population, 1 draw)
     return {xv: tuple(theta[:, xv, 0, 0].tolist()) for xv in range(theta.shape[1])}
 
 

@@ -347,6 +347,15 @@ def observed_joint(gt: GroundTruth) -> tuple[np.ndarray, list[str]]:
     return np.einsum(*operands, [idx[v] for v in kept]), kept
 
 
+def adjusted_from_joint(joint: np.ndarray, kept: list[str], x: str, y: str, z) -> np.ndarray:
+    """Σ_z P(Y|x,z)P(z) at every x, shape (|X|, |Y|), from the observed joint
+    and its axis names as ``observed_joint`` returns them."""
+    sub = np.einsum(joint, list(range(len(kept))), [kept.index(v) for v in (x, y, *sorted(z))])
+    pz = sub.sum(axis=(0, 1))
+    cond = sub / sub.sum(axis=1, keepdims=True)  # P(Y | x, z)
+    return (cond * pz).reshape(*cond.shape[:2], -1).sum(axis=2)
+
+
 def ideal_pick(gt: GroundTruth, table: CategoricalTable, exp: ExperimentSummary,
                alpha: float) -> Hypothesis:
     """The pick of a scorer that knows the world's CPTs.
@@ -363,15 +372,11 @@ def ideal_pick(gt: GroundTruth, table: CategoricalTable, exp: ExperimentSummary,
         if h.is_not_exists:
             values[h] = sum(score_not_exists(arm) for arm in exp.arms)
             continue
-        order = [x, y, *sorted(h.z)]
-        sub = np.einsum(joint, list(range(len(kept))), [kept.index(v) for v in order])
-        pz = sub.sum(axis=(0, 1))
+        theta = adjusted_from_joint(joint, kept, x, y, h.z)
         total = 0.0
         for arm in exp.arms:
-            pyz = sub[arm.x_value]                      # P(x, Y, z)
-            cond = pyz / pyz.sum(axis=0)                # P(Y | x, z)
-            theta = (cond * pz).reshape(len(cond), -1).sum(axis=1)
-            total += sum(c * np.log(t) for c, t in zip(arm.outcome_counts, theta) if c > 0)
+            total += sum(c * np.log(t) for c, t in zip(arm.outcome_counts, theta[arm.x_value])
+                         if c > 0)
         values[h] = float(total)
     return _pick(values)
 

@@ -1,5 +1,5 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line,
-plus the ideal-scorer evidence behind criterion 5's red clause.
+plus the evidence tests behind criterion 5's red clause.
 
 Run with `pytest tests/test_acceptance.py -s` to see the lines as they
 complete. The heavy benchmark runs are shared through module-scoped fixtures.
@@ -14,15 +14,16 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from _oracles import (adjusted_by_enumeration, all_valid_subsets, conditional_from_joint,
-                      eliminated_conditional, enumerate_joint, i_projection_by_dual, ideal_pick,
-                      latent_confounder_world, mean_abs_diff, score_one_arm)
+from _oracles import (adjusted_by_enumeration, adjusted_from_joint, all_valid_subsets,
+                      conditional_from_joint, eliminated_conditional, enumerate_joint,
+                      i_projection_by_dual, ideal_pick, latent_confounder_world, mean_abs_diff,
+                      observed_joint, score_one_arm)
 from adjfas.bayesnet import ParamInstantiation, fit_posterior
 from adjfas.cli import main as cli_main
 from adjfas.data import Arm, CategoricalTable
 from adjfas.graph import Dag
-from adjfas.score import (FasConfig, pick_best, pick_min_kl, prepare_scoring,
-                          score_hypotheses, score_not_exists)
+from adjfas.score import (NOT_EXISTS, FasConfig, candidate_pool, pick_best, pick_min_kl,
+                          prepare_scoring, score_hypotheses, score_not_exists)
 from adjfas.selection import build_selection_bn
 from adjfas.sim import SimConfig, _is_valid, run_benchmark, sample_datasets, simulate_replicate
 
@@ -164,7 +165,11 @@ def test_criterion_5_benchmark_no_selection(bench_no_selection):
     0.70), and 0.50 and 0.65 with 5,000 and 50,000. So the shortfall lies in
     what a trial of this size can tell apart, not in the search. The
     search's picks are near-optimal numerically (the error clause passes
-    with ~2x margin); only the graphical accounting fails.
+    with ~2x margin); only the graphical accounting fails. In the 6 worlds
+    with no valid observed set some pool subset adjusts to within a
+    500-unit arm's standard error of the truth
+    (``test_criterion_5_no_set_worlds_are_indistinguishable``), so 0.70
+    needs every one of the other 14 worlds picked validly.
     """
     s = bench_no_selection.summary()["methods"]
     med_fas, med_dexp = s["FAS"]["delta_median"], s["DEXP"]["delta_median"]
@@ -192,6 +197,29 @@ def test_criterion_5_ideal_scorer_falls_short():
         gt, table, exp = simulate_replicate(cfg, rep)
         valid += _is_valid(gt, ideal_pick(gt, table, exp, alpha))
     assert valid / 20 < 0.70
+
+
+def test_criterion_5_no_set_worlds_are_indistinguishable():
+    """Criterion 5's fixture has 6 worlds where no observed set is valid
+    (NOT_EXISTS is true). In each, some subset of the program's candidate
+    pool has an exact adjusted θ, from the true CPTs, within 0.02 of the
+    true P(Y|do(x)) by mean absolute difference; 0.02 is about the standard
+    error of a 500-unit arm, so the trial cannot tell these worlds from ones
+    with a valid set."""
+    cfg = SimConfig(selection="none", n_obs=10000, n_per_arm=500, seed=42)
+    alpha = FasConfig().alpha
+    closest = {}  # per NOT_EXISTS world: the smallest error of any pool subset
+    for rep in range(20):
+        gt, table, exp = simulate_replicate(cfg, rep)
+        if not _is_valid(gt, NOT_EXISTS):
+            continue
+        joint, kept = observed_joint(gt)
+        pool = candidate_pool(table, gt.x, gt.y, alpha)
+        closest[rep] = min(
+            mean_abs_diff(dict(enumerate(adjusted_from_joint(joint, kept, gt.x, gt.y, z))), gt)
+            for size in range(len(pool) + 1) for z in combinations(pool, size))
+    assert len(closest) == 6
+    assert max(closest.values()) < 0.02, closest
 
 
 def test_criterion_6_benchmark_observed_selection(bench_observed_selection):

@@ -161,6 +161,11 @@ class TestTrialFile:
         ({"treatment": None}, "'treatment'"),
         ({"treatment": ["X"]}, "'treatment'"),
         ({"marginals": {"V1": [1.5, -0.5]}}, "marginal for 'V1' must be a non-negative vector"),
+        ({"outcome": "X"}, "treatment and outcome must differ"),
+        ({"population": "other"}, "population must be 'same' or 'selected', got 'other'"),
+        ({"arms": []}, "experiment has no arms"),
+        ({"arms": [{"x": 0, "counts": [10, 20]}, {"x": 1, "counts": [1, 2, 3]}]},
+         "all arms must report the same number of outcome categories"),
     ])
     def test_fas_rejects(self, tmp_path, capsys, change, key):
         obs = tmp_path / "obs.csv"
@@ -170,8 +175,34 @@ class TestTrialFile:
                                    "arms": [{"x": 0, "counts": [10, 20]}], **change}))
         assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {exp}: ") and key in err, err
+        assert err.startswith(f"error: {exp}: ") and key in err and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "invalid JSON: "),
+        ("[1, 2]", "top-level value must be an object"),
+        (json.dumps({"treatment": "X", "outcome": "Y"}), "missing required key 'arms'"),
+    ])
+    def test_fas_rejects_malformed_file(self, tmp_path, capsys, text, message):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("V1,X,Y\n0,0,0\n1,1,1\n")
+        exp = tmp_path / "e.json"
+        exp.write_text(text)
+        assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {exp}: {message}") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_selected_marginal_wider_than_its_column(self, tmp_path, capsys):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("V1,X,Y\n0,0,0\n1,1,1\n")
+        exp = tmp_path / "e.json"
+        exp.write_text(json.dumps({"treatment": "X", "outcome": "Y", "population": "selected",
+                                   "arms": [{"x": 0, "counts": [10, 20]}],
+                                   "marginals": {"V1": [0.2, 0.3, 0.5]}}))
+        assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: marginal for 'V1' has 3 entries, table cardinality is 2\n")
 
     def test_unknown_variable_named_without_quotes(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"

@@ -430,9 +430,18 @@ class TestLatticeScoring:
             cells.append(joint.size)
             return joint
 
+        def walk_both_ways(joint, root, sets):
+            # the walk sorts the sets itself, so their order cannot matter
+            walked, backwards = walk(joint, root, sets), walk(joint, root, sets[::-1])
+            assert walked.keys() == backwards.keys() == set(sets)
+            for z, (theta, degenerate) in walked.items():
+                assert np.array_equal(theta, backwards[z][0])
+                assert np.array_equal(degenerate, backwards[z][1])
+            served.append(len(sets))
+            return walked
+
         monkeypatch.setattr(score_module, "_root_joint", root_joint)
-        monkeypatch.setattr(score_module, "_walk_lattice", lambda joint, masks, **k:
-                            served.append(len(masks)) or walk(joint, masks, **k))
+        monkeypatch.setattr(score_module, "_walk_lattice", walk_both_ways)
         records = score_hypotheses(prep, config)
         roots = list(zip(cells, served, strict=True))
         assert all(c <= budget for c, n in roots if n > 1)
@@ -490,7 +499,7 @@ class TestLatticeScoring:
         assert joint.shape == (2, 2, 2, 3) and joint[..., 0, :].all()
         assert not joint[..., 1, :].any()  # the trial's population weighs nothing
         with pytest.raises(ScoringError, match="selection weights annihilate"):
-            score_module._walk_lattice(joint, [0])
+            score_module._walk_lattice(joint, (), [()])
 
     @pytest.mark.parametrize("selection", ["none", "observed"])
     def test_no_set_alone_draws_no_parameters(self, selection, monkeypatch):
@@ -591,7 +600,7 @@ class TestConfoundingClasses:
                 key=Hypothesis.sort_key)
         walk = score_module._walk_lattice
         monkeypatch.setattr(score_module, "_walk_lattice", lambda *a, **k: {
-            m: (t, np.ones_like(d)) for m, (t, d) in walk(*a, **k).items()})
+            z: (t, np.ones_like(d)) for z, (t, d) in walk(*a, **k).items()})
         rep = Hypothesis.adjustment(records[h].representative)
         with pytest.raises(ScoringError) as err:
             score_hypotheses(prep, config, [h])
