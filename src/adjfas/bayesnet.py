@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .data import CategoricalTable, contingency_counts
+from .data import CategoricalTable, column_counts, contingency_counts
 from .graph import Dag
 
 
@@ -76,10 +76,12 @@ _TIE_RTOL = 1e-12
 MAX_PARENTS = 4
 
 
-def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
+def _bdeu_local(table: CategoricalTable, node: int, parents: tuple[int, ...],
                 ess: float) -> float:
-    r = table.cardinality(node)
-    counts = contingency_counts(table, [*parents, node]).reshape(-1, r)
+    """BDeu local score of column ``node`` given the ``parents`` columns, which
+    are listed in table order: every family score of the learner passes here."""
+    r = table.cardinalities[node]
+    counts = column_counts(table, (*parents, node)).reshape(-1, r)
     q = counts.shape[0]
     a_jk = ess / (q * r)
     a_j = ess / q
@@ -87,7 +89,7 @@ def _bdeu_local(table: CategoricalTable, node: str, parents: tuple[str, ...],
     # the nonzero counts are visited
     lg_j, lg_jk = math.lgamma(a_j), math.lgamma(a_jk)
     return (sum(lg_j - math.lgamma(a_j + n) for n in counts.sum(axis=1).tolist() if n)
-            + sum(math.lgamma(a_jk + c) - lg_jk for c in counts[counts > 0].tolist()))
+            + sum(math.lgamma(a_jk + c) - lg_jk for c in counts.ravel().tolist() if c))
 
 
 def _canonical(parents: Iterable[str], order: Mapping[str, int]) -> tuple[str, ...]:
@@ -108,56 +110,83 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
     otherwise the earlier move wins. BDeu is score-equivalent, so adding u→v
     or v→u to two parentless nodes is an exact tie; the rule settles it by
     move order, never by the last bits of the log-gamma sums.
+
+    The climb holds each node's parent and child sets, over column indices,
+    and one row of score changes per node, ``delta[v][u] = local(v, Pa(v) ^
+    {u}) − local(v, Pa(v))``, None for an addition past ``MAX_PARENTS``.
+    BDeu is decomposable, so a move refreshes only the rows of the one or two
+    nodes whose parents it changes. Each family is scored once; the ``Dag``
+    is built at the end, and its own check rejects a cycle.
     """
     if table.n < 1:
         raise ValueError("structure learning needs at least one sample")
-    nodes = table.variable_names
-    order = {v: i for i, v in enumerate(nodes)}
-    cache = {}
+    nodes = range(len(table.variable_names))
+    cache: dict[tuple[int, frozenset[int]], float] = {}
 
-    def local(v, parents: frozenset) -> float:
-        key = (v, parents)
+    def local(v: int, ps: frozenset[int]) -> float:
+        key = (v, ps)
         if key not in cache:
-            cache[key] = _bdeu_local(table, v, _canonical(parents, order), ess)
+            cache[key] = _bdeu_local(table, v, tuple(sorted(ps)), ess)
         return cache[key]
 
-    dag = Dag(nodes)
-    parents = {v: frozenset() for v in nodes}
-    score = {v: local(v, parents[v]) for v in nodes}
+    parents = [frozenset()] * len(nodes)
+    children = [set() for _ in nodes]
+    score = [local(v, parents[v]) for v in nodes]
+
+    def row(v: int) -> list[float | None]:
+        full = len(parents[v]) >= MAX_PARENTS
+        return [None if u == v or full and u not in parents[v]
+                else local(v, parents[v] ^ {u}) - score[v] for u in nodes]
+
+    delta = [row(v) for v in nodes]
     while True:
-        children = {v: dag.children(v) for v in nodes}
-        desc = {v: dag.descendants((v,)) for v in nodes}
-        # a move is the (node, new parent set) pairs it sets: one for an
-        # addition or deletion, two for a reversal
-        moves = []
+        tol = _TIE_RTOL * abs(sum(score))
+        best_move, best_gain = None, 0.0
+        # a move must beat the incumbent and be legal; the cheap test comes first
         for u in nodes:
             for v in nodes:
                 if u == v:
                     continue
                 if v in children[u]:
-                    moves.append(((v, parents[v] - {u}),))
+                    gain = 0.0 + delta[v][u]
+                    if gain - best_gain > tol:
+                        best_move, best_gain = ((u, v),), gain
                     # reversing u -> v cycles iff another child of u reaches v
-                    if (len(parents[u]) < MAX_PARENTS
-                            and not any(v in desc[w] for w in children[u] if w != v)):
-                        moves.append(((v, parents[v] - {u}), (u, parents[u] | {v})))
+                    back = delta[u][v]
+                    if back is not None:
+                        gain += back
+                        if gain - best_gain > tol and not any(
+                                v in _reach(children, w) for w in children[u] if w != v):
+                            best_move, best_gain = ((u, v), (v, u)), gain
                 elif u not in children[v]:
                     # adding u -> v cycles iff v already reaches u
-                    if len(parents[v]) < MAX_PARENTS and u not in desc[v]:
-                        moves.append(((v, parents[v] | {u}),))
-        tol = _TIE_RTOL * abs(sum(score.values()))
-        best_move, best_gain = None, 0.0
-        for move in moves:
-            gain = 0.0
-            for w, ps in move:
-                gain += local(w, ps) - score[w]
-            if gain - best_gain > tol:
-                best_move, best_gain = move, gain
+                    add = delta[v][u]
+                    if add is not None:
+                        gain = 0.0 + add
+                        if gain - best_gain > tol and u not in _reach(children, v):
+                            best_move, best_gain = ((u, v),), gain
         if best_move is None:
-            return dag
-        for w, ps in best_move:
-            parents[w] = ps
-            score[w] = local(w, ps)
-        dag = Dag(nodes, [(u, v) for v, ps in parents.items() for u in ps])
+            names = table.variable_names
+            return Dag(names, [(names[u], names[v]) for v in nodes for u in parents[v]])
+        # each pair toggles one edge: a deletion or an addition, and a
+        # reversal deletes u -> v and adds v -> u
+        for u, v in best_move:
+            parents[v] ^= {u}
+            children[u] ^= {v}
+            score[v] = local(v, parents[v])
+        for _, v in best_move:
+            delta[v] = row(v)
+
+
+def _reach(children: list[set[int]], v: int) -> set[int]:
+    """v and every node it reaches along ``children``."""
+    out, stack = set(), [v]
+    while stack:
+        w = stack.pop()
+        if w not in out:
+            out.add(w)
+            stack.extend(children[w])
+    return out
 
 
 # --- posterior and sampling

@@ -104,7 +104,8 @@ class CategoricalTable:
         ``np.unique`` counts the codes. When the next digit would overflow
         int64 (wide tables), the codes so far are first renumbered densely;
         a column whose own cardinality still does not fit is renumbered too.
-        The distinct rows are read back off the unique codes.
+        The distinct rows are read back off the unique codes and held column by
+        column (Fortran order), so each count reads contiguous columns.
         """
         code = np.zeros(self.n, dtype=np.int64)
         radix, undo = 1, []  # undo: how to read the columns back off a code
@@ -129,7 +130,7 @@ class CategoricalTable:
                 cols.append(col if values is None else values[col])
             else:
                 code = step[code]
-        rows = np.column_stack(cols[::-1]) if cols else np.zeros((len(counts), 0), np.int64)
+        rows = np.stack(cols[::-1]).T if cols else np.zeros((len(counts), 0), np.int64)
         rows.setflags(write=False)
         counts.setflags(write=False)
         return rows, counts
@@ -398,22 +399,31 @@ def contingency_counts(table: CategoricalTable, vars: Sequence[str]) -> np.ndarr
     The empty variable list yields the 0-d tensor holding N. Counts are
     weighted sums over the table's distinct rows, exact in int64.
     """
-    vars = list(vars)
     idx = [table.index(v) for v in vars]
     if len(set(idx)) != len(idx):
         raise ValueError("repeated variable in contingency query")
+    return column_counts(table, idx)
+
+
+def column_counts(table: CategoricalTable, idx: Sequence[int]) -> np.ndarray:
+    """``contingency_counts`` over distinct column indices: the one count path,
+    which the structure learner calls directly to skip the name lookups."""
     cards = [table.cardinalities[i] for i in idx]
     cells = math.prod(cards)
     if cells > MAX_COUNT_CELLS:
         raise ValidationError(
-            f"count table over {', '.join(f'{v} ({c})' for v, c in zip(vars, cards))} "
+            f"count table over "
+            f"{', '.join(f'{table.variable_names[i]} ({c})' for i, c in zip(idx, cards))} "
             f"would hold {cells} cells, more than {MAX_COUNT_CELLS}; "
             f"category codes must be dense 0..k-1")
     if not idx:
         return np.array(table.n, dtype=np.int64)
     rows, weights = table.distinct
-    # row-major index of each distinct row's joint category (codes are < cardinality)
-    flat = np.ravel_multi_index(tuple(rows[:, i] for i in idx), cards)
+    # row-major index of each distinct row's joint category, built Horner-style
+    # (codes are < cardinality, and the cell bound keeps the index in int64)
+    flat = rows[:, idx[0]]
+    for i, card in zip(idx[1:], cards[1:]):
+        flat = flat * card + rows[:, i]
     # float64 sums of integer weights are exact below 2**53 rows
     counts = np.bincount(flat, weights=weights, minlength=cells)
     return counts.astype(np.int64).reshape(cards)

@@ -1,24 +1,38 @@
+import hashlib
 import zlib
+from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from _oracles import (conditional_from_joint, eliminated_conditional, enumerate_joint,
-                      min_fill_order_by_pairs)
+from _oracles import (bdeu_by_cells, conditional_from_joint, contingency_by_add_at,
+                      eliminated_conditional, enumerate_joint, min_fill_order_by_pairs)
 from adjfas import bayesnet
 from adjfas.bayesnet import (_bdeu_local, fit_posterior, learn_structure, posterior_mean,
                              product_marginal, sample_parameter_batch)
-from adjfas.data import CategoricalTable
+from adjfas.data import MAX_COUNT_CELLS, CategoricalTable, ValidationError, contingency_counts
 from adjfas.graph import Dag
-from adjfas.score import FasConfig
-from adjfas.sim import METHODS, SimConfig, _run_replicate, simulate_replicate
+from adjfas.score import FasConfig, prepare_scoring
+from adjfas.sim import METHODS, SimConfig, _run_replicate, simulate_replicate, vws_baseline
 
 
 def table_from(rng, cols, n):
     rows = np.column_stack([c(rng, n) for c in cols.values()])
     cards = tuple(int(rows[:, j].max()) + 1 for j in range(rows.shape[1]))
     return CategoricalTable(tuple(cols), cards, rows)
+
+
+def bdeu(t, node, parents, ess=1.0):
+    """The learner's family score, named by variables rather than column indices."""
+    return _bdeu_local(t, t.index(node), tuple(map(t.index, parents)), ess)
+
+
+def observed_study(rep):
+    """Replicate ``rep`` of the seed-7 observed study: world, table, trial and
+    the search's prepared scoring, whose DAG was learned on its sub-table."""
+    gt, table, exp = simulate_replicate(SimConfig(selection="observed", seed=7), rep)
+    return gt, table, exp, prepare_scoring(table, exp, FasConfig())
 
 
 def assert_local_maximum(t, dag):
@@ -30,7 +44,7 @@ def assert_local_maximum(t, dag):
         return tuple(sorted(ps, key=order.__getitem__))
 
     parents = {v: set(dag.parents(v)) for v in dag.nodes}
-    base = sum(_bdeu_local(t, v, canon(parents[v]), 1.0) for v in dag.nodes)
+    base = sum(bdeu(t, v, canon(parents[v])) for v in dag.nodes)
     for u in dag.nodes:
         for v in dag.nodes:
             if u == v:
@@ -51,7 +65,7 @@ def assert_local_maximum(t, dag):
                     Dag(dag.nodes, [(p, w) for w, ps in tr.items() for p in ps])
                 except Exception:
                     continue
-                score = sum(_bdeu_local(t, w, canon(tr[w]), 1.0) for w in dag.nodes)
+                score = sum(bdeu(t, w, canon(tr[w])) for w in dag.nodes)
                 assert score <= base + 1e-9
 
 
@@ -63,9 +77,9 @@ class TestLearnStructure:
         dag = learn_structure(t)
         assert not dag.directed_edges
         # BDeu oracle: the empty model dominates either single-edge model
-        empty = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", (), 1.0)
-        ab = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", ("A",), 1.0)
-        ba = _bdeu_local(t, "B", (), 1.0) + _bdeu_local(t, "A", ("B",), 1.0)
+        empty = bdeu(t, "A", ()) + bdeu(t, "B", ())
+        ab = bdeu(t, "A", ()) + bdeu(t, "B", ("A",))
+        ba = bdeu(t, "B", ()) + bdeu(t, "A", ("B",))
         assert empty > max(ab, ba)
 
     def test_copy_gives_one_edge(self):
@@ -74,8 +88,8 @@ class TestLearnStructure:
         t = CategoricalTable(("A", "B"), (2, 2), np.column_stack([a, a]))
         dag = learn_structure(t)
         assert sorted(dag.directed_edges) in ([("A", "B")], [("B", "A")])
-        edge = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", ("A",), 1.0)
-        empty = _bdeu_local(t, "A", (), 1.0) + _bdeu_local(t, "B", (), 1.0)
+        edge = bdeu(t, "A", ()) + bdeu(t, "B", ("A",))
+        empty = bdeu(t, "A", ()) + bdeu(t, "B", ())
         assert edge > empty
 
     def test_single_variable(self):
@@ -113,6 +127,51 @@ class TestLearnStructure:
         assert sorted(learn_structure(table).directed_edges) == [
             tuple(e.split(">")) for e in edges.split()]
 
+    def test_study_search_and_vws_tables_learn_pinned_dags(self):
+        # every DAG the seed-7 observed study learns: each search's sub-table,
+        # as prepare_scoring restricts it, and each VWS sub-table (a digest of
+        # the edges learned before the climb kept score-change rows)
+        lines = []
+        for rep in range(40):
+            gt, table, _, prep = observed_study(rep)
+            vws = learn_structure(table.restrict(set(vws_baseline(gt)) | {gt.x, gt.y}))
+            for kind, dag in (("search", prep.post.dag), ("vws", vws)):
+                lines.append(f"{rep} {kind} "
+                             + " ".join(f"{u}>{v}" for u, v in sorted(dag.directed_edges)))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "2137ae789bdd5cc9bab93cf8f67d4f025ab177dd4031f76cc2bf7ff1670b438a")
+
+    @pytest.mark.parametrize("rep", [3, 9, 10])
+    def test_family_scores_equal_the_cell_oracle(self, rep):
+        # every family of up to MAX_PARENTS parents on a search sub-table, bit
+        # for bit, and its counts in a shuffled variable order
+        _, table, _, prep = observed_study(rep)
+        sub = table.restrict(prep.post.dag.nodes)
+        names = sub.variable_names
+        rng = np.random.default_rng(rep)
+        for v, node in enumerate(names):
+            others = [i for i in range(len(names)) if i != v]
+            for k in range(bayesnet.MAX_PARENTS + 1):
+                for ps in combinations(others, k):
+                    pa = [names[i] for i in ps]
+                    assert _bdeu_local(sub, v, ps, 1.0) == bdeu_by_cells(sub, node, pa, 1.0)
+                    shuffled = rng.permutation([*pa, node]).tolist()
+                    assert np.array_equal(contingency_counts(sub, shuffled),
+                                          contingency_by_add_at(sub, shuffled))
+
+    def test_cell_bound_holds_for_every_family(self):
+        # 2**13 x 2**14 categories: the pair's count table is twice the bound
+        assert 2 ** 27 == 2 * MAX_COUNT_CELLS
+        t = CategoricalTable(("A", "B"), (2 ** 13, 2 ** 14),
+                             np.array([[0, 0], [2 ** 13 - 1, 2 ** 14 - 1]]))
+        too_many = r" would hold 134217728 cells, more than 67108864; category codes must be dense"
+        with pytest.raises(ValidationError, match=r"^count table over A \(8192\), B \(16384\)"
+                           + too_many):
+            contingency_counts(t, ["A", "B"])
+        with pytest.raises(ValidationError, match=r"^count table over B \(16384\), A \(8192\)"
+                           + too_many):
+            learn_structure(t)
+
     def test_each_family_scored_once(self, monkeypatch):
         _, table, _ = simulate_replicate(SimConfig(selection="observed", seed=7), 10)
         scored = []
@@ -133,12 +192,12 @@ class TestLearnStructure:
         b = ((a ^ c) ^ (rng.random(2000) < 0.25)).astype(int)
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
         # A -> B with Pa(B) = {A, C}, Pa(A) = {C}: covered edge, equal scores
-        s1 = (_bdeu_local(t, "C", (), 1.0)
-              + _bdeu_local(t, "A", ("C",), 1.0)
-              + _bdeu_local(t, "B", ("A", "C"), 1.0))
-        s2 = (_bdeu_local(t, "C", (), 1.0)
-              + _bdeu_local(t, "B", ("C",), 1.0)
-              + _bdeu_local(t, "A", ("B", "C"), 1.0))
+        s1 = (bdeu(t, "C", ())
+              + bdeu(t, "A", ("C",))
+              + bdeu(t, "B", ("A", "C")))
+        s2 = (bdeu(t, "C", ())
+              + bdeu(t, "B", ("C",))
+              + bdeu(t, "A", ("B", "C")))
         assert s1 == pytest.approx(s2, abs=1e-9)
 
     @pytest.mark.parametrize("sign", [1, -1])
@@ -150,7 +209,7 @@ class TestLearnStructure:
         b = (a ^ (rng.random(3000) < 0.1)).astype(int)
         c = (b ^ (rng.random(3000) < 0.3)).astype(int)
         t = CategoricalTable(("A", "B", "C"), (2, 2, 2), np.column_stack([a, b, c]))
-        gains = {(u, v): _bdeu_local(t, v, (u,), 1.0) - _bdeu_local(t, v, (), 1.0)
+        gains = {(u, v): bdeu(t, v, (u,)) - bdeu(t, v, ())
                  for u in "ABC" for v in "ABC" if u != v}
         top = max(gains.values())
         assert sum(g == pytest.approx(top, rel=1e-12) for g in gains.values()) == 2
@@ -158,14 +217,19 @@ class TestLearnStructure:
         assert plain == [("A", "B"), ("B", "C")]
 
         exact = bayesnet._bdeu_local
+        calls = []
 
         def perturbed(table, node, parents, ess):
-            # a deterministic ±1e-13 relative error per local score
-            s = 1 if zlib.crc32(repr((node, parents)).encode()) & 1 else -1
+            # a deterministic ±1e-13 relative error per local score, keyed by names
+            names = table.variable_names
+            key = (names[node], tuple(names[p] for p in parents))
+            calls.append(key)
+            s = 1 if zlib.crc32(repr(key).encode()) & 1 else -1
             return exact(table, node, parents, ess) * (1 + sign * s * 1e-13)
 
         monkeypatch.setattr(bayesnet, "_bdeu_local", perturbed)
         assert sorted(learn_structure(t).directed_edges) == plain
+        assert ("B", ("A",)) in calls and ("A", ("B",)) in calls
 
     def test_local_score_matches_gammaln_formula(self):
         # the textbook BDeu local score over every cell, with scipy's gammaln
@@ -186,7 +250,7 @@ class TestLearnStructure:
             a_jk, a_j = ess / (q * r), ess / q
             ref = (np.sum(gammaln(a_j) - gammaln(a_j + counts.sum(axis=1)))
                    + np.sum(gammaln(a_jk + counts) - gammaln(a_jk)))
-            assert _bdeu_local(t, "V", parents, ess) == pytest.approx(ref, rel=1e-12, abs=0)
+            assert bdeu(t, "V", parents, ess) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestFitPosterior:
