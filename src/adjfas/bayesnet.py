@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import CategoricalTable, column_counts, contingency_counts
-from .graph import Dag
+from .graph import Dag, reach
 
 
 Factor = tuple[tuple[str, ...], np.ndarray]
@@ -155,15 +155,14 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
                     back = delta[u][v]
                     if back is not None:
                         gain += back
-                        if gain - best_gain > tol and not any(
-                                v in _reach(children, w) for w in children[u] if w != v):
+                        if gain - best_gain > tol and v not in reach(children, children[u] - {v}):
                             best_move, best_gain = ((u, v), (v, u)), gain
                 elif u not in children[v]:
                     # adding u -> v cycles iff v already reaches u
                     add = delta[v][u]
                     if add is not None:
                         gain = 0.0 + add
-                        if gain - best_gain > tol and u not in _reach(children, v):
+                        if gain - best_gain > tol and u not in reach(children, (v,)):
                             best_move, best_gain = ((u, v),), gain
         if best_move is None:
             names = table.variable_names
@@ -176,17 +175,6 @@ def learn_structure(table: CategoricalTable, *, ess: float = 1.0) -> Dag:
             score[v] = local(v, parents[v])
         for _, v in best_move:
             delta[v] = row(v)
-
-
-def _reach(children: list[set[int]], v: int) -> set[int]:
-    """v and every node it reaches along ``children``."""
-    out, stack = set(), [v]
-    while stack:
-        w = stack.pop()
-        if w not in out:
-            out.add(w)
-            stack.extend(children[w])
-    return out
 
 
 # --- posterior and sampling

@@ -205,9 +205,8 @@ def main(argv=None) -> int:
     except SelectionError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ScoringError, ValueError, KeyError, OSError) as e:
-        # str() of a KeyError is the repr of its message
-        print(f"error: {e.args[0] if isinstance(e, KeyError) else e}", file=sys.stderr)
+    except (ScoringError, ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

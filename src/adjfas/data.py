@@ -20,16 +20,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 
-class ParseError(ValueError):
-    """Unreadable or malformed input file."""
-
-
-class SchemaError(ValueError):
-    """Input disagrees with a declared or inferred schema."""
-
-
 class ValidationError(ValueError):
-    """Structurally readable input violating a semantic invariant."""
+    """Input the program cannot use: a malformed file, an unknown name, a bad
+    graph or a broken invariant (CLI exit code 2)."""
 
 
 MARGINAL_SUM_TOL = 1e-6
@@ -55,7 +48,7 @@ class CategoricalTable:
             codes = np.asarray(rows, dtype=float)
             bad = ~(np.isfinite(codes) & (codes == np.round(codes)))
             if bad.any():
-                raise SchemaError(f"category code {float(codes[bad][0])} is not an integer")
+                raise ValidationError(f"category code {float(codes[bad][0])} is not an integer")
         rows = rows.astype(np.int64, copy=False)
         if rows.ndim != 2:
             rows = rows.reshape(-1, len(names))
@@ -73,11 +66,11 @@ class CategoricalTable:
             raise ValidationError("cardinalities must be positive")
         if rows.size:
             if rows.min() < 0:
-                raise SchemaError("negative category code")
+                raise ValidationError("negative category code")
             over = rows.max(axis=0) >= np.asarray(cards)
             if over.any():
                 j = int(np.argmax(over))
-                raise SchemaError(
+                raise ValidationError(
                     f"column {names[j]!r} holds code {int(rows[:, j].max())}, "
                     f"cardinality is {cards[j]}")
         rows.setflags(write=False)
@@ -90,7 +83,7 @@ class CategoricalTable:
         try:
             return self.variable_names.index(var)
         except ValueError:
-            raise KeyError(f"unknown variable {var!r}") from None
+            raise ValidationError(f"unknown variable {var!r}") from None
 
     def cardinality(self, var: str) -> int:
         return self.cardinalities[self.index(var)]
@@ -140,7 +133,7 @@ class CategoricalTable:
         keep = set(vars)
         unknown = keep - set(self.variable_names)
         if unknown:
-            raise KeyError(f"unknown variables: {sorted(unknown)}")
+            raise ValidationError(f"unknown variables: {sorted(unknown)}")
         idx = [i for i, v in enumerate(self.variable_names) if v in keep]
         return CategoricalTable(
             tuple(self.variable_names[i] for i in idx),
@@ -254,7 +247,7 @@ def load_observational(path) -> CategoricalTable:
             or rows.min() < 0):
         names, rows = _parse_csv(path)
     if not len(rows):
-        raise SchemaError(f"{path}: no data rows to infer cardinalities from")
+        raise ValidationError(f"{path}: no data rows to infer cardinalities from")
     cards = tuple(int(c) + 1 for c in rows.max(axis=0))
     return CategoricalTable(tuple(names), cards, rows)
 
@@ -267,9 +260,9 @@ def _parse_csv(path) -> tuple[list[str], np.ndarray]:
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            raise ValidationError(f"{path}: empty file") from None
         if not header or all(not h.strip() for h in header):
-            raise ParseError(f"{path}: missing header row")
+            raise ValidationError(f"{path}: missing header row")
         names = [h.strip() for h in header]
 
         data = []
@@ -277,16 +270,16 @@ def _parse_csv(path) -> tuple[list[str], np.ndarray]:
             if not row:
                 continue
             if len(row) != len(names):
-                raise ParseError(f"{path}: line {lineno}: expected {len(names)} cells, got {len(row)}")
+                raise ValidationError(f"{path}: line {lineno}: expected {len(names)} cells, got {len(row)}")
             parsed = []
             for j, cell in enumerate(row):
                 try:
                     code = int(cell)
                 except ValueError:
-                    raise ParseError(
+                    raise ValidationError(
                         f"{path}: line {lineno}, column {names[j]!r}: not an integer: {cell!r}") from None
                 if code < 0:
-                    raise ParseError(f"{path}: line {lineno}, column {names[j]!r}: negative code {code}")
+                    raise ValidationError(f"{path}: line {lineno}, column {names[j]!r}: negative code {code}")
                 parsed.append(code)
             data.append(parsed)
     return names, np.asarray(data, dtype=np.int64).reshape(len(data), len(names))
@@ -320,9 +313,9 @@ def load_experiment(path) -> ExperimentSummary:
         try:
             raw = json.load(f)
         except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid JSON: {e}") from None
+            raise ValidationError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top-level value must be an object")
+        raise ValidationError(f"{path}: top-level value must be an object")
 
     for key in ("treatment", "outcome", "arms"):
         if key not in raw:
@@ -352,7 +345,7 @@ def load_experiment(path) -> ExperimentSummary:
                 f"{path}: arm {i}: counts sum to {arm.total} but n={a['n']}")
         arms.append(arm)
 
-    reported = raw.get("marginals") or {}
+    reported = raw.get("marginals", {})
     if not isinstance(reported, dict):
         raise ValidationError(f"{path}: 'marginals' must be an object mapping variables to lists")
     marginals = {}

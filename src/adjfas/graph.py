@@ -12,9 +12,7 @@ import json
 from collections import deque
 from typing import Iterable
 
-
-class GraphError(ValueError):
-    """Malformed graph or reference to an unknown node."""
+from .data import ValidationError
 
 
 class Dag:
@@ -32,7 +30,7 @@ class Dag:
                  observed: Iterable[str] | None = None):
         self._nodes = tuple(nodes)
         if len(set(self._nodes)) != len(self._nodes):
-            raise GraphError("duplicate node names")
+            raise ValidationError("duplicate node names")
         self._index = {v: i for i, v in enumerate(self._nodes)}
 
         edges = set()
@@ -42,7 +40,7 @@ class Dag:
             self._check_node(u)
             self._check_node(v)
             if u == v:
-                raise GraphError(f"self-loop on {u!r}")
+                raise ValidationError(f"self-loop on {u!r}")
             edges.add((u, v))
             children[u].add(v)
             parents[v].add(u)
@@ -56,7 +54,7 @@ class Dag:
             self._observed = frozenset(observed)
             unknown = self._observed - set(self._nodes)
             if unknown:
-                raise GraphError(f"observed flags for unknown nodes: {sorted(unknown)}")
+                raise ValidationError(f"observed flags for unknown nodes: {sorted(unknown)}")
 
         # One Kahn pass both rejects cycles and fixes the topological order.
         # Each node releases its children in node-index order: the simulator
@@ -72,12 +70,12 @@ class Dag:
                 if indeg[c] == 0:
                     queue.append(c)
         if len(order) != len(self._nodes):
-            raise GraphError("graph contains a directed cycle")
+            raise ValidationError("graph contains a directed cycle")
         self._order = tuple(order)
 
     def _check_node(self, v: str) -> None:
         if v not in self._index:
-            raise GraphError(f"unknown node {v!r}")
+            raise ValidationError(f"unknown node {v!r}")
 
     # --- basic accessors
 
@@ -107,16 +105,10 @@ class Dag:
     # --- reachability
 
     def _closure(self, vs: Iterable[str], step: dict[str, frozenset[str]]) -> set[str]:
-        out = set()
-        stack = list(vs)
-        for v in stack:
+        vs = list(vs)
+        for v in vs:
             self._check_node(v)
-        while stack:
-            v = stack.pop()
-            if v not in out:
-                out.add(v)
-                stack.extend(step[v])
-        return out
+        return reach(step, vs)
 
     def ancestors(self, vs: Iterable[str]) -> set[str]:
         """All ancestors of vs, including vs themselves."""
@@ -141,6 +133,17 @@ class Dag:
             f.write("\n")
 
 
+def reach(step, start: Iterable) -> set:
+    """The nodes of ``start`` and all they reach, where ``step[v]`` holds v's next nodes."""
+    out, stack = set(), list(start)
+    while stack:
+        v = stack.pop()
+        if v not in out:
+            out.add(v)
+            stack.extend(step[v])
+    return out
+
+
 def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], z: Iterable[str]) -> bool:
     """Test whether node sets a and b are d-separated given z.
 
@@ -154,7 +157,7 @@ def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], z: Iterable[str]) ->
     for v in a | b | z:
         g._check_node(v)
     if (a & b) or (a & z) or (b & z):
-        raise GraphError("a, b, z must be pairwise disjoint")
+        raise ValidationError("a, b, z must be pairwise disjoint")
 
     anz = g.ancestors(z) if z else set()
     # a start node acts as if entered from a child: it passes both ways
@@ -190,7 +193,7 @@ def forbidden_set(g: Dag, x: str, y: str) -> set[str]:
     from x to y; x itself is excluded because it is never a candidate.
     """
     if x == y:
-        raise GraphError("x and y must differ")
+        raise ValidationError("x and y must differ")
     cn = _causal_nodes(g, x, y)
     return g.descendants(cn) if cn else set()
 
@@ -211,15 +214,15 @@ def satisfies_adjustment_criterion(g: Dag, x: str, y: str, z: Iterable[str]) -> 
     """
     z = set(z)
     if x == y:
-        raise GraphError("x and y must differ")
+        raise ValidationError("x and y must differ")
     if x in z or y in z:
-        raise GraphError("z must not contain x or y")
+        raise ValidationError("z must not contain x or y")
     unknown = z - set(g.nodes)
     if unknown:
-        raise GraphError(f"unknown nodes in z: {sorted(unknown)}")
+        raise ValidationError(f"unknown nodes in z: {sorted(unknown)}")
     hidden = z - g.observed
     if hidden:
-        raise GraphError(f"z must be observed; latent: {sorted(hidden)}")
+        raise ValidationError(f"z must be observed; latent: {sorted(hidden)}")
 
     if z & forbidden_set(g, x, y):
         return False

@@ -30,15 +30,9 @@ CELL_BUDGET = 1 << 22
 
 
 class SelectionError(RuntimeError):
-    """Base for selection-model failures (CLI maps these to exit code 3)."""
-
-
-class InfeasibleSelectionError(SelectionError):
-    """Reported marginal puts mass where the observational model has none."""
-
-
-class SolverConvergenceError(SelectionError):
-    """Marginal constraints not met within the sweep budget."""
+    """A trial that no selection model fits: a reported marginal puts mass where
+    the observational model has none, or the solver misses it within its sweep
+    budget (CLI exit code 3)."""
 
 
 @dataclass
@@ -100,7 +94,7 @@ def _marginal_fn(params: ParamInstantiation, selected: tuple[str, ...]
             t = tilted.sum(axis=others[v])
         total = t.sum()
         if total <= 0.0:
-            raise InfeasibleSelectionError(_ZERO_MASS)
+            raise SelectionError(_ZERO_MASS)
         return t / total
 
     return marginal
@@ -122,7 +116,7 @@ def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Seq
         bad = (counts == 0) & (target > 0.0)
         if bad.any():
             c = int(np.argmax(bad))
-            raise InfeasibleSelectionError(
+            raise SelectionError(
                 f"variable {v!r}, category {c}: trial reports mass {target[c]:.6g} "
                 "on a category never observed in the data")
 
@@ -164,7 +158,7 @@ def build_selection_bn(params: ParamInstantiation,
         bad = (obs == 0.0) & (t > 0.0)
         if bad.any():
             c = int(np.argmax(bad))
-            raise InfeasibleSelectionError(
+            raise SelectionError(
                 f"variable {v!r}, category {c}: trial reports mass {t[c]:.6g} "
                 "on a category with no observational support")
 
@@ -185,7 +179,7 @@ def build_selection_bn(params: ParamInstantiation,
         if residual < aim:
             break
     if not residual < TOL:  # a NaN residual fails too
-        raise SolverConvergenceError(
+        raise SelectionError(
             f"selection solver did not reach residual {TOL:g} in {MAX_SWEEPS} sweeps "
             f"(best {residual:.3g})")
 

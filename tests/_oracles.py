@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from adjfas.bayesnet import ParamInstantiation, product_marginal, sample_parameter_batch
-from adjfas.data import CategoricalTable, ExperimentSummary, ParseError, SchemaError
+from adjfas.data import CategoricalTable, ExperimentSummary, ValidationError
 from adjfas.graph import Dag
 from adjfas.score import (FasConfig, Hypothesis, PreparedScoring, _pick, candidate_pool,
                           enumerate_hypotheses, score_hypotheses, score_not_exists)
@@ -174,30 +174,30 @@ def load_observational_by_cells(path) -> CategoricalTable:
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
+            raise ValidationError(f"{path}: empty file") from None
         if not header or all(not h.strip() for h in header):
-            raise ParseError(f"{path}: missing header row")
+            raise ValidationError(f"{path}: missing header row")
         names = [h.strip() for h in header]
         data = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(names):
-                raise ParseError(f"{path}: line {lineno}: expected {len(names)} cells, got {len(row)}")
+                raise ValidationError(f"{path}: line {lineno}: expected {len(names)} cells, got {len(row)}")
             parsed = []
             for j, cell in enumerate(row):
                 try:
                     code = int(cell)
                 except ValueError:
-                    raise ParseError(
+                    raise ValidationError(
                         f"{path}: line {lineno}, column {names[j]!r}: not an integer: {cell!r}") from None
                 if code < 0:
-                    raise ParseError(f"{path}: line {lineno}, column {names[j]!r}: negative code {code}")
+                    raise ValidationError(f"{path}: line {lineno}, column {names[j]!r}: negative code {code}")
                 parsed.append(code)
             data.append(parsed)
     rows = np.asarray(data, dtype=np.int64).reshape(len(data), len(names))
     if not len(rows):
-        raise SchemaError(f"{path}: no data rows to infer cardinalities from")
+        raise ValidationError(f"{path}: no data rows to infer cardinalities from")
     cards = tuple(int(rows[:, j].max()) + 1 for j in range(len(names)))
     return CategoricalTable(tuple(names), cards, rows)
 

@@ -17,8 +17,8 @@ import adjfas
 from _oracles import confounded_world
 from adjfas import cli
 from adjfas.cli import main
-from adjfas.data import save_experiment, save_observational
-from adjfas.score import FasConfig
+from adjfas.data import CategoricalTable, save_experiment, save_observational
+from adjfas.score import FasConfig, candidate_pool
 from adjfas.sim import SimConfig, sample_datasets, simulate_replicate
 
 
@@ -49,7 +49,6 @@ def wide_table_file(tmp_path):
     x = rng.integers(0, 2, n)
     y = (x ^ (rng.random(n) < 0.1)).astype(int)
     cols = {f"V{i:02d}": (y ^ (rng.random(n) < 0.2)).astype(int) for i in range(17)}
-    from adjfas.data import CategoricalTable
     rows = np.column_stack([*cols.values(), x, y])
     obs = tmp_path / "wide.csv"
     save_observational(CategoricalTable((*cols, "X", "Y"), (2,) * 19, rows), obs)
@@ -135,6 +134,21 @@ class TestFas:
                                    "arms": [{"x": 0, "counts": [10, 20]}], "marginals": {}}))
         assert main(["fas", str(obs), str(exp)]) == 2
 
+    def test_constant_column_leaves_the_pool(self, tmp_path):
+        # a constant column has cardinality 1, so each of its G² tests has df = 0
+        _, table, exp = simulate_replicate(SimConfig(seed=3), 0)
+        pool = candidate_pool(table, exp.treatment, exp.outcome)
+        assert pool
+        obs, expf = tmp_path / "obs.csv", tmp_path / "exp.json"
+        save_observational(CategoricalTable((*table.variable_names, "C"),
+                                            (*table.cardinalities, 1),
+                                            np.column_stack([table.rows, np.zeros(table.n, int)])),
+                           obs)
+        save_experiment(exp, expf)
+        out = tmp_path / "report.json"
+        assert main(["fas", str(obs), str(expf), "--niters", "40", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["pool"] == list(pool)
+
     def test_enumeration_exit_code(self, tmp_path):
         obs = wide_table_file(tmp_path)
         exp = tmp_path / "e.json"
@@ -166,6 +180,11 @@ class TestTrialFile:
         ({"arms": []}, "experiment has no arms"),
         ({"arms": [{"x": 0, "counts": [10, 20]}, {"x": 1, "counts": [1, 2, 3]}]},
          "all arms must report the same number of outcome categories"),
+        ({"marginals": []}, "'marginals'"),
+        ({"marginals": 0}, "'marginals'"),
+        ({"marginals": False}, "'marginals'"),
+        ({"marginals": ""}, "'marginals'"),
+        ({"marginals": None}, "'marginals'"),
     ])
     def test_fas_rejects(self, tmp_path, capsys, change, key):
         obs = tmp_path / "obs.csv"

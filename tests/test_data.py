@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -7,10 +8,9 @@ from scipy.stats import kstest
 
 from _oracles import contingency_by_row_pass, load_observational_by_cells
 from adjfas import data, score
-from adjfas.data import (Arm, CategoricalTable, ExperimentSummary, ParseError, SchemaError,
-                         ValidationError, _chi2_sf, contingency_counts,
-                         g2_independence_test, load_experiment, load_observational,
-                         save_experiment, save_observational)
+from adjfas.data import (Arm, CategoricalTable, ExperimentSummary, ValidationError, _chi2_sf,
+                         contingency_counts, g2_independence_test, load_experiment,
+                         load_observational, save_experiment, save_observational)
 
 
 def write(path, text):
@@ -28,17 +28,17 @@ class TestLoadObservational:
 
     def test_empty_file_is_parse_error(self, tmp_path):
         p = write(tmp_path / "t.csv", "")
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             load_observational(p)
 
     def test_header_only_is_schema_error(self, tmp_path):
         p = write(tmp_path / "t.csv", "A,B\n")
-        with pytest.raises(SchemaError, match="no data rows"):
+        with pytest.raises(ValidationError, match="no data rows"):
             load_observational(p)
 
     def test_non_integer_cell_names_row_and_column(self, tmp_path):
         p = write(tmp_path / "t.csv", "A,B\n0,1\n0,x\n")
-        with pytest.raises(ParseError, match=r"line 3.*'B'"):
+        with pytest.raises(ValidationError, match=r"line 3.*'B'"):
             load_observational(p)
 
     @pytest.mark.parametrize("name", [score._BATCH, score._POPULATION, score._SELECTED])
@@ -236,9 +236,28 @@ class TestTableInvariants:
         # a float code is not truncated; NaN and inf are refused without a numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SchemaError, match="not an integer"):
+            with pytest.raises(ValidationError, match="not an integer"):
                 CategoricalTable(("A", "B"), (2, 2), [[0, 1], [bad, 0]])
         assert CategoricalTable(("A",), (2,), [[1.0], [0.0]]).rows.tolist() == [[1], [0]]
+
+
+    @pytest.mark.parametrize("names, cards, rows, message", [
+        (("A", "B"), (2,), [[0, 1]], "variable_names, cardinalities and row width must agree"),
+        (("A", "B"), (2, 2), [[0, 1, 0]], "variable_names, cardinalities and row width must agree"),
+        (("A", "B"), (2, 0), [[0, 0]], "cardinalities must be positive"),
+        (("A", "B"), (2, 2), [[0, 1], [-1, 0]], "negative category code"),
+        (("A", "B"), (2, 3), [[0, 1], [2, 0]], "column 'A' holds code 2, cardinality is 2"),
+    ])
+    def test_invariant_rejected(self, names, cards, rows, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            CategoricalTable(names, cards, np.array(rows))
+
+    def test_unknown_name_rejected(self):
+        t = CategoricalTable(("A", "B"), (2, 2), [[0, 1], [1, 0]])
+        with pytest.raises(ValidationError, match="unknown variable 'Q'"):
+            contingency_counts(t, ["Q"])
+        with pytest.raises(ValidationError, match=re.escape("unknown variables: ['Q']")):
+            t.restrict({"Q"})
 
 
 class TestArmAndSummaryInvariants:

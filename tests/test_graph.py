@@ -5,23 +5,24 @@ import pytest
 
 from _oracles import (adjusted_by_enumeration, all_valid_subsets, dsep_by_enumeration,
                       forbidden_by_enumeration, mean_abs_diff)
-from adjfas.graph import (Dag, GraphError, d_separated, forbidden_set,
-                          proper_backdoor_graph, satisfies_adjustment_criterion)
+from adjfas.data import ValidationError
+from adjfas.graph import (Dag, d_separated, forbidden_set, proper_backdoor_graph,
+                          satisfies_adjustment_criterion)
 
 
 class TestAdmgInvariants:
     """Construction invariants, topological order and file format of ``Dag``."""
 
     def test_cycle_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(ValidationError):
             Dag(["A", "B"], directed=[("A", "B"), ("B", "A")])
 
     def test_self_loop_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(ValidationError):
             Dag(["A"], directed=[("A", "A")])
 
     def test_unknown_node_rejected(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(ValidationError):
             Dag(["A"], directed=[("A", "B")])
 
     def test_topological_order_golden(self):
@@ -72,7 +73,7 @@ class TestMSeparation:
 
     def test_disjointness_enforced(self):
         g = Dag(["A", "B"], directed=[("A", "B")])
-        with pytest.raises(GraphError):
+        with pytest.raises(ValidationError):
             d_separated(g, {"A"}, {"B"}, {"A"})
 
     def test_agrees_with_path_enumeration_on_random_graphs(self):
@@ -154,7 +155,7 @@ class TestAdjustmentCriterion:
     def test_latent_z_rejected(self):
         g = Dag(["L", "X", "Y"], directed=[("L", "X"), ("L", "Y"), ("X", "Y")],
                 observed=["X", "Y"])
-        with pytest.raises(GraphError):
+        with pytest.raises(ValidationError):
             satisfies_adjustment_criterion(g, "X", "Y", {"L"})
 
     def test_proper_backdoor_graph_removes_only_causal_first_edges(self):

@@ -11,7 +11,8 @@ from _oracles import (confounded_world, eliminated_conditional, latent_confounde
                       mean_abs_diff, score_by_elimination, score_one_arm, valid_set_world)
 from adjfas import score as score_module
 from adjfas.bayesnet import BayesNetPosterior, fit_posterior, posterior_mean
-from adjfas.data import Arm, CategoricalTable, ExperimentSummary, ValidationError
+from adjfas.data import (Arm, CategoricalTable, ExperimentSummary, ValidationError,
+                         g2_independence_test)
 from adjfas.graph import Dag, satisfies_adjustment_criterion
 from adjfas.score import (NOT_EXISTS, TIE_TOL, EnumerationLimitError, FasConfig, FasResult,
                           Hypothesis, HypothesisRecord, PreparedScoring, ScoringError,
@@ -42,6 +43,18 @@ class TestCandidatePool:
         t = CategoricalTable(("W", "C", "X", "Y"), (2, 2, 2, 2), np.column_stack([w, c, x, y]))
         pool = candidate_pool(t, "X", "Y", 0.05)
         assert "W" not in pool and "C" in pool
+
+    def test_constant_column_excluded(self):
+        # cardinality 1 leaves the G² test no degree of freedom: p = 1, never in the pool
+        rng = np.random.default_rng(2)
+        n = 10000
+        c = rng.integers(0, 2, n)
+        x = (c ^ (rng.random(n) < 0.2)).astype(int)
+        y = ((x & c) ^ (rng.random(n) < 0.2)).astype(int)
+        t = CategoricalTable(("K", "C", "X", "Y"), (1, 2, 2, 2),
+                             np.column_stack([np.zeros(n, int), c, x, y]))
+        assert g2_independence_test(t, "K", "X") == g2_independence_test(t, "K", "Y") == 1.0
+        assert candidate_pool(t, "X", "Y", 0.05) == ("C",)
 
     def test_no_covariates(self):
         rng = np.random.default_rng(3)

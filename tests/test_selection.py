@@ -9,8 +9,7 @@ from adjfas.bayesnet import ParamInstantiation, product_marginal
 from adjfas.data import ExperimentSummary, ValidationError
 from adjfas.graph import satisfies_adjustment_criterion
 from adjfas.score import FasConfig, find_adjustment_set
-from adjfas.selection import (TOL, InfeasibleSelectionError, SolverConvergenceError,
-                              build_selection_bn)
+from adjfas.selection import TOL, SelectionError, build_selection_bn
 from adjfas.sim import SimConfig, generate_world, sample_datasets
 
 
@@ -100,19 +99,19 @@ class TestBuildSelectionBn:
     def test_spent_sweep_budget_is_not_converged(self, monkeypatch):
         # two coupled marginals need more than one sweep
         monkeypatch.setattr(selection_module, "MAX_SWEEPS", 1)
-        with pytest.raises(SolverConvergenceError, match="did not reach residual 1e-06 in 1 sweeps"):
+        with pytest.raises(SelectionError, match="did not reach residual 1e-06 in 1 sweeps"):
             build_selection_bn(chain_net(), {"V1": [0.3, 0.7], "V2": [0.5, 0.5]})
 
     def test_infeasible_unsupported_mass(self):
         degenerate = ParamInstantiation({"V": 2}, {"V": ()}, {"V": np.array([1.0, 0.0])})
-        with pytest.raises(InfeasibleSelectionError, match="'V'"):
+        with pytest.raises(SelectionError, match="'V'"):
             build_selection_bn(degenerate, {"V": [0.5, 0.5]})
 
     def test_infeasible_contradictory_marginals(self):
         # B copies A, so no weights put all of A on 0 and all of B on 1
         copy = ParamInstantiation({"A": 2, "B": 2}, {"A": (), "B": ("A",)},
                                   {"A": np.array([0.5, 0.5]), "B": np.eye(2)})
-        with pytest.raises(InfeasibleSelectionError, match="P\\(S=1\\) to zero"):
+        with pytest.raises(SelectionError, match="P\\(S=1\\) to zero"):
             build_selection_bn(copy, {"A": [1.0, 0.0], "B": [0.0, 1.0]})
 
     def test_fallback_raises_the_same_infeasibility(self, monkeypatch):
