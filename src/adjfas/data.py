@@ -150,7 +150,8 @@ class Arm:
 
     def __post_init__(self):
         values = (self.x_value, *self.outcome_counts)
-        if not all(isinstance(v, (int, np.integer)) or float(v).is_integer() for v in values):
+        if not all(_is_int(v) or isinstance(v, (float, np.floating)) and float(v).is_integer()
+                   for v in values):
             raise ValidationError(f"arm x value and outcome counts must be integers, got {values}")
         object.__setattr__(self, "x_value", int(self.x_value))
         object.__setattr__(self, "outcome_counts", tuple(int(c) for c in self.outcome_counts))
@@ -293,7 +294,8 @@ def save_observational(table: CategoricalTable, path) -> None:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def load_experiment(path) -> ExperimentSummary:

@@ -154,12 +154,12 @@ def d_separated(g: Dag, a: Iterable[str], b: Iterable[str], z: Iterable[str]) ->
     of edges.
     """
     a, b, z = set(a), set(b), set(z)
-    for v in a | b | z:
+    for v in sorted(a | b | z):  # sorted: the same unknown node is named in every process
         g._check_node(v)
     if (a & b) or (a & z) or (b & z):
         raise ValidationError("a, b, z must be pairwise disjoint")
 
-    anz = g.ancestors(z) if z else set()
+    anz = reach(g._parents, z)
     # a start node acts as if entered from a child: it passes both ways
     stack = [(v, False) for v in a]
     visited = set(stack)
@@ -213,8 +213,6 @@ def satisfies_adjustment_criterion(g: Dag, x: str, y: str, z: Iterable[str]) -> 
     observed nodes not containing x or y.
     """
     z = set(z)
-    if x == y:
-        raise ValidationError("x and y must differ")
     if x in z or y in z:
         raise ValidationError("z must not contain x or y")
     unknown = z - set(g.nodes)

@@ -27,9 +27,10 @@ import numpy as np
 
 from .bayesnet import (BayesNetPosterior, fit_posterior, learn_structure, posterior_mean,
                        product_marginal, sample_parameter_batch)
-from .data import Arm, CategoricalTable, ExperimentSummary, ValidationError, g2_independence_test
+from .data import (Arm, CategoricalTable, ExperimentSummary, ValidationError, _is_int,
+                   contingency_counts, g2_independence_test)
 from .graph import Dag, d_separated
-from .selection import SelectionBn, build_selection_bn, check_empirical_support
+from .selection import SelectionBn, SelectionError, build_selection_bn
 
 POOL_ENUMERATION_LIMIT = 16
 TIE_TOL = 1e-9
@@ -102,12 +103,19 @@ class FasConfig:
             raise ValueError(f"--ess must be finite and greater than 0, got {self.ess}")
         if not 0 < self.alpha < 1:
             raise ValueError(f"--alpha must lie strictly between 0 and 1, got {self.alpha}")
-        if self.niters < 1:
-            raise ValueError(f"--niters must be at least 1, got {self.niters}")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be at least 0, got {self.seed}")
-        if self.max_subset_size is not None and self.max_subset_size < 0:
-            raise ValueError(f"--max-subset-size must be at least 0, got {self.max_subset_size}")
+        check_int_flag("--niters", self.niters, 1)
+        check_int_flag("--seed", self.seed, 0)
+        if self.max_subset_size is not None:
+            check_int_flag("--max-subset-size", self.max_subset_size, 0)
+
+
+def check_int_flag(flag: str, value, least: int) -> None:
+    """An integer setting is an int or numpy integer (``_is_int``) of at least
+    ``least``; the error names its command-line ``flag``."""
+    if not _is_int(value):
+        raise ValueError(f"{flag} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -415,7 +423,17 @@ def prepare_scoring(table: CategoricalTable, exp: ExperimentSummary,
     unknown = set(reported) - set(table.variable_names)
     if unknown:
         raise ValidationError(f"reported marginals for unknown variables: {sorted(unknown)}")
-    check_empirical_support(table, reported)
+    # the smoothed posterior gives every category positive probability, so mass
+    # on a category the data never show can only be caught here, on the table
+    for v in sorted(reported):
+        mass, counts = reported[v], contingency_counts(table, (v,))
+        if len(mass) != counts.size:
+            raise ValidationError(
+                f"marginal for {v!r} has {len(mass)} entries, table cardinality is {counts.size}")
+        unseen = [c for c, n in enumerate(counts) if n == 0 and mass[c] > 0.0]
+        if unseen:
+            raise SelectionError(f"variable {v!r}, category {unseen[0]}: trial reports mass "
+                                 f"{mass[unseen[0]]:.6g} on a category never observed in the data")
     if exp.n_outcomes != table.cardinality(y):
         raise ValidationError(
             f"experiment reports {exp.n_outcomes} outcome categories, "
@@ -491,14 +509,14 @@ def score_hypotheses(prep: PreparedScoring, config: FasConfig,
     exp, post = prep.exp, prep.post
     x, y = exp.treatment, exp.outcome
     pool, cap = set(prep.pool), config.max_subset_size
-    if hypotheses is None:
-        hypotheses = enumerate_hypotheses(prep.pool, cap)
-    for h in hypotheses:
+    for h in hypotheses or ():  # the enumerated ones lie inside by construction
         if not h.is_not_exists and not (h.z <= pool and (cap is None or len(h.z) <= cap)):
             limit = "" if cap is None else f" of at most {cap} variables"
             raise ValidationError(
                 f"hypothesis {h.label()} outside the enumerated space: the subsets"
                 f"{limit} of the candidate pool {{{','.join(prep.pool)}}}")
+    if hypotheses is None:
+        hypotheses = enumerate_hypotheses(prep.pool, cap)
     tilts = {} if prep.selection is None else prep.selection.theta_s
 
     subsets = [h for h in hypotheses if not h.is_not_exists]

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .bayesnet import ParamInstantiation, product_marginal
-from .data import CategoricalTable, ValidationError, check_marginal, contingency_counts
+from .data import ValidationError, check_marginal
 
 MAX_SWEEPS = 10000
 TOL = 1e-6  # largest residual between a reported and a reproduced marginal
@@ -98,27 +98,6 @@ def _marginal_fn(params: ParamInstantiation, selected: tuple[str, ...]
         return t / total
 
     return marginal
-
-
-def check_empirical_support(table: CategoricalTable, marginals: Mapping[str, Sequence[float]]) -> None:
-    """Reject reported marginals that put mass on never-observed categories.
-
-    The smoothed posterior assigns every category positive probability, so
-    this is where 'trial mass on a category with no observational support'
-    is actually caught for data loaded from files.
-    """
-    for v in sorted(marginals):
-        target = np.asarray(marginals[v], dtype=float)
-        counts = contingency_counts(table, (v,))
-        if target.shape != counts.shape:
-            raise ValidationError(
-                f"marginal for {v!r} has {target.size} entries, table cardinality is {counts.size}")
-        bad = (counts == 0) & (target > 0.0)
-        if bad.any():
-            c = int(np.argmax(bad))
-            raise SelectionError(
-                f"variable {v!r}, category {c}: trial reports mass {target[c]:.6g} "
-                "on a category never observed in the data")
 
 
 def build_selection_bn(params: ParamInstantiation,

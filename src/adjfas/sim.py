@@ -28,7 +28,7 @@ from .bayesnet import (ParamInstantiation, _normalize_rows, fit_posterior, learn
 from .data import Arm, CategoricalTable, ExperimentSummary
 from .graph import Dag, forbidden_set, satisfies_adjustment_criterion
 from .score import (NOT_EXISTS, FasConfig, FasResult, Hypothesis, _root_joint, _walk_lattice,
-                    find_adjustment_set, pick_min_kl)
+                    check_int_flag, find_adjustment_set, pick_min_kl)
 from .selection import _marginal_fn
 
 MIN_ACCEPTANCE = 1e-6
@@ -60,12 +60,9 @@ class SimConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.selection not in SELECTIONS:
             raise ValueError(f"unknown selection setting {self.selection!r}")
-        if self.seed < 0:
-            raise ValueError(f"--seed must be at least 0, got {self.seed}")
+        check_int_flag("--seed", self.seed, 0)
         for name, least in (("n_observed", 0), ("n_latent", 0), ("n_obs", 1), ("n_per_arm", 1)):
-            value = getattr(self, name)
-            if value < least:
-                raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+            check_int_flag(f"--{name.replace('_', '-')}", getattr(self, name), least)
         if not (math.isfinite(self.mean_in_degree) and self.mean_in_degree > 0):
             raise ValueError(
                 f"--mean-in-degree must be finite and greater than 0, got {self.mean_in_degree}")
@@ -417,8 +414,7 @@ def run_benchmark(cfg: SimConfig, replicates: int, methods: Sequence[str] = METH
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
-    if replicates < 1:
-        raise ValueError(f"--replicates must be at least 1, got {replicates}")
+    check_int_flag("--replicates", replicates, 1)
     fas_config = fas_config or FasConfig()
 
     # imported here: at module level they cost every other command ~9 ms of start-up

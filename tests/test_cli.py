@@ -19,7 +19,7 @@ from adjfas import cli
 from adjfas.cli import main
 from adjfas.data import CategoricalTable, save_experiment, save_observational
 from adjfas.score import FasConfig, candidate_pool
-from adjfas.sim import SimConfig, sample_datasets, simulate_replicate
+from adjfas.sim import SimConfig, run_benchmark, sample_datasets, simulate_replicate
 
 
 def src_env() -> dict:
@@ -222,6 +222,22 @@ class TestTrialFile:
         assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == (
             "error: marginal for 'V1' has 3 entries, table cardinality is 2\n")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"arms": [{"x": 0, "counts": [10, 20, 30]}]},
+         "experiment reports 3 outcome categories, table has 2 for 'Y'"),
+        ({"arms": [{"x": 2, "counts": [10, 20]}]}, "arm x value 2 outside cardinality of 'X'"),
+        ({"population": "selected", "marginals": {"Q": [0.5, 0.5]}},
+         "reported marginals for unknown variables: ['Q']"),
+    ])
+    def test_fas_rejects_against_the_table(self, tmp_path, capsys, change, message):
+        obs = tmp_path / "obs.csv"
+        obs.write_text("V1,X,Y\n0,0,0\n1,1,1\n")
+        exp = tmp_path / "e.json"
+        exp.write_text(json.dumps({"treatment": "X", "outcome": "Y",
+                                   "arms": [{"x": 0, "counts": [10, 20]}], **change}))
+        assert main(["fas", str(obs), str(exp), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_variable_named_without_quotes(self, tmp_path, capsys):
         obs = tmp_path / "obs.csv"
@@ -454,7 +470,7 @@ class TestSelectionCheck:
         doc = json.loads(out.read_text())["selection"]
         assert np.allclose(doc["theta_s"]["V"], [0.25, 1.0], atol=0.01)
 
-    def test_infeasible_exit_3(self, tmp_path):
+    def test_infeasible_exit_3(self, tmp_path, capsys):
         # category V=1 never occurs in the data, but the trial reports mass on it
         from adjfas.data import CategoricalTable
         rng = np.random.default_rng(0)
@@ -469,6 +485,9 @@ class TestSelectionCheck:
                                    "marginals": {"V": [0.3, 0.2, 0.5]}}))
         out = tmp_path / "fas.json"
         assert main(["fas", str(obs), str(exp), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: variable 'V', category 1: trial reports mass 0.2 "
+            "on a category never observed in the data\n")
         assert not out.exists()
 
     def test_annihilating_weights_exit_2(self, selected_files, tmp_path, monkeypatch, capsys):
@@ -669,6 +688,23 @@ class TestModelFlags:
             assert main([*argv, "--out", str(tmp_path / argv[0])]) == 2, argv
             assert capsys.readouterr().err.startswith(f"error: {message}"), argv
             assert not (tmp_path / argv[0]).exists()
+
+
+    @pytest.mark.parametrize("build, kwargs", [
+        (FasConfig, {"niters": 2.5}), (FasConfig, {"seed": True}),
+        (FasConfig, {"max_subset_size": 1.0}),
+        (SimConfig, {"n_per_arm": 3.5}), (SimConfig, {"n_latent": 1.5}),
+        (SimConfig, {"n_observed": True}), (SimConfig, {"n_obs": "100"}),
+        (SimConfig, {"seed": 0.5}),
+        (run_benchmark, {"cfg": SimConfig(), "replicates": 2.5}),
+        (run_benchmark, {"cfg": SimConfig(), "replicates": True}),
+    ])
+    def test_library_config_rejects_a_non_integer(self, build, kwargs):
+        # argparse blocks these on the command line; a library caller meets the config's own check
+        flag = "--" + list(kwargs)[-1].replace("_", "-")
+        with pytest.raises(ValueError, match=f"^{flag} must be an integer, got "):
+            build(**kwargs)
+        assert FasConfig(niters=np.int64(5)).niters == 5
 
 
 class TestGlobalBehavior:

@@ -261,7 +261,8 @@ class TestTableInvariants:
 
 
 class TestArmAndSummaryInvariants:
-    @pytest.mark.parametrize("x, counts", [(1.5, (2, 3)), (0, (2.5, 3)), (0, (2, np.nan))])
+    @pytest.mark.parametrize("x, counts", [(1.5, (2, 3)), (0, (2.5, 3)), (0, (2, np.nan)),
+                                           (True, (3, 4)), (0, ("3", "4"))])
     def test_non_integer_arm_value_rejected(self, x, counts):
         with pytest.raises(ValidationError, match="must be integers"):
             Arm(x, counts)

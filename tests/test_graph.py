@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _oracles import (adjusted_by_enumeration, all_valid_subsets, dsep_by_enumeration,
                       forbidden_by_enumeration, mean_abs_diff)
+from adjfas import graph
 from adjfas.data import ValidationError
 from adjfas.graph import (Dag, d_separated, forbidden_set, proper_backdoor_graph,
                           satisfies_adjustment_criterion)
@@ -75,6 +80,20 @@ class TestMSeparation:
         g = Dag(["A", "B"], directed=[("A", "B")])
         with pytest.raises(ValidationError):
             d_separated(g, {"A"}, {"B"}, {"A"})
+
+    def test_names_the_same_unknown_node_in_every_process(self):
+        code = ("from adjfas.graph import Dag, d_separated\n"
+                "try:\n"
+                "    d_separated(Dag(['A', 'B']), {'A'}, {'B'}, {'Q1', 'Q2', 'Q3', 'Q4'})\n"
+                "except ValueError as e:\n"
+                "    print(e)\n")
+        src = str(Path(graph.__file__).parents[1])
+        for hash_seed in ("2", "3"):  # the set orders that once named 'Q4' and 'Q2'
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, timeout=60)
+            assert out.stdout == "unknown node 'Q1'\n", out.stderr
 
     def test_agrees_with_path_enumeration_on_random_graphs(self):
         # 7 observed nodes; a hidden common cause of a pair is a latent parent
